@@ -295,6 +295,11 @@ def subspaces_of(x: Subspace, d: int) -> Iterator[Subspace]:
 
 def subspace_to_text(x: Subspace) -> str:
     """Rows of base-q digit characters joined by ';'; the zero space is ''."""
+    if x.field.q > len(_DIGITS):
+        raise ValueError(
+            f"the text format has {len(_DIGITS)} digits and cannot print "
+            f"GF({x.field.q})"
+        )
     return ";".join("".join(_DIGITS[v] for v in row) for row in x.rows)
 
 

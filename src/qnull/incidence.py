@@ -128,13 +128,15 @@ def read_matrix(text: str) -> IncidenceMatrix:
     if len(head) != 6:
         raise ValueError(f"bad header {lines[0]!r}, expected 'q n t k rows cols'")
     q, n, t, k, rows, cols = map(int, head)
-    col_lists: list[list[int]] = [[] for _ in range(cols)]
+    col_sets: list[set[int]] = [set() for _ in range(cols)]
     for ln in lines[1:]:
         si, sj = ln.split()
         i, j = int(si), int(sj)
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"entry ({i},{j}) out of bounds {rows}x{cols}")
-        col_lists[j].append(i)
+        if i in col_sets[j]:
+            raise ValueError(f"entry ({i},{j}) listed twice")
+        col_sets[j].add(i)
     return IncidenceMatrix(
         q=q,
         n=n,
@@ -142,5 +144,5 @@ def read_matrix(text: str) -> IncidenceMatrix:
         k=k,
         rows=rows,
         cols=cols,
-        col_rows=tuple(tuple(sorted(col)) for col in col_lists),
+        col_rows=tuple(tuple(sorted(col)) for col in col_sets),
     )

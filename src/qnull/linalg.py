@@ -6,21 +6,21 @@ GF(p):
 * kernel-enumeration walks every kernel vector (Gray-code order, so each step
   is one basis-vector update); it requires p^(kernel dim) to fit a budget.
 
-* support-enumeration scans column subsets by size and reports the first
-  dependent subset in lexicographic order.  The scan is implemented with
-  result-identical shortcuts: at the stage for subset size w, every smaller
-  dependent subset has already been excluded, so a dependent w-subset is
-  exactly the support of a full-weight kernel word.  Over GF(2) that word is
-  the XOR of its columns, so stage w reduces to a meet-in-the-middle
-  collision search over half-subsets (complete, so the lexicographically
-  least hit is the same one the literal subset scan would find), and when the
-  all-ones vector lies in the row space every kernel word has even weight and
-  odd stages are provably empty.  Over other primes the stages run as a
-  literal lexicographic scan (grid sizes there are tiny).
+* support-enumeration finds the lexicographically first dependent column
+  subset of least size.  Stages run in increasing size w, so at stage w a
+  dependent w-subset is minimal and carries a kernel word with full support
+  on it: every row it touches is touched at least twice, and over GF(2) an
+  even number of times.  One depth-first search, in the style of Knuth's
+  Dancing Links, branches on the lowest row that breaks this and prunes
+  when the columns still to come cannot cover the open rows.  Over GF(2) a
+  leaf with no open row is dependent, and when the all-ones vector lies in
+  the row space every kernel word has even weight, so odd stages are
+  skipped; over other primes a leaf gets a mod-p rank test.  The search
+  counts its nodes against the same budget and refuses past it.
 
-Minimum rational support uses the same stage structure with a GF(2)
-prefilter: a rational dependency among 0/1 columns survives reduction mod 2,
-so only subsets that are GF(2)-deficient get the exact fraction-free test.
+Minimum rational support runs the same search with a GF(2) prefilter at the
+leaves: a rational dependency among 0/1 columns survives reduction mod 2, so
+only subsets that are GF(2)-deficient get the exact fraction-free test.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
-from typing import Optional, Sequence
-
-import numpy as np
+from math import gcd
+from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "GfpMatrix",
@@ -49,19 +47,13 @@ __all__ = [
 MODE_KERNEL = "kernel-enumeration"
 MODE_SUPPORT = "support-enumeration"
 
-# dict-based meet-in-the-middle is used while the table side fits this many
-# half-subsets; beyond it the sorted-array join takes over
-_MITM_DICT_LIMIT = 1_500_000
-# hard ceiling for the sorted-array join (rows in the value table)
-_MITM_JOIN_LIMIT = 80_000_000
-
 
 class BudgetExceededError(RuntimeError):
-    """Kernel enumeration would exceed the configured vector budget."""
+    """A search would exceed its configured budget (kernel vectors or nodes)."""
 
 
 def default_budget(p: int) -> int:
-    """Default kernel-enumeration budget: ~2^22 vectors at p=2, scaled by 1/log p."""
+    """Default search budget: ~2^22 vectors or nodes at p=2, scaled by 1/log p."""
     return int(2**22 / math.log2(p))
 
 
@@ -99,16 +91,6 @@ class GfpMatrix:
     def from_incidence(cls, m, p: int) -> "GfpMatrix":
         """Reduce an IncidenceMatrix (0/1 entries) mod p."""
         return cls.from_rows(p, m.dense())
-
-    def column_bitmasks(self) -> list[int]:
-        """Per column, the bitmask of rows with a nonzero entry (p=2 use)."""
-        masks = [0] * self.cols
-        for i, row in enumerate(self.entries):
-            bit = 1 << i
-            for j, v in enumerate(row):
-                if v:
-                    masks[j] |= bit
-        return masks
 
 
 @dataclass(frozen=True)
@@ -334,21 +316,24 @@ def _kernel_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
 # -- support-enumeration mode ------------------------------------------------
 
 
-def _all_ones_in_row_space(m: GfpMatrix) -> bool:
-    """p=2: is the all-ones row a GF(2) combination of the rows?"""
+def _xor_basis(vectors: Iterable[int]) -> dict[int, int]:
+    """GF(2) echelon basis of bit-vectors, keyed by leading bit."""
     basis: dict[int, int] = {}
-    for row in m.entries:
-        v = 0
-        for j, x in enumerate(row):
-            if x:
-                v |= 1 << j
+    for v in vectors:
         while v:
             h = v.bit_length() - 1
-            if h in basis:
-                v ^= basis[h]
-            else:
+            if h not in basis:
                 basis[h] = v
                 break
+            v ^= basis[h]
+    return basis
+
+
+def _all_ones_in_row_space(m: GfpMatrix) -> bool:
+    """p=2: is the all-ones row a GF(2) combination of the rows?"""
+    basis = _xor_basis(
+        sum(1 << j for j, x in enumerate(row) if x) for row in m.entries
+    )
     ones = (1 << m.cols) - 1
     while ones:
         h = ones.bit_length() - 1
@@ -358,217 +343,114 @@ def _all_ones_in_row_space(m: GfpMatrix) -> bool:
     return True
 
 
-def _stage_zero_column(m: GfpMatrix) -> Optional[tuple[int, ...]]:
-    for j in range(m.cols):
-        if all(row[j] == 0 for row in m.entries):
-            return (j,)
+def _column_masks(entries: Sequence[Sequence[int]]) -> list[int]:
+    """Per column, the bitmask of rows with a nonzero entry."""
+    masks = [0] * (len(entries[0]) if entries else 0)
+    for i, row in enumerate(entries):
+        bit = 1 << i
+        for j, v in enumerate(row):
+            if v:
+                masks[j] |= bit
+    return masks
+
+
+def _least_dependent_set(
+    masks: Sequence[int],
+    stages: Iterable[int],
+    parity: bool,
+    dependent: Optional[Callable[[list[int]], bool]],
+    budget: Optional[int],
+) -> Optional[tuple[int, ...]]:
+    """Lex-least column set of the first stage size w that has one, or None.
+
+    masks[j] is the set of rows where column j is nonzero.  At stage w every
+    smaller set is independent, so a dependent w-set S is minimal and carries
+    a kernel vector with full support on S: every row S touches is touched at
+    least twice, and over GF(2) (parity=True) an even number of times.  The
+    depth-first search keeps the "open" rows that break this (touched once,
+    or an odd number of times under parity), always branches on the lowest
+    open row over the columns that cover it, and bans the columns tried in
+    earlier sibling branches, so each set is reached once.  A node is pruned
+    when its open rows outnumber what the columns still to come can cover.
+    A leaf with no open row is a hit under parity; otherwise dependent(set)
+    decides.  The least column a runs in ascending order and the search
+    returns the least hit of the first a that has one.  More than budget
+    nodes raise BudgetExceededError.
+    """
+    nrows = max((mk.bit_length() for mk in masks), default=0)
+    row_cols = [0] * nrows
+    for j, mk in enumerate(masks):
+        while mk:
+            low = mk & -mk
+            row_cols[low.bit_length() - 1] |= 1 << j
+            mk ^= low
+    maxdeg = max((mk.bit_count() for mk in masks), default=0)
+    every = (1 << len(masks)) - 1
+    chosen: list[int] = []
+    hits: list[tuple[int, ...]] = []
+    nodes = 0
+    w = 0
+
+    def push(c: int, once: int, multi: int, used: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(
+                f"support search reached {nodes} nodes at stage w={w}, "
+                f"budget is {budget}"
+            )
+        chosen.append(c)
+        mk = masks[c]
+        if parity:
+            once ^= mk
+        else:
+            once, multi = (once ^ mk) & ~multi, multi | (once & mk)
+        left = w - len(chosen)
+        if not left:
+            if not once and (dependent is None or dependent(chosen)):
+                hits.append(tuple(sorted(chosen)))
+        elif once.bit_count() <= left * maxdeg:
+            cands = row_cols[(once & -once).bit_length() - 1] if once else every
+            cands &= ~used
+            while cands:
+                bit = cands & -cands
+                cands ^= bit
+                used |= bit
+                push(bit.bit_length() - 1, once, multi, used)
+        chosen.pop()
+
+    for w in stages:
+        for a in range(len(masks) - w + 1):
+            push(a, 0, 0, (2 << a) - 1)
+            if hits:
+                return min(hits)
     return None
 
 
-def _stage_proportional_pair(m: GfpMatrix) -> Optional[tuple[int, ...]]:
-    """Lex-least pair of proportional columns (stage w=2, any p)."""
+def _support_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
     p = m.p
-    seen: dict[tuple[int, ...], int] = {}
-    best = None
-    for j in range(m.cols):
-        col = tuple(row[j] for row in m.entries)
-        lead = next((v for v in col if v), None)
-        if lead is None:
-            continue  # zero column, stage 1 territory
-        inv = pow(lead, p - 2, p)
-        norm = tuple(v * inv % p for v in col)
-        if norm in seen:
-            cand = (seen[norm], j)
-            if best is None or cand < best:
-                best = cand
-        else:
-            seen[norm] = j
-    return best
-
-
-def _stage_mitm_dict(masks: Sequence[int], w: int) -> Optional[tuple[int, ...]]:
-    """All dependent w-subsets via half-subset XOR collisions; returns lex-least.
-
-    Valid at stage w: smaller dependent subsets are already excluded, so any
-    same-value pair of half-subsets is disjoint and their union is the
-    support of a weight-w kernel word.
-    """
-    cols = len(masks)
-    h = w // 2
-    g = w - h
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for combo in itertools.combinations(range(cols), h):
-        v = 0
-        for j in combo:
-            v ^= masks[j]
-        table.setdefault(v, []).append(combo)
-    best: Optional[tuple[int, ...]] = None
-    if g == h:
-        for combos in table.values():
-            if len(combos) < 2:
-                continue
-            for c1, c2 in itertools.combinations(combos, 2):
-                if set(c1) & set(c2):
-                    continue
-                cand = tuple(sorted(c1 + c2))
-                if best is None or cand < best:
-                    best = cand
+    top = min(cap, m.cols)
+    if p == 2:
+        # <all-ones, x> = weight of x mod 2, so if the all-ones row is in the
+        # row space every kernel word has even weight
+        even = _all_ones_in_row_space(m)
+        stages = [w for w in range(1, top + 1) if not (even and w % 2)]
+        dependent = None
     else:
-        for combo in itertools.combinations(range(cols), g):
-            v = 0
-            for j in combo:
-                v ^= masks[j]
-            for other in table.get(v, ()):
-                if set(combo) & set(other):
-                    continue
-                cand = tuple(sorted(combo + other))
-                if best is None or cand < best:
-                    best = cand
-    return best
+        stages = range(1, top + 1)
 
+        def dependent(cols: list[int]) -> bool:
+            sub = tuple(tuple(row[j] for j in cols) for row in m.entries)
+            return rref_gfp(GfpMatrix(p, sub))[1] < len(cols)
 
-def _stage_mitm_join(
-    masks: Sequence[int], w: int, rows: int
-) -> Optional[tuple[int, ...]]:
-    """Even-w collision stage as a sorted-array join (for large half counts)."""
-    cols = len(masks)
-    h = w // 2
-    n_half = comb(cols, h)
-    lanes_n = max(1, (rows + 63) // 64)
-    if n_half * lanes_n > _MITM_JOIN_LIMIT:
-        raise RuntimeError(
-            f"support stage w={w} needs a {n_half}-row join; too large"
-        )
-    lanes = np.zeros((cols, lanes_n), dtype=np.uint64)
-    for j, mask in enumerate(masks):
-        for l in range(lanes_n):
-            lanes[j, l] = (mask >> (64 * l)) & 0xFFFFFFFFFFFFFFFF
-    idx_dtype = np.uint8 if cols <= 255 else np.uint16
-    base = np.array(
-        list(itertools.combinations(range(cols), h - 1)), dtype=idx_dtype
+    hit = _least_dependent_set(
+        _column_masks(m.entries), stages, p == 2, dependent, budget
     )
-    base_val = lanes[base[:, 0].astype(np.intp)].copy()
-    for c in range(1, h - 1):
-        base_val ^= lanes[base[:, c].astype(np.intp)]
-    vals = np.empty((n_half, lanes_n), dtype=np.uint64)
-    ids = np.empty((n_half, h), dtype=idx_dtype)
-    pos = 0
-    for a in range(cols - h + 1):
-        sel = base[:, 0] > a
-        cnt = int(sel.sum())
-        if not cnt:
-            continue
-        ids[pos : pos + cnt, 0] = a
-        ids[pos : pos + cnt, 1:] = base[sel]
-        vals[pos : pos + cnt] = base_val[sel] ^ lanes[a]
-        pos += cnt
-    assert pos == n_half
-    order = np.lexsort(tuple(vals[:, l] for l in range(lanes_n)))
-    vs = vals[order]
-    eq = np.all(vs[1:] == vs[:-1], axis=1)
-    best: Optional[tuple[int, ...]] = None
-    run_positions = np.flatnonzero(eq)
-    i = 0
-    n_eq = len(run_positions)
-    while i < n_eq:
-        start = run_positions[i]
-        end = start + 1
-        while i + 1 < n_eq and run_positions[i + 1] == run_positions[i] + 1:
-            i += 1
-            end = run_positions[i] + 1
-        group = [tuple(int(v) for v in ids[order[k]]) for k in range(start, end + 1)]
-        for c1, c2 in itertools.combinations(group, 2):
-            if set(c1) & set(c2):
-                continue
-            cand = tuple(sorted(c1 + c2))
-            if best is None or cand < best:
-                best = cand
-        i += 1
-    return best
-
-
-def _stage_literal(m: GfpMatrix, w: int) -> Optional[tuple[int, ...]]:
-    """Literal lexicographic subset scan with an incremental elimination state.
-
-    Only the last column of a subset can be dependent here (all smaller
-    dependent subsets were excluded by earlier stages), so each DFS node
-    reduces one column against the prefix basis.
-    """
-    p = m.p
-    cols = m.cols
-    columns = [tuple(row[j] for row in m.entries) for j in range(cols)]
-    nr = m.rows
-    found: Optional[tuple[int, ...]] = None
-
-    def reduce_col(col: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
-        v = col
-        for piv, bvec in basis:
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, bvec)]
-        return v
-
-    def rec(start: int, chosen: list[int], basis: list[tuple[int, list[int]]]):
-        nonlocal found
-        if found is not None:
-            return
-        depth = len(chosen)
-        if depth == w:
-            return
-        for j in range(start, cols - (w - depth) + 1):
-            v = reduce_col(list(columns[j]), basis)
-            piv = next((i for i, x in enumerate(v) if x), None)
-            if piv is None:
-                if depth == w - 1:
-                    found = tuple(chosen + [j])
-                    return
-                # a dependent prefix would have been reported at a smaller
-                # stage; unreachable while stages run in increasing w
-                continue
-            inv = pow(v[piv], p - 2, p)
-            if inv != 1:
-                v = [x * inv % p for x in v]
-            basis.append((piv, v))
-            chosen.append(j)
-            rec(j + 1, chosen, basis)
-            chosen.pop()
-            basis.pop()
-            if found is not None:
-                return
-
-    rec(0, [], [])
-    return found
-
-
-def _support_enum(m: GfpMatrix, cap: int) -> SearchReport:
-    p = m.p
-    cols = m.cols
-    masks = m.column_bitmasks() if p == 2 else None
-    even_only: Optional[bool] = None
-    for w in range(1, min(cap, cols) + 1):
-        if w == 1:
-            hit = _stage_zero_column(m)
-        elif w == 2:
-            hit = _stage_proportional_pair(m)
-        elif p == 2:
-            if w % 2 == 1:
-                if even_only is None:
-                    even_only = _all_ones_in_row_space(m)
-                if even_only:
-                    # all kernel weights are even: <all-ones, x> = weight mod 2
-                    continue
-                hit = _stage_mitm_dict(masks, w)
-            elif comb(cols, w // 2) <= _MITM_DICT_LIMIT:
-                hit = _stage_mitm_dict(masks, w)
-            else:
-                hit = _stage_mitm_join(masks, w, m.rows)
-        else:
-            hit = _stage_literal(m, w)
-        if hit is not None:
-            values = _witness_on_support(m, hit)
-            _verify_kernel_vector(m, hit, values)
-            return SearchReport(w, hit, values, MODE_SUPPORT, True, cap)
-    return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
+    if hit is None:
+        return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
+    values = _witness_on_support(m, hit)
+    _verify_kernel_vector(m, hit, values)
+    return SearchReport(len(hit), hit, values, MODE_SUPPORT, True, cap)
 
 
 def min_weight_kernel_gfp(
@@ -581,8 +463,10 @@ def min_weight_kernel_gfp(
     """Minimum Hamming weight of a nonzero kernel vector, with witness.
 
     mode is "kernel-enumeration" (walk the whole kernel; requires
-    p^(kernel dim) <= budget) or "support-enumeration" (scan column subsets
-    by size).  Both are exhaustive and agree wherever both run; ties are
+    p^(kernel dim) <= budget) or "support-enumeration" (search column subsets
+    by size; refused once the search passes budget nodes).  budget defaults
+    to default_budget(p) and refusals raise BudgetExceededError.  Both are
+    exhaustive and agree wherever both run; ties are
     broken by lexicographically least support, then least coefficient tuple.
     threads is accepted for interface stability; every search here is
     deterministic and the result never depends on it.
@@ -598,11 +482,11 @@ def min_weight_kernel_gfp(
     if mode_norm is None:
         raise ValueError(f"unknown mode {mode!r}")
     del threads
+    if budget is None:
+        budget = default_budget(m.p)
     if mode_norm == MODE_KERNEL:
-        if budget is None:
-            budget = default_budget(m.p)
         return _kernel_enum(m, cap, budget)
-    return _support_enum(m, cap)
+    return _support_enum(m, cap, budget)
 
 
 # -- rational minimum support ------------------------------------------------
@@ -652,53 +536,6 @@ def _rational_nullvector(
     return tuple(ints)
 
 
-def _rational_stage(
-    entries: Sequence[Sequence[int]], col_bits: list[int], w: int
-) -> Optional[tuple[int, ...]]:
-    """First (lex) w-subset of columns that is dependent over Q.
-
-    DFS in lexicographic order carrying a GF(2) elimination state; the exact
-    Bareiss test runs only on GF(2)-deficient leaves (rational dependence of
-    0/1 columns implies GF(2) dependence).
-    """
-    cols = len(col_bits)
-    found: Optional[tuple[int, ...]] = None
-
-    def rec(start: int, chosen: list[int], basis: dict[int, int], defic: int):
-        nonlocal found
-        if found is not None:
-            return
-        depth = len(chosen)
-        if depth == w:
-            if defic:
-                sub = [[row[j] for j in chosen] for row in entries]
-                if rank_rational(sub) < w:
-                    found = tuple(chosen)
-            return
-        for j in range(start, cols - (w - depth) + 1):
-            v = col_bits[j]
-            while v:
-                h = v.bit_length() - 1
-                if h in basis:
-                    v ^= basis[h]
-                else:
-                    break
-            chosen.append(j)
-            if v:
-                h = v.bit_length() - 1
-                basis[h] = v
-                rec(j + 1, chosen, basis, defic)
-                del basis[h]
-            else:
-                rec(j + 1, chosen, basis, defic + 1)
-            chosen.pop()
-            if found is not None:
-                return
-
-    rec(0, [], {}, 0)
-    return found
-
-
 def min_support_kernel_rational(
     entries: Sequence[Sequence[int]], cap: int
 ) -> SearchReport:
@@ -711,20 +548,24 @@ def min_support_kernel_rational(
         raise ValueError("cap must be >= 1")
     if any(v not in (0, 1) for row in entries for v in row):
         raise ValueError("expected a 0/1 integer matrix")
-    nr = len(entries)
-    nc = len(entries[0]) if nr else 0
-    col_bits = [
-        sum((entries[i][j] & 1) << i for i in range(nr)) for j in range(nc)
-    ]
-    for w in range(1, min(cap, nc) + 1):
-        hit = _rational_stage(entries, col_bits, w)
-        if hit is None:
-            continue
-        vec = _rational_nullvector(entries, hit)
-        if any(v == 0 for v in vec):
-            raise RuntimeError("witness support is smaller than the found set")
-        for row in entries:
-            if sum(row[j] * v for j, v in zip(hit, vec)):
-                raise RuntimeError("witness is not in the rational kernel")
-        return SearchReport(len(hit), hit, vec, MODE_SUPPORT, True, cap)
-    return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
+    masks = _column_masks(entries)
+
+    def dependent(cols: list[int]) -> bool:
+        # a rational dependency among 0/1 columns survives reduction mod 2,
+        # so only GF(2)-deficient sets get the exact fraction-free test
+        w = len(cols)
+        return len(_xor_basis(masks[j] for j in cols)) < w and (
+            rank_rational([[row[j] for j in cols] for row in entries]) < w
+        )
+
+    stages = range(1, min(cap, len(masks)) + 1)
+    hit = _least_dependent_set(masks, stages, False, dependent, None)
+    if hit is None:
+        return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
+    vec = _rational_nullvector(entries, hit)
+    if any(v == 0 for v in vec):
+        raise RuntimeError("witness support is smaller than the found set")
+    for row in entries:
+        if sum(row[j] * v for j, v in zip(hit, vec)):
+            raise RuntimeError("witness is not in the rational kernel")
+    return SearchReport(len(hit), hit, vec, MODE_SUPPORT, True, cap)

@@ -45,6 +45,13 @@ def test_enumerate_rejects_bad_parameters(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_enumerate_rejects_q_beyond_the_digit_alphabet(capsys):
+    # 37 is prime, but the text format has only 36 digit symbols
+    code, out, err = run(capsys, "enumerate", "--q", "37", "--n", "2", "--k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # -- wilson ---------------------------------------------------------------------
 
 
@@ -159,6 +166,14 @@ def test_rank_over_gf_and_q(wilson_file, capsys):
     assert "rank over GF(2): 11" in out
 
 
+def test_rank_rejects_duplicate_matrix_entry(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_text("2 2 1 1 1 1\n0 0\n0 0\n")
+    code, out, err = run(capsys, "rank", "--matrix", str(path), "--over", "gf")
+    assert code == 2 and out == ""
+    assert "entry (0,0) listed twice" in err
+
+
 # -- minweight ----------------------------------------------------------------------
 
 
@@ -220,6 +235,22 @@ def test_minweight_budget_env(wilson_file, capsys, monkeypatch):
         "--mode", "kernel",
     )
     assert code == 2 and "QNULL_BUDGET" in err
+
+
+def test_minweight_support_budget_refusal(tmp_path, capsys):
+    path = tmp_path / "w2523.txt"
+    run(
+        capsys,
+        "wilson", "--q", "2", "--n", "5", "--t", "2", "--k", "3",
+        "--out", str(path),
+    )
+    code, out, err = run(
+        capsys,
+        "minweight", "--matrix", str(path), "--p", "2", "--cap", "8",
+        "--mode", "support", "--budget", "1000",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budget" in err
 
 
 def test_minweight_cap_validation(wilson_file, capsys):

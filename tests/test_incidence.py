@@ -128,6 +128,9 @@ def test_read_matrix_rejects_malformed_input():
         read_matrix("2 4 1 2 15 35\n99 0\n")  # row index out of bounds
     with pytest.raises(ValueError):
         read_matrix("2 4 1 2 15 35\n0 99\n")  # column index out of bounds
+    # a repeated entry would count twice in apply_check but once in dense()
+    with pytest.raises(ValueError, match=r"entry \(0,0\) listed twice"):
+        read_matrix("2 2 1 1 1 1\n0 0\n0 0\n")
 
 
 def test_row_and_col_subspace_lists_are_fresh_and_ordered():

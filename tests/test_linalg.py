@@ -13,8 +13,6 @@ from qnull.linalg import (
     BudgetExceededError,
     GfpMatrix,
     _all_ones_in_row_space,
-    _stage_mitm_dict,
-    _stage_mitm_join,
     default_budget,
     kernel_basis_gfp,
     min_support_kernel_rational,
@@ -257,37 +255,60 @@ def test_tie_break_is_lex_least_support_then_values():
     assert (rep2.witness_support, rep2.witness_values) == ((0, 1), (1, 2))
 
 
-# -- meet-in-the-middle internals ----------------------------------------------
+# -- support search internals ----------------------------------------------------
 
 
 def _mask_matrix(masks, rows):
     return _m(2, [[(mk >> i) & 1 for mk in masks] for i in range(rows)])
 
 
-def test_mitm_dict_and_join_agree_on_random_masks():
+def _brute_min_dependent_gf2(masks, cap):
+    """Reference: lex-first column subset of least size whose masks XOR to 0."""
+    for w in range(1, cap + 1):
+        for combo in itertools.combinations(range(len(masks)), w):
+            acc = 0
+            for idx in combo:
+                acc ^= masks[idx]
+            if not acc:
+                return combo
+    return None
+
+
+def test_support_mode_matches_brute_force_on_random_masks():
     rng = random.Random(40814)
     rows = 20
     for trial in range(30):
         masks = [rng.getrandbits(rows) | 1 for _ in range(24)]
-        for w in (4, 6):
-            d = _stage_mitm_dict(masks, w)
-            j = _stage_mitm_join(masks, w, rows)
-            assert d == j, (trial, w, d, j)
-            if d is not None:
-                assert len(d) == w
-                acc = 0
-                for idx in d:
-                    acc ^= masks[idx]
-                assert acc == 0
+        want = _brute_min_dependent_gf2(masks, 6)
+        rep = min_weight_kernel_gfp(_mask_matrix(masks, rows), 6, mode=MODE_SUPPORT)
+        assert rep.witness_support == want, (trial, rep.witness_support, want)
+        assert rep.weight == (None if want is None else len(want))
 
 
-def test_mitm_matches_support_mode_on_wilson():
+def test_support_mode_matches_kernel_mode_on_wilson():
     m = GfpMatrix.from_incidence(wilson_matrix(2, 4, 1, 2), 2)
     rep = min_weight_kernel_gfp(m, 8, mode=MODE_SUPPORT)
     krep = min_weight_kernel_gfp(m, 8, mode=MODE_KERNEL, budget=2**24)
     assert rep.weight == krep.weight == 4
     assert rep.witness_support == krep.witness_support
     assert rep.witness_values == krep.witness_values
+
+
+def test_support_search_refuses_past_its_node_budget():
+    m = GfpMatrix.from_incidence(wilson_matrix(2, 5, 2, 3), 2)
+    with pytest.raises(BudgetExceededError, match=r"stage w=\d+, budget is 1000"):
+        min_weight_kernel_gfp(m, 8, mode=MODE_SUPPORT, budget=1000)
+    rep = min_weight_kernel_gfp(m, 8, mode=MODE_SUPPORT)
+    assert rep.weight == 8
+    assert rep.witness_support == (0, 1, 4, 5, 16, 17, 20, 21)
+
+
+def test_support_mode_reaches_weight_eight_at_n6():
+    # W_{2,3} over GF(2)^6 is 651x1395; its minimum weight is 2^(t+1) = 8
+    m = GfpMatrix.from_incidence(wilson_matrix(2, 6, 2, 3), 2)
+    rep = min_weight_kernel_gfp(m, 8, mode=MODE_SUPPORT)
+    assert rep.weight == 8 and rep.exhaustive
+    assert rep.witness_support == (0, 1, 8, 9, 64, 65, 72, 73)
 
 
 def test_all_ones_in_row_space_detects_even_weight_kernels():
@@ -361,6 +382,15 @@ def test_rational_cap_limits_the_scan():
     entries = [[1, 1, 1], [1, 1, 0]]  # only dependence uses columns beyond cap
     rep = min_support_kernel_rational(entries, 1)
     assert not rep.found and rep.exhaustive and rep.cap == 1
+
+
+def test_rational_min_support_eight_at_q3_n4():
+    # W_{1,2} at q=3 is 13x13 and of full rank for n=3; at n=4 (40x130) the
+    # kernel is nonzero and the minimum support is (1+1)(1+3) = 8
+    rep = min_support_kernel_rational(wilson_matrix(3, 4, 1, 2).dense(), 8)
+    assert rep.weight == 8
+    assert rep.witness_support == (0, 1, 27, 28, 68, 71, 77, 80)
+    assert rep.witness_values == (1, -1, -1, 1, -1, 1, 1, -1)
 
 
 def _brute_min_support_rational(entries, cap):
