@@ -19,7 +19,6 @@ from .designs import (
     NullDesign,
     Verdict,
     as_modulus,
-    check_constant_sum,
     construct_lb_design,
     construct_uniform_design,
     strength_of,
@@ -63,7 +62,6 @@ __all__ = [
     "sum_over_superspaces",
     "verify_strength",
     "verify_strength_direct",
-    "check_constant_sum",
     "strength_of",
     "construct_lb_design",
     "construct_uniform_design",

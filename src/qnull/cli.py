@@ -1,7 +1,8 @@
 """Command-line front end: `qnull <subcommand>`.
 
 Exit codes: 0 on success, 1 when a verification or reproduction check fails,
-2 on usage errors (bad parameters, malformed files, exceeded budget).
+2 on usage errors (bad parameters, malformed files, exceeded budget), and
+141 (128 + SIGPIPE) when the reader of stdout goes away early (`qnull ... | head`).
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .reproduce import format_rows, rows_to_records, run_grid
 
 __all__ = ["main"]
 
+EXIT_PIPE_CLOSED = 141
+
 
 class UsageError(Exception):
     pass
@@ -76,15 +79,10 @@ class RunConfig:
                 raise UsageError(f"{name} must lie in [0, {n}], got {v}")
         if t is not None and k is not None and t > k:
             raise UsageError(f"need t <= k, got t={t}, k={k}")
-        if r is not None:
-            p = f.p
-            rr = r
-            while rr % p == 0 and rr > 1:
-                rr //= p
-            if rr != 1 or not 2 <= r <= f.q:
-                raise UsageError(
-                    f"r must be a power of {p} with 2 <= r <= {f.q}, got {r}"
-                )
+        if r is not None and not f.is_modulus(r):
+            raise UsageError(
+                f"r must be a power of {f.p} with 2 <= r <= {f.q}, got {r}"
+            )
         return self
 
 
@@ -513,7 +511,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout stays broken; point it at devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

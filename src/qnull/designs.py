@@ -22,10 +22,14 @@ from typing import Mapping, Optional
 from .fields import Field, field
 from .grassmann import (
     Subspace,
+    _packed_subspaces_of,
     contains,
+    coordinate_span,
     enumerate_subspaces,
     gaussian_binomial,
     index_of,
+    join,
+    random_subspace_of,
     subspace_from_text,
     subspace_to_text,
     subspaces_of,
@@ -37,7 +41,6 @@ __all__ = [
     "sum_over_superspaces",
     "verify_strength",
     "verify_strength_direct",
-    "check_constant_sum",
     "strength_of",
     "construct_lb_design",
     "construct_uniform_design",
@@ -46,14 +49,6 @@ __all__ = [
     "write_design",
     "read_design",
 ]
-
-
-def _is_power(r: int, p: int) -> bool:
-    if r < 1:
-        return False
-    while r % p == 0:
-        r //= p
-    return r == 1
 
 
 class NullDesign:
@@ -69,7 +64,7 @@ class NullDesign:
         t_claimed: int,
         support: Mapping[Subspace, int],
     ):
-        if not _is_power(r, f.p) or not 2 <= r <= f.q:
+        if not f.is_modulus(r):
             raise ValueError(f"modulus {r} must be a power of {f.p} in [2, {f.q}]")
         if not 0 <= t_claimed <= n:
             raise ValueError(f"claimed strength {t_claimed} out of range for n={n}")
@@ -149,17 +144,23 @@ def verify_strength(design: NullDesign, t: int) -> Verdict:
     """Check the strength-t condition at every t-dimensional subspace.
 
     Scatter formulation: only y below some support element can have a nonzero
-    sum, so accumulate per support element and report the nonzero cells.
+    sum, so accumulate per support element, keyed by the packed basis of y,
+    and build subspaces only for the nonzero cells.
     """
     _check_domain(design, t)
-    acc: dict[Subspace, int] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for x, c in design.support.items():
-        for y in subspaces_of(x, t):
-            acc[y] = acc.get(y, 0) + c
+        for _, bases in _packed_subspaces_of(x, t):
+            for key in bases:
+                acc[key] = acc.get(key, 0) + c
     r = design.r
-    bad = [(index_of(y), y, v % r) for y, v in acc.items() if v % r]
-    bad.sort(key=lambda item: item[0])
-    return Verdict(ok=not bad, violations=tuple((y, v) for _, y, v in bad))
+    bad = [
+        (Subspace.from_vecs(design.field, design.n, key), v % r)
+        for key, v in acc.items()
+        if v % r
+    ]
+    bad.sort(key=lambda yv: index_of(yv[0]))
+    return Verdict(ok=not bad, violations=tuple(bad))
 
 
 def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
@@ -171,31 +172,6 @@ def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
         if v:
             bad.append((y, v))
     return Verdict(ok=not bad, violations=tuple(bad))
-
-
-def check_constant_sum(design: NullDesign, t: int) -> Optional[int]:
-    """The common value of the containment sum over all of J(t), or None.
-
-    Uses the scatter accumulator: subspaces never touched have sum 0, so the
-    sums are constant iff the touched values are all equal and either that
-    value is 0 or the touched set is all of J(t).
-    """
-    _check_domain(design, t)
-    acc: dict[Subspace, int] = {}
-    for x, c in design.support.items():
-        for y in subspaces_of(x, t):
-            acc[y] = acc.get(y, 0) + c
-    r = design.r
-    values = {v % r for v in acc.values()}
-    total = gaussian_binomial(design.n, t, design.field.q)
-    if not acc:
-        return 0
-    if len(values) > 1:
-        return None
-    value = values.pop()
-    if value == 0 or len(acc) == total:
-        return value
-    return None
 
 
 def strength_of(design: NullDesign, t_max: int) -> Optional[int]:
@@ -215,14 +191,6 @@ def strength_of(design: NullDesign, t_max: int) -> Optional[int]:
     return best
 
 
-def _coordinate_span(f: Field, n: int, m: int) -> Subspace:
-    """span(e_1..e_m): identity-prefix basis, already canonical."""
-    rows = tuple(
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(m)
-    )
-    return Subspace(f, n, rows)
-
-
 def construct_lb_design(q: int, n: int, t: int, r: Optional[int] = None) -> NullDesign:
     """Minimal-support non-void design of strength t.
 
@@ -236,7 +204,7 @@ def construct_lb_design(q: int, n: int, t: int, r: Optional[int] = None) -> Null
         raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
     if r is None:
         r = f.p
-    v = _coordinate_span(f, n, t + 1)
+    v = coordinate_span(f, n, t + 1)
     support: dict[Subspace, int] = {v: 1}
     for u in subspaces_of(v, t):
         support[u] = r - 1
@@ -266,9 +234,9 @@ def construct_uniform_design(
     if not (0 <= t < k < n):
         raise ValueError(f"need 0 <= t < k < n, got t={t}, k={k}, n={n}")
     if chain is None:
-        u = _coordinate_span(f, n, k - t - 1)
-        v = _coordinate_span(f, n, k - t)
-        w = _coordinate_span(f, n, k + 1)
+        u = coordinate_span(f, n, k - t - 1)
+        v = coordinate_span(f, n, k - t)
+        w = coordinate_span(f, n, k + 1)
     else:
         u, v, w = chain
         if (u.k, v.k, w.k) != (k - t - 1, k - t, k + 1):
@@ -315,32 +283,10 @@ def make_random_chain(
     f: Field, n: int, k: int, t: int, rng: random.Random
 ) -> tuple[Subspace, Subspace, Subspace]:
     """A uniformly arbitrary valid chain u < v < w for construct_uniform_design."""
-    from .grassmann import canonicalize
-
-    def random_subspace_of(parent: Subspace, d: int) -> Subspace:
-        while True:
-            rows = []
-            for _ in range(d):
-                vec = [0] * n
-                for row in parent.rows:
-                    c = rng.randrange(f.q)
-                    if c:
-                        vec = [f.add(a, f.mul(c, b)) for a, b in zip(vec, row)]
-                rows.append(vec)
-            cand = canonicalize(f, n, rows)
-            if cand.k == d:
-                return cand
-
-    full = _coordinate_span(f, n, n)
-    w = random_subspace_of(full, k + 1)
-    u = random_subspace_of(w, k - t - 1)
+    w = random_subspace_of(coordinate_span(f, n, n), k + 1, rng)
+    u = random_subspace_of(w, k - t - 1, rng)
     while True:
-        vec = [0] * n
-        for row in w.rows:
-            c = rng.randrange(f.q)
-            if c:
-                vec = [f.add(a, f.mul(c, b)) for a, b in zip(vec, row)]
-        v = canonicalize(f, n, list(u.rows) + [vec])
+        v = join(u, random_subspace_of(w, 1, rng))
         if v.k == k - t:
             return u, v, w
 

@@ -225,6 +225,10 @@ class Field:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
         return self._inv[a]
 
+    def is_modulus(self, r: int) -> bool:
+        """True iff r = p^i with 1 <= i <= s: a modulus for coefficients over GF(q)."""
+        return 2 <= r <= self.q and self.q % r == 0
+
     def element(self, code: int) -> "GfElement":
         return GfElement(self, code)
 

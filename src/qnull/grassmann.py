@@ -1,21 +1,33 @@
 """Canonical subspaces of GF(q)^n: enumeration, indexing, and lattice queries.
 
-A subspace is represented by its unique reduced-row-echelon basis, stored as a
-tuple of row tuples of element codes.  The fixed enumeration order is: pivot
-column sets ascending lexicographically (as increasing tuples), then the free
-entries read row-major as a base-q integer, ascending.  Over GF(2) with n=2,
-k=1 that gives span{(1,0)}, span{(1,1)}, span{(0,1)}.
+A subspace is represented by its unique reduced-row-echelon basis.  Each
+basis row is packed into one int with one lane per base-p digit of each
+coordinate: coordinate j takes bits [j*s*w, (j+1)*s*w) and digit i of its
+element code (fields.py: code = sum of digit_i p^i) sits w*i bits above that.
+Over p = 2 a lane is one bit and vector addition is XOR.  Over odd p a lane
+has w bits with 2^(w-1) >= p, room for the sum of two digits, so addition is
+one integer add followed by a lane-wise subtraction of p wherever the sum
+reached p.  The pivot columns are stored with the rows, and `Subspace.rows`
+decodes the packed rows back into tuples of element codes.
+
+The fixed enumeration order is: pivot column sets ascending lexicographically
+(as increasing tuples), then the free entries read row-major as a base-q
+integer, ascending.  Over GF(2) with n=2, k=1 that gives span{(1,0)},
+span{(1,1)}, span{(0,1)}.
 
 One structural fact carries most of the module: if B is the k x n RREF basis
 of x and L is any d x k RREF matrix, then L.B is already in RREF form with
 pivot columns {pivots(x)[j] : j pivot of L}, and distinct L give distinct
 subspaces.  So the d-dimensional subspaces of x are exactly the products L.B
-with L ranging over the d x k RREF matrices, no re-reduction needed.
+with L ranging over the d x k RREF matrices, no re-reduction needed; each row
+of L.B is read out of the q^k vectors of x, spanned once per call.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+import random
 from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -26,6 +38,8 @@ __all__ = [
     "Subspace",
     "gaussian_binomial",
     "canonicalize",
+    "coordinate_span",
+    "random_subspace_of",
     "contains",
     "join",
     "enumerate_subspaces",
@@ -50,43 +64,139 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+class _Lanes:
+    """The packed layout of GF(q)^n and the vector arithmetic on it."""
+
+    def __init__(self, f: Field, n: int):
+        p, s, q = f.p, f.s, f.q
+        w = 1 if p == 2 else (p - 1).bit_length() + 1
+        self.field, self.n, self.q = f, n, q
+        self.bw, self.mask = s * w, (1 << s * w) - 1
+        self.enc = [sum((c // p**i % p) << (i * w) for i in range(s)) for c in range(q)]
+        self.dec = {raw: c for c, raw in enumerate(self.enc)}
+        # -c at the lane pattern of each code c; no other pattern occurs
+        self._neg_at = [f.neg(self.dec.get(raw, 0)) for raw in range(max(self.enc) + 1)]
+        ones = sum(1 << (i * w) for i in range(n * s))  # the low bit of every lane
+        if p == 2:
+            self.add = operator.xor
+        else:
+            fold, high, sh = ones * ((1 << (w - 1)) - p), ones << (w - 1), w - 1
+
+            def add(a: int, b: int) -> int:
+                t = a + b
+                return t - (((t + fold) & high) >> sh) * p
+
+            self.add = add
+        # x times a coordinate moves its digits up one lane and adds the top
+        # digit d back in as d*x^s = d*(-modulus[0] - modulus[1] x - ...)
+        self._top = sum(((1 << w) - 1) << (j * self.bw + (s - 1) * w) for j in range(n))
+        self._low = ones * ((1 << w) - 1) & ~self._top
+        self._w, self._top_shift = w, (s - 1) * w
+        self._fold = [j * w for j, m in enumerate(f.modulus[:s]) for _ in range(-m % p)]
+        # c*v = (c - p^i)*v + x^i*v, with i the lowest nonzero digit of c
+        self._steps = []
+        for c in range(1, q):
+            i = min(i for i in range(s) if c // p**i % p)
+            self._steps.append((c - p**i, i))
+
+    def multiples(self, v: int) -> list[int]:
+        """c*v for every element code c, indexed by c."""
+        basis, add = [v], self.add
+        for _ in range(self.field.s - 1):
+            v = basis[-1]
+            out, top = (v & self._low) << self._w, (v & self._top) >> self._top_shift
+            for sh in self._fold:
+                out = add(out, top << sh)
+            basis.append(out)
+        out = [0]
+        for prev, i in self._steps:
+            out.append(add(out[prev], basis[i]))
+        return out
+
+    def negated(self, v: int) -> list[int]:
+        """-c*v for every element code c, indexed by the lane pattern of c."""
+        return list(map(self.multiples(v).__getitem__, self._neg_at))
+
+    def span(self, vecs: tuple[int, ...]) -> list[int]:
+        """All q^k sums of c_j vecs[j], indexed by (c_0 .. c_{k-1}) read in base q."""
+        out, add = [0], self.add
+        for v in vecs:
+            mult = self.multiples(v)
+            out = [add(a, m) for a in out for m in mult]
+        return out
+
+    def code(self, v: int, j: int) -> int:
+        return self.dec[(v >> (j * self.bw)) & self.mask]
+
+    def rref(self, vecs: Iterable[int]) -> "Subspace":
+        """The subspace spanned by packed vectors, reduced to canonical form."""
+        work, out, pivots = list(vecs), [], []
+        for col in range(self.n):
+            shift, mask = col * self.bw, self.mask
+            src = next((i for i, v in enumerate(work) if (v >> shift) & mask), None)
+            if src is None:
+                continue
+            row = work.pop(src)
+            row = self.multiples(row)[self.field.inv(self.code(row, col))]
+            negs = self.negated(row)
+            out = [self.add(v, negs[(v >> shift) & mask]) for v in out] + [row]
+            work = [self.add(v, negs[(v >> shift) & mask]) for v in work]
+            pivots.append(col)
+        return Subspace(self, tuple(out), tuple(pivots))
+
+
+@lru_cache(maxsize=None)
+def _lanes(q: int, n: int) -> _Lanes:
+    return _Lanes(field(q), n)
+
+
 class Subspace:
     """A k-dimensional subspace of GF(q)^n in canonical RREF form.
 
-    Instances are immutable; equality and hashing go through the canonical
-    basis, so two values are equal iff they are the same subspace.
+    Instances are immutable; equality and hashing go through the packed
+    canonical basis, so two values are equal iff they are the same subspace.
     """
 
-    __slots__ = ("field", "n", "k", "rows", "_hash")
+    __slots__ = ("field", "n", "k", "vecs", "pivots", "_lanes", "_reducer")
 
-    def __init__(self, f: Field, n: int, rows: tuple[tuple[int, ...], ...]):
-        self.field = f
-        self.n = n
-        self.k = len(rows)
-        self.rows = rows
-        self._hash = hash((f.q, n, rows))
+    def __init__(self, lanes: _Lanes, vecs: tuple[int, ...], pivots: tuple[int, ...]):
+        self.field = lanes.field
+        self.n = lanes.n
+        self.k = len(vecs)
+        self.vecs = vecs
+        self.pivots = pivots
+        self._lanes = lanes
+        self._reducer = None  # set by contains(): per row, (pivot shift, -c*row)
+
+    @classmethod
+    def from_vecs(cls, f: Field, n: int, vecs: tuple[int, ...]) -> "Subspace":
+        """The subspace whose packed RREF basis (as in `vecs`) is given."""
+        lanes = _lanes(f.q, n)
+        pivots = tuple(((v & -v).bit_length() - 1) // lanes.bw for v in vecs)
+        return cls(lanes, vecs, pivots)
 
     @property
-    def dim(self) -> int:
-        return self.k
-
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(c for c, v in enumerate(row) if v) for row in self.rows)
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The RREF basis as rows of element codes."""
+        code, n = self._lanes.code, self.n
+        return tuple(tuple(code(v, j) for j in range(n)) for v in self.vecs)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
-            and self._hash == other._hash
-            and self.field is other.field
-            and self.n == other.n
-            and self.rows == other.rows
+            and self.vecs == other.vecs
+            and self._lanes is other._lanes
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.vecs)
 
     def __repr__(self) -> str:
-        return f"Subspace(q={self.field.q}, n={self.n}, <{subspace_to_text(self)}>)"
+        if self.field.q <= len(_DIGITS):
+            body = subspace_to_text(self)
+        else:
+            body = ";".join(",".join(map(str, row)) for row in self.rows)
+        return f"Subspace(q={self.field.q}, n={self.n}, <{body}>)"
 
 
 def canonicalize(f: Field, n: int, rows: Iterable[Sequence[int]]) -> Subspace:
@@ -94,137 +204,120 @@ def canonicalize(f: Field, n: int, rows: Iterable[Sequence[int]]) -> Subspace:
 
     Empty or all-zero input yields the zero space (k=0, empty basis).
     """
-    work = [list(r) for r in rows]
-    for r in work:
+    rows = [list(r) for r in rows]
+    for r in rows:
         if len(r) != n:
             raise ValueError(f"vector length {len(r)} != ambient dimension {n}")
         if any(not 0 <= v < f.q for v in r):
             raise ValueError("entry out of range for the field")
-    mul, sub, inv = f.mul, f.sub, f.inv
-    out: list[list[int]] = []
-    pivots: list[int] = []
-    for col in range(n):
-        src = None
-        for i, r in enumerate(work):
-            if r[col]:
-                src = i
-                break
-        if src is None:
-            continue
-        row = work.pop(src)
-        s = inv(row[col])
-        row = [mul(s, v) for v in row]
-        for r in itertools.chain(out, work):
-            c = r[col]
-            if c:
-                for j in range(col, n):
-                    r[j] = sub(r[j], mul(c, row[j]))
-        out.append(row)
-        pivots.append(col)
-        if not work:
-            break
-    return Subspace(f, n, tuple(tuple(r) for r in out))
+    lanes = _lanes(f.q, n)
+    enc, bw = lanes.enc, lanes.bw
+    return lanes.rref(sum(enc[c] << (j * bw) for j, c in enumerate(r)) for r in rows)
+
+
+def coordinate_span(f: Field, n: int, m: int) -> Subspace:
+    """span(e_1..e_m), the subspace with the identity-prefix basis."""
+    lanes = _lanes(f.q, n)
+    return lanes.rref(1 << (i * lanes.bw) for i in range(m))
+
+
+def random_subspace_of(parent: Subspace, d: int, rng: random.Random) -> Subspace:
+    """A uniformly random d-dimensional subspace of parent.
+
+    Draws d vectors, each with one rng.randrange(q) coefficient per basis row
+    of parent, and draws again until they are independent.
+    """
+    lanes = parent._lanes
+    mults = [lanes.multiples(v) for v in parent.vecs]
+    while True:
+        rows = []
+        for _ in range(d):
+            vec = 0
+            for mult in mults:
+                vec = lanes.add(vec, mult[rng.randrange(lanes.q)])
+            rows.append(vec)
+        cand = lanes.rref(rows)
+        if cand.k == d:
+            return cand
 
 
 def contains(x: Subspace, y: Subspace) -> bool:
     """True iff y is a subspace of x (every basis row of y reduces to zero)."""
-    if x.field is not y.field or x.n != y.n:
+    lanes = x._lanes
+    if lanes is not y._lanes:
         raise ValueError("subspaces live in different ambient spaces")
     if y.k > x.k:
         return False
-    mul, sub = x.field.mul, x.field.sub
-    xp = x.pivots()
-    n = x.n
-    for yrow in y.rows:
-        v = list(yrow)
-        for xrow, p in zip(x.rows, xp):
-            c = v[p]
+    reducer = x._reducer
+    if reducer is None:
+        reducer = x._reducer = tuple(
+            (p * lanes.bw, lanes.negated(v)) for v, p in zip(x.vecs, x.pivots)
+        )
+    add, mask = lanes.add, lanes.mask
+    for v in y.vecs:
+        for shift, negs in reducer:
+            c = (v >> shift) & mask
             if c:
-                for j in range(p, n):
-                    v[j] = sub(v[j], mul(c, xrow[j]))
-        if any(v):
+                v = add(v, negs[c])
+        if v:
             return False
     return True
 
 
 def join(x: Subspace, y: Subspace) -> Subspace:
     """The smallest subspace containing both x and y."""
-    if x.field is not y.field or x.n != y.n:
+    if x._lanes is not y._lanes:
         raise ValueError("subspaces live in different ambient spaces")
-    return canonicalize(x.field, x.n, x.rows + y.rows)
+    return x._lanes.rref(x.vecs + y.vecs)
 
 
 # -- enumeration order ---------------------------------------------------
 
-def _free_positions(n: int, pivots: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Row-major free coordinates of the RREF pattern with the given pivots."""
-    pset = set(pivots)
-    return [
-        (r, c)
-        for r, p in enumerate(pivots)
-        for c in range(p + 1, n)
-        if c not in pset
-    ]
-
-
 @lru_cache(maxsize=None)
 def _pivot_layout(q: int, n: int, k: int):
-    """Per pivot set: (pivots, free positions, ordinal offset); plus offsets list."""
-    layouts = []
-    offsets = []
+    """Per pivot set, in enumeration order: its row-major free coordinates
+    (r, c) and its ordinal offset; plus the total count."""
+    by_pivots = {}
     total = 0
     for pivots in itertools.combinations(range(n), k):
-        free = _free_positions(n, pivots)
-        layouts.append((pivots, free, total))
-        offsets.append(total)
+        rest = [c for c in range(n) if c not in pivots]
+        free = [(r, c) for r, p in enumerate(pivots) for c in rest if c > p]
+        by_pivots[pivots] = (free, total)
         total += q ** len(free)
-    return layouts, offsets, total
+    return by_pivots, total
 
 
-def _fill(pivots, free, digits, n) -> tuple[tuple[int, ...], ...]:
-    k = len(pivots)
-    rows = [[0] * n for _ in range(k)]
-    for r, p in enumerate(pivots):
-        rows[r][p] = 1
-    for (r, c), d in zip(free, digits):
-        rows[r][c] = d
-    return tuple(tuple(r) for r in rows)
+def _layer(lanes: _Lanes, k: int):
+    """Per pivot set of the k-layer: the pivots and an iterator over the packed
+    bases with those pivots, all in enumeration order."""
+    enc, bw = lanes.enc, lanes.bw
+    for pivots, (free, _) in _pivot_layout(lanes.q, lanes.n, k)[0].items():
+        choices = [[1 << (p * bw)] for p in pivots]
+        for r, c in free:
+            choices[r] = [v | (e << (c * bw)) for v in choices[r] for e in enc]
+        yield pivots, itertools.product(*choices)
 
 
 def enumerate_subspaces(f: Field, n: int, k: int) -> Iterator[Subspace]:
     """All k-dimensional subspaces of GF(q)^n in the fixed order, streamed."""
     if not 0 <= k <= n:
         return
-    if k == 0:
-        yield Subspace(f, n, ())
-        return
-    for pivots in itertools.combinations(range(n), k):
-        free = _free_positions(n, pivots)
-        for digits in itertools.product(range(f.q), repeat=len(free)):
-            yield Subspace(f, n, _fill(pivots, free, digits, n))
+    lanes = _lanes(f.q, n)
+    for pivots, bases in _layer(lanes, k):
+        for vecs in bases:
+            yield Subspace(lanes, vecs, pivots)
 
 
 def index_of(x: Subspace) -> int:
     """Ordinal of x within enumerate_subspaces(field, n, k), the inverse of from_index."""
-    layouts, _, _ = _pivot_layout(x.field.q, x.n, x.k)
-    pivots = x.pivots()
-    # pivot sets are emitted in combinations() order; locate by direct scan of
-    # the combination rank
-    lo, hi = 0, len(layouts)
-    # binary search on the lexicographic order of increasing tuples
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if layouts[mid][0] < pivots:
-            lo = mid + 1
-        else:
-            hi = mid
-    pv, free, offset = layouts[lo]
-    if pv != pivots:
+    by_pivots, _ = _pivot_layout(x.field.q, x.n, x.k)
+    if x.pivots not in by_pivots:
         raise ValueError("pivot set not found (corrupt subspace?)")
-    q = x.field.q
+    free, offset = by_pivots[x.pivots]
+    q, code = x.field.q, x._lanes.code
     val = 0
     for r, c in free:
-        val = val * q + x.rows[r][c]
+        val = val * q + code(x.vecs[r], c)
     return offset + val
 
 
@@ -232,26 +325,55 @@ def from_index(f: Field, n: int, k: int, ordinal: int) -> Subspace:
     """The subspace at a given position of the fixed enumeration order."""
     if not 0 <= k <= n:
         raise ValueError(f"dimension {k} out of range for n={n}")
-    layouts, offsets, total = _pivot_layout(f.q, n, k)
+    by_pivots, total = _pivot_layout(f.q, n, k)
     if not 0 <= ordinal < total:
         raise ValueError(f"ordinal {ordinal} out of range [0, {total})")
-    i = bisect_right(offsets, ordinal) - 1
-    pivots, free, offset = layouts[i]
+    offsets = [offset for _, offset in by_pivots.values()]
+    pivots = list(by_pivots)[bisect_right(offsets, ordinal) - 1]
+    free, offset = by_pivots[pivots]
+    lanes = _lanes(f.q, n)
+    rows = [1 << (p * lanes.bw) for p in pivots]
     val = ordinal - offset
-    digits = [0] * len(free)
-    for j in range(len(free) - 1, -1, -1):
-        digits[j] = val % f.q
-        val //= f.q
-    return Subspace(f, n, _fill(pivots, free, digits, n))
+    for r, c in reversed(free):
+        val, digit = divmod(val, f.q)
+        rows[r] |= lanes.enc[digit] << (c * lanes.bw)
+    return Subspace(lanes, tuple(rows), pivots)
 
 
 # -- local enumeration inside a subspace ---------------------------------
 
 @lru_cache(maxsize=None)
-def _local_rref(q: int, m: int, d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All d x m RREF matrices over GF(q), materialized in enumeration order."""
-    f = field(q)
-    return tuple(s.rows for s in enumerate_subspaces(f, m, d))
+def _local_rref(q: int, m: int, d: int):
+    """The d x m RREF matrices over GF(q) in enumeration order, grouped by
+    pivot set: per group the pivots and, per row r, the index into
+    _Lanes.span of row r of each matrix."""
+    lanes = _lanes(q, m)
+    groups = []
+    for pivots, bases in _layer(lanes, d):
+        idx = [
+            [sum(lanes.code(v, j) * q ** (m - 1 - j) for j in range(m)) for v in vecs]
+            for vecs in bases
+        ]
+        groups.append((pivots, tuple(zip(*idx))))
+    return tuple(groups)
+
+
+def _packed_subspaces_of(x: Subspace, d: int):
+    """Per pivot set: the pivots and the packed bases of the d-dimensional
+    subspaces of x with those pivots (0 <= d <= x.k), in local order."""
+    if d == x.k:
+        yield x.pivots, [x.vecs]
+        return
+    if d == 0:
+        yield (), [()]
+        return
+    span = x._lanes.span(x.vecs)
+    xp = x.pivots
+    for local_pivots, cols in _local_rref(x.field.q, x.k, d):
+        yield (
+            tuple(xp[j] for j in local_pivots),
+            list(zip(*[map(span.__getitem__, col) for col in cols])),
+        )
 
 
 def subspaces_of(x: Subspace, d: int) -> Iterator[Subspace]:
@@ -262,33 +384,10 @@ def subspaces_of(x: Subspace, d: int) -> Iterator[Subspace]:
     """
     if d > x.k or d < 0:
         return
-    if d == 0:
-        yield Subspace(x.field, x.n, ())
-        return
-    if d == x.k:
-        yield x
-        return
-    f = x.field
-    mul, add = f.mul, f.add
-    n, k = x.n, x.k
-    brows = x.rows
-    for local in _local_rref(f.q, k, d):
-        rows = []
-        for lrow in local:
-            acc = [0] * n
-            for j, c in enumerate(lrow):
-                if c:
-                    br = brows[j]
-                    if c == 1:
-                        for t in range(n):
-                            if br[t]:
-                                acc[t] = add(acc[t], br[t])
-                    else:
-                        for t in range(n):
-                            if br[t]:
-                                acc[t] = add(acc[t], mul(c, br[t]))
-            rows.append(tuple(acc))
-        yield Subspace(f, n, tuple(rows))
+    lanes = x._lanes
+    for pivots, bases in _packed_subspaces_of(x, d):
+        for vecs in bases:
+            yield Subspace(lanes, vecs, pivots)
 
 
 # -- textual format -------------------------------------------------------
@@ -306,7 +405,7 @@ def subspace_to_text(x: Subspace) -> str:
 def subspace_from_text(f: Field, n: int, text: str) -> Subspace:
     """Parse the ';'-joined digit format back into a canonical Subspace."""
     if text == "":
-        return Subspace(f, n, ())
+        return canonicalize(f, n, [])
     rows = []
     for part in text.split(";"):
         if len(part) != n:

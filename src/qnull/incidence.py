@@ -9,17 +9,11 @@ gaussian_binomial(k,t,q) ones), which is what the kernel searches want.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import Field, field
-from .grassmann import (
-    Subspace,
-    enumerate_subspaces,
-    gaussian_binomial,
-    index_of,
-    subspaces_of,
-)
+from .fields import field
+from .grassmann import Subspace, _packed_subspaces_of, enumerate_subspaces
 
 __all__ = [
     "IncidenceMatrix",
@@ -39,16 +33,12 @@ class IncidenceMatrix:
     rows: int
     cols: int
     col_rows: tuple[tuple[int, ...], ...]  # per column, sorted row indices of the 1s
-    _col_masks: list = dc_field(default=None, repr=False, compare=False)
 
     def row_subspaces(self) -> list[Subspace]:
         return list(enumerate_subspaces(field(self.q), self.n, self.t))
 
     def col_subspaces(self) -> list[Subspace]:
         return list(enumerate_subspaces(field(self.q), self.n, self.k))
-
-    def entry(self, i: int, j: int) -> int:
-        return 1 if i in self.col_rows[j] else 0
 
     def dense(self) -> list[list[int]]:
         m = [[0] * self.cols for _ in range(self.rows)]
@@ -57,35 +47,20 @@ class IncidenceMatrix:
                 m[i][j] = 1
         return m
 
-    def col_masks(self) -> list[int]:
-        """Per-column bitmasks of row indices (bit i = row i), built lazily."""
-        if self._col_masks is None:
-            masks = [sum(1 << i for i in col) for col in self.col_rows]
-            object.__setattr__(self, "_col_masks", masks)
-        return self._col_masks
-
 
 def wilson_matrix(q: int, n: int, t: int, k: int) -> IncidenceMatrix:
     """The 0/1 containment matrix between J_q(n,t) rows and J_q(n,k) columns."""
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
     f = field(q)
-    nrows = gaussian_binomial(n, t, q)
-    cols = []
-    for x in enumerate_subspaces(f, n, k):
-        cols.append(tuple(sorted(index_of(y) for y in subspaces_of(x, t))))
-    return IncidenceMatrix(
-        q=q, n=n, t=t, k=k, rows=nrows, cols=len(cols), col_rows=tuple(cols)
+    ordinal = {y.vecs: i for i, y in enumerate(enumerate_subspaces(f, n, t))}
+    cols = tuple(
+        tuple(sorted([ordinal[y] for _, ys in _packed_subspaces_of(x, t) for y in ys]))
+        for x in enumerate_subspaces(f, n, k)
     )
-
-
-def _is_power(r: int, p: int) -> bool:
-    # positive powers only: Z_1 is the zero ring and never a useful modulus
-    if r < 2:
-        return False
-    while r % p == 0:
-        r //= p
-    return r == 1
+    return IncidenceMatrix(
+        q=q, n=n, t=t, k=k, rows=len(ordinal), cols=len(cols), col_rows=cols
+    )
 
 
 def apply_check(m: IncidenceMatrix, c: Sequence[int], r: int) -> list[int]:
@@ -95,9 +70,9 @@ def apply_check(m: IncidenceMatrix, c: Sequence[int], r: int) -> list[int]:
     """
     if len(c) != m.cols:
         raise ValueError(f"coefficient vector length {len(c)} != cols {m.cols}")
-    p = field(m.q).p
-    if not _is_power(r, p) or r > m.q:
-        raise ValueError(f"modulus {r} is not a power of {p} with r <= {m.q}")
+    f = field(m.q)
+    if not f.is_modulus(r):
+        raise ValueError(f"modulus {r} is not a power of {f.p} with r <= {m.q}")
     out = [0] * m.rows
     for j, cj in enumerate(c):
         if cj % r:

@@ -22,14 +22,14 @@ from .designs import (
     verify_strength,
     verify_strength_direct,
 )
-from .fields import Field, field
+from .fields import field
 from .grassmann import (
     Subspace,
-    canonicalize,
     contains,
+    coordinate_span,
     enumerate_subspaces,
-    from_index,
     gaussian_binomial,
+    random_subspace_of,
     subspaces_of,
 )
 from .incidence import IncidenceMatrix, apply_check, wilson_matrix
@@ -84,34 +84,6 @@ def _rows_counts(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
 # -- criterion 2: interval counts are (q^{d-t+1}-1)/(q-1) = 1 mod r ----------
 
 
-def _random_subspace_of(
-    parent: Subspace, d: int, rng: random.Random
-) -> Subspace:
-    f = parent.field
-    n = parent.n
-    while True:
-        rows = []
-        for _ in range(d):
-            vec = [0] * n
-            for row in parent.rows:
-                c = rng.randrange(f.q)
-                if c:
-                    vec = [f.add(a, f.mul(c, b)) for a, b in zip(vec, row)]
-            rows.append(vec)
-        cand = canonicalize(f, n, rows)
-        if cand.k == d:
-            return cand
-
-
-def _coordinate_span(f: Field, n: int, m: int) -> Subspace:
-    rows = []
-    for i in range(m):
-        vec = [0] * n
-        vec[i] = 1
-        rows.append(vec)
-    return canonicalize(f, n, rows)
-
-
 def _count_between(y: Subspace, z: Subspace, t: int) -> int:
     return sum(1 for x in subspaces_of(z, t) if contains(x, y))
 
@@ -130,16 +102,16 @@ def _rows_interval_congruence(keep: Callable[[str], bool]) -> Iterable[CheckRow]
             for t in range(1, n + 1):
                 for d in range(t, n + 1):
                     want = (q ** (d - t + 1) - 1) // (q - 1)
-                    full = _coordinate_span(f, n, n)
+                    full = coordinate_span(f, n, n)
                     pairs = [
                         (
-                            _coordinate_span(f, n, t - 1),
-                            _coordinate_span(f, n, d),
+                            coordinate_span(f, n, t - 1),
+                            coordinate_span(f, n, d),
                         )
                     ]
                     for _ in range(3):
-                        z = _random_subspace_of(full, d, rng)
-                        y = _random_subspace_of(z, t - 1, rng)
+                        z = random_subspace_of(full, d, rng)
+                        y = random_subspace_of(z, t - 1, rng)
                         pairs.append((y, z))
                     for y, z in pairs:
                         got = _count_between(y, z, t)

@@ -1,8 +1,10 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
-from qnull.cli import main
+from qnull.cli import EXIT_PIPE_CLOSED, main
 from qnull.designs import read_design
 from qnull.incidence import read_matrix
 
@@ -328,3 +330,21 @@ def test_reproduce_corruption_control_fails(capsys):
 def test_reproduce_empty_filter_matches_nothing(capsys):
     code, payload, _ = run_json(capsys, "reproduce", "--only", "zzz-no-such-label")
     assert code == 0 and payload["checks"] == 0
+
+
+# -- output ---------------------------------------------------------------------
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    """A reader that goes away early, as in `qnull ... | head`, gets no traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qnull.cli", "enumerate", "--q", "3", "--n", "4"]
+        + ["--k", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # before the interpreter is up, so every write fails
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE_CLOSED == 141
+    assert err == b""

@@ -5,7 +5,6 @@ import pytest
 from qnull.designs import (
     NullDesign,
     as_modulus,
-    check_constant_sum,
     construct_lb_design,
     construct_uniform_design,
     make_random_chain,
@@ -21,7 +20,6 @@ from qnull.grassmann import (
     canonicalize,
     contains,
     enumerate_subspaces,
-    gaussian_binomial,
     subspaces_of,
 )
 
@@ -82,7 +80,6 @@ def test_void_design():
     assert d.is_void()
     assert d.uniform_dim() is None
     assert strength_of(d, 4) == 4
-    assert check_constant_sum(d, 1) == 0
     assert verify_strength(d, 1).ok
 
 
@@ -215,34 +212,6 @@ def test_sum_over_superspaces_matches_handcount():
         assert sum_over_superspaces(d, y) == manual == 0
     with pytest.raises(ValueError):
         sum_over_superspaces(d, _span(3, 3, (1, 0, 0)))
-
-
-# -- constant-sum probe -------------------------------------------------------
-
-
-def test_constant_sum_all_k_spaces():
-    q, n, k, t = 2, 4, 2, 1
-    f = field(q)
-    support = {x: 1 for x in enumerate_subspaces(f, n, k)}
-    d = NullDesign(f, n, 2, 0, support)
-    lam = gaussian_binomial(n - t, k - t, q) % 2
-    assert check_constant_sum(d, t) == lam == 1
-    # constant at t implies the same constant one stratum down
-    lam0 = gaussian_binomial(n, k, q) % 2
-    assert check_constant_sum(d, 0) == lam0
-
-
-def test_constant_sum_single_space_is_not_constant():
-    f = field(2)
-    x = _span(2, 4, (1, 0, 0, 0), (0, 1, 0, 0))
-    d = NullDesign(f, 4, 2, 0, {x: 1})
-    assert check_constant_sum(d, 1) is None  # touched cells 1, untouched 0
-
-
-def test_constant_sum_zero_on_null_design():
-    d = construct_lb_design(3, 4, 1)
-    assert check_constant_sum(d, 1) == 0
-    assert check_constant_sum(d, 0) == 0
 
 
 # -- modulus change -----------------------------------------------------------

@@ -19,6 +19,7 @@ from qnull.grassmann import (
     subspace_to_text,
     subspaces_of,
 )
+from qnull.incidence import wilson_matrix
 
 
 def spans_by_closure(q, n, k):
@@ -217,3 +218,96 @@ def test_subspace_equality_and_hash():
     assert a != c
     assert a != "not a subspace"
     assert isinstance(a, Subspace)
+
+
+def test_repr_is_total_beyond_the_digit_alphabet():
+    lines = list(enumerate_subspaces(field(37), 2, 1))
+    assert len(lines) == 38
+    assert repr(lines[1]) == "Subspace(q=37, n=2, <1,1>)"
+    assert repr(lines[36]) == "Subspace(q=37, n=2, <1,36>)"
+    assert repr(lines[0]) != repr(lines[37])
+    assert repr(canonicalize(field(4), 2, [(2, 1)])) == "Subspace(q=4, n=2, <13>)"
+
+
+# -- packed paths against literal vector sets ----------------------------------
+
+
+def extend(f, vectors, v):
+    """The literal vector set vectors + GF(q) v."""
+    return frozenset(
+        tuple(f.add(a, f.mul(c, b)) for a, b in zip(w, v))
+        for w in vectors
+        for c in range(f.q)
+    )
+
+
+def closure(f, n, gens):
+    """The literal set of vectors spanned by gens, closed by hand."""
+    out = frozenset({(0,) * n})
+    for g in gens:
+        out = extend(f, out, g)
+    return out
+
+
+def closed_subsets(f, n, vectors, d):
+    """Every d-dimensional subspace inside a closed vector set, as vector sets."""
+    layer = {closure(f, n, [])}
+    for _ in range(d):
+        bigger = set()
+        for s in layer:
+            rest = set(vectors - s)
+            while rest:
+                grown = extend(f, s, rest.pop())
+                bigger.add(grown)
+                rest -= grown
+        layer = bigger
+    return layer
+
+
+def check_against_closure(f, n, x_gens, y_gens, t, k):
+    x, y = canonicalize(f, n, x_gens), canonicalize(f, n, y_gens)
+    sx, sy = closure(f, n, x.rows), closure(f, n, y.rows)
+    assert sx == closure(f, n, x_gens) and len(sx) == f.q**x.k
+    assert sy == closure(f, n, y_gens) and len(sy) == f.q**y.k
+    assert contains(x, y) == (sy <= sx)
+    assert contains(y, x) == (sx <= sy)
+    for d in range(x.k + 1):
+        got = [closure(f, n, z.rows) for z in subspaces_of(x, d)]
+        assert len(set(got)) == len(got)
+        assert set(got) == closed_subsets(f, n, sx, d)
+    m = wilson_matrix(f.q, n, t, k)
+    rows = [closure(f, n, z.rows) for z in m.row_subspaces()]
+    for j, z in enumerate(m.col_subspaces()):
+        sz = closure(f, n, z.rows)
+        assert m.col_rows[j] == tuple(i for i, s in enumerate(rows) if s <= sz)
+
+
+@st.composite
+def lattice_case(draw):
+    # every lane layout: p = 2 with s = 1, 2, 3 and odd p with s = 1, 2
+    cases = [(2, 4), (3, 3), (4, 3), (5, 2), (7, 2), (8, 2), (9, 2)]
+    q, n_max = draw(st.sampled_from(cases))
+    n = draw(st.integers(min_value=1, max_value=n_max))
+    gens = [
+        [
+            [draw(st.integers(min_value=0, max_value=q - 1)) for _ in range(n)]
+            for _ in range(draw(st.integers(min_value=0, max_value=n)))
+        ]
+        for _ in range(2)
+    ]
+    k = draw(st.integers(min_value=0, max_value=n))
+    t = draw(st.integers(min_value=0, max_value=k))
+    return field(q), n, gens[0], gens[1], t, k
+
+
+@given(lattice_case())
+@settings(max_examples=150, deadline=None)
+def test_packed_paths_match_vector_set_closure(case):
+    check_against_closure(*case)
+
+
+def test_packed_paths_match_vector_set_closure_with_wide_lanes():
+    f = field(37)
+    check_against_closure(f, 2, [(3, 5), (0, 7)], [(2, 36)], 1, 2)
+    check_against_closure(f, 2, [(4, 9)], [(8, 18)], 1, 1)
+    check_against_closure(f, 2, [(4, 9)], [(1, 18)], 0, 1)
