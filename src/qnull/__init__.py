@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .fields import Field, GfElement, field, gf_add, gf_inv, gf_mul
+from .fields import Field, field
 from .grassmann import (
     Subspace,
     canonicalize,
@@ -29,6 +29,7 @@ from .designs import (
 from .linalg import (
     BudgetExceededError,
     GfpMatrix,
+    InvariantError,
     SearchReport,
     default_budget,
     kernel_basis_gfp,
@@ -40,11 +41,7 @@ from .linalg import (
 
 __all__ = [
     "Field",
-    "GfElement",
     "field",
-    "gf_add",
-    "gf_mul",
-    "gf_inv",
     "Subspace",
     "gaussian_binomial",
     "canonicalize",
@@ -69,6 +66,7 @@ __all__ = [
     "GfpMatrix",
     "SearchReport",
     "BudgetExceededError",
+    "InvariantError",
     "default_budget",
     "rref_gfp",
     "kernel_basis_gfp",

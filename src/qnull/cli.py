@@ -1,8 +1,10 @@
 """Command-line front end: `qnull <subcommand>`.
 
 Exit codes: 0 on success, 1 when a verification or reproduction check fails,
-2 on usage errors (bad parameters, malformed files, exceeded budget), and
-141 (128 + SIGPIPE) when the reader of stdout goes away early (`qnull ... | head`).
+2 on usage errors (bad parameters, malformed files, exceeded budget), 3 when
+a self-check on a computed result fails (an internal error: a bug, printed as
+`internal error: ...`), and 141 (128 + SIGPIPE) when the reader of stdout
+goes away early (`qnull ... | head`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .incidence import read_matrix, wilson_matrix, write_matrix
 from .linalg import (
     BudgetExceededError,
     GfpMatrix,
+    InvariantError,
     SearchReport,
     min_support_kernel_rational,
     min_weight_kernel_gfp,
@@ -46,6 +49,7 @@ from .reproduce import format_rows, rows_to_records, run_grid
 
 __all__ = ["main"]
 
+EXIT_INTERNAL = 3
 EXIT_PIPE_CLOSED = 141
 
 
@@ -521,6 +525,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except InvariantError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -34,6 +34,7 @@ from .grassmann import (
     subspace_to_text,
     subspaces_of,
 )
+from .linalg import InvariantError
 
 __all__ = [
     "NullDesign",
@@ -211,7 +212,7 @@ def construct_lb_design(q: int, n: int, t: int, r: Optional[int] = None) -> Null
     design = NullDesign(f, n, r, t, support)
     expected = 1 + gaussian_binomial(t + 1, t, q)
     if len(design.support) != expected:
-        raise RuntimeError(
+        raise InvariantError(
             f"support size {len(design.support)} != expected {expected}"
         )
     return design
@@ -261,12 +262,12 @@ def construct_uniform_design(
     if upper != gaussian_binomial(t + 2, t + 1, q) or lower != gaussian_binomial(
         t + 1, t, q
     ):
-        raise RuntimeError(
+        raise InvariantError(
             f"interval counts ({upper}, {lower}) do not match the chain quotients"
         )
     design = NullDesign(f, n, q, t, support)
     if len(design.support) != q ** (t + 1):
-        raise RuntimeError(
+        raise InvariantError(
             f"support size {len(design.support)} != q^(t+1) = {q ** (t + 1)}"
         )
     return design

@@ -13,10 +13,9 @@ tables at construction, which keeps inner loops at list-indexing cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-__all__ = ["Field", "GfElement", "field", "gf_add", "gf_mul", "gf_inv"]
+__all__ = ["Field", "field"]
 
 # Modulus polynomials for the non-prime orders, low degree first:
 # GF(4): x^2+x+1, GF(8): x^3+x+1, GF(9): x^2+2x+2, GF(16): x^4+x+1,
@@ -229,63 +228,11 @@ class Field:
         """True iff r = p^i with 1 <= i <= s: a modulus for coefficients over GF(q)."""
         return 2 <= r <= self.q and self.q % r == 0
 
-    def element(self, code: int) -> "GfElement":
-        return GfElement(self, code)
-
     def __repr__(self) -> str:
         return f"Field(GF({self.q}))"
-
-    def describe(self) -> str:
-        """Human-readable field line for report headers."""
-        if self.s == 1:
-            return f"GF({self.q})"
-        terms = []
-        for i in range(self.s, -1, -1):
-            c = 1 if i == self.s else self.modulus[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("x" if c == 1 else f"{c}x")
-            else:
-                terms.append(f"x^{i}" if c == 1 else f"{c}x^{i}")
-        return f"GF({self.q}) = GF({self.p})[x]/({' + '.join(terms)})"
 
 
 @lru_cache(maxsize=None)
 def field(q: int) -> Field:
     """The canonical Field instance of order q (cached, safe to compare by id)."""
     return Field(q)
-
-
-@dataclass(frozen=True, slots=True)
-class GfElement:
-    """A field element: a code in [0, q) tied to its field."""
-
-    field: Field
-    code: int
-
-    def __post_init__(self):
-        if not 0 <= self.code < self.field.q:
-            raise ValueError(f"code {self.code} out of range for GF({self.field.q})")
-
-
-def _same_field(a: GfElement, b: GfElement) -> Field:
-    if a.field is not b.field:
-        raise ValueError(f"mismatched fields: {a.field!r} vs {b.field!r}")
-    return a.field
-
-
-def gf_add(a: GfElement, b: GfElement) -> GfElement:
-    f = _same_field(a, b)
-    return GfElement(f, f.add(a.code, b.code))
-
-
-def gf_mul(a: GfElement, b: GfElement) -> GfElement:
-    f = _same_field(a, b)
-    return GfElement(f, f.mul(a.code, b.code))
-
-
-def gf_inv(a: GfElement) -> GfElement:
-    return GfElement(a.field, a.field.inv(a.code))

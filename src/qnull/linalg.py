@@ -1,5 +1,11 @@
 """Exact rank/kernel computations over GF(p) and Q, with minimum searches.
 
+Every GF(2) elimination (rref_gfp at p=2 and so the kernels and witnesses,
+the all-ones test and the rational prefilter) runs on one core: a row is one
+int with column j at bit nc-1-j, _xor_basis is the forward pass to an
+echelon basis keyed by leading bit, and back-substitution in descending
+column order gives the unique RREF.  Odd p runs a list-of-ints loop.
+
 Two exhaustive minimum-weight strategies are implemented for kernels over
 GF(p):
 
@@ -32,10 +38,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
+from .fields import _is_prime
+
 __all__ = [
     "GfpMatrix",
     "SearchReport",
     "BudgetExceededError",
+    "InvariantError",
     "rref_gfp",
     "kernel_basis_gfp",
     "rank_rational",
@@ -52,14 +61,13 @@ class BudgetExceededError(RuntimeError):
     """A search would exceed its configured budget (kernel vectors or nodes)."""
 
 
+class InvariantError(RuntimeError):
+    """A self-check on a computed result failed: a bug, not a usage error."""
+
+
 def default_budget(p: int) -> int:
     """Default search budget: ~2^22 vectors or nodes at p=2, scaled by 1/log p."""
     return int(2**22 / math.log2(p))
-
-
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"modulus {p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,8 @@ class GfpMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _check_prime(self.p)
+        if not _is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
         widths = {len(r) for r in self.entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
@@ -90,7 +99,11 @@ class GfpMatrix:
     @classmethod
     def from_incidence(cls, m, p: int) -> "GfpMatrix":
         """Reduce an IncidenceMatrix (0/1 entries) mod p."""
-        return cls.from_rows(p, m.dense())
+        rows = [bytearray(m.cols) for _ in range(m.rows)]
+        for j, col in enumerate(m.col_rows):
+            for i in col:
+                rows[i][j] = 1
+        return cls(p, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -122,9 +135,63 @@ class SearchReport:
 # -- RREF and kernels over GF(p) -------------------------------------------
 
 
+# ASCII bit of each byte's parity, and back from ASCII bits to 0/1 bytes
+_BYTE_TO_BIT = bytes(b"01"[i & 1] for i in range(256))
+_BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack_gf2(entries: Iterable[Sequence[int]]) -> list[int]:
+    """Rows mod 2 as ints; column j of an nc-column row is bit nc-1-j."""
+    return [int(b"0" + bytes(row).translate(_BYTE_TO_BIT), 2) for row in entries]
+
+
+def _reduce(basis: dict[int, int], v: int) -> int:
+    """v minus its part in the span of an echelon basis keyed by leading bit."""
+    while v:
+        h = v.bit_length() - 1
+        if h not in basis:
+            return v
+        v ^= basis[h]
+    return 0
+
+
+def _xor_basis(vectors: Iterable[int]) -> dict[int, int]:
+    """GF(2) echelon basis of bit-vectors, keyed by leading bit."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        v = _reduce(basis, v)
+        if v:
+            basis[v.bit_length() - 1] = v
+    return basis
+
+
+def _rref_gf2(m: GfpMatrix) -> tuple[GfpMatrix, int, tuple[int, ...]]:
+    nc = m.cols
+    basis = _xor_basis(_pack_gf2(m.entries))
+    # last pivot column first: each done row is zero at the other pivot
+    # bits, so one XOR per pivot bit set in v clears v there
+    done: dict[int, int] = {}
+    for h in sorted(basis):
+        v = basis[h]
+        for bit, row in done.items():
+            if v & bit:
+                v ^= row
+        done[1 << h] = v
+    order = sorted(done, reverse=True)
+    rows = [
+        tuple(format(done[bit], f"0{nc}b").encode().translate(_BIT_TO_BYTE))
+        for bit in order
+    ]
+    rows += [(0,) * nc] * (m.rows - len(rows))
+    pivots = tuple(nc - bit.bit_length() for bit in order)
+    return GfpMatrix(2, tuple(rows)), len(pivots), pivots
+
+
 def rref_gfp(m: GfpMatrix) -> tuple[GfpMatrix, int, tuple[int, ...]]:
     """Reduced row echelon form over GF(p): (rref, rank, pivot columns)."""
     p = m.p
+    if p == 2:
+        return _rref_gf2(m)
     work = [list(row) for row in m.entries]
     nr, nc = m.rows, m.cols
     pivots: list[int] = []
@@ -221,10 +288,10 @@ def _verify_kernel_vector(
     m: GfpMatrix, support: tuple[int, ...], values: tuple[int, ...]
 ) -> None:
     if len(support) != len(values) or any(v % m.p == 0 for v in values):
-        raise RuntimeError("malformed witness")
+        raise InvariantError("malformed witness")
     for row in m.entries:
         if sum(row[j] * v for j, v in zip(support, values)) % m.p:
-            raise RuntimeError("witness is not in the kernel")
+            raise InvariantError("witness is not in the kernel")
 
 
 def _witness_on_support(m: GfpMatrix, support: tuple[int, ...]) -> tuple[int, ...]:
@@ -235,7 +302,7 @@ def _witness_on_support(m: GfpMatrix, support: tuple[int, ...]) -> tuple[int, ..
     )
     basis = kernel_basis_gfp(sub)
     if not basis:
-        raise RuntimeError("support set is not dependent")
+        raise InvariantError("support set is not dependent")
     best = None
     dims = len(basis)
     for coeffs in itertools.product(range(p), repeat=dims):
@@ -251,7 +318,7 @@ def _witness_on_support(m: GfpMatrix, support: tuple[int, ...]) -> tuple[int, ..
             if best is None or cand < best:
                 best = cand
     if best is None:
-        raise RuntimeError("no full-support kernel vector on the set")
+        raise InvariantError("no full-support kernel vector on the set")
     return best
 
 
@@ -316,31 +383,9 @@ def _kernel_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
 # -- support-enumeration mode ------------------------------------------------
 
 
-def _xor_basis(vectors: Iterable[int]) -> dict[int, int]:
-    """GF(2) echelon basis of bit-vectors, keyed by leading bit."""
-    basis: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            h = v.bit_length() - 1
-            if h not in basis:
-                basis[h] = v
-                break
-            v ^= basis[h]
-    return basis
-
-
 def _all_ones_in_row_space(m: GfpMatrix) -> bool:
     """p=2: is the all-ones row a GF(2) combination of the rows?"""
-    basis = _xor_basis(
-        sum(1 << j for j, x in enumerate(row) if x) for row in m.entries
-    )
-    ones = (1 << m.cols) - 1
-    while ones:
-        h = ones.bit_length() - 1
-        if h not in basis:
-            return False
-        ones ^= basis[h]
-    return True
+    return not _reduce(_xor_basis(_pack_gf2(m.entries)), (1 << m.cols) - 1)
 
 
 def _column_masks(entries: Sequence[Sequence[int]]) -> list[int]:
@@ -516,7 +561,7 @@ def _rational_nullvector(
         r += 1
     free = [c for c in range(w) if c not in pivots]
     if not free:
-        raise RuntimeError("support set is not rationally dependent")
+        raise InvariantError("support set is not rationally dependent")
     f0 = free[0]
     vec = [Fraction(0)] * w
     vec[f0] = Fraction(1)
@@ -564,8 +609,8 @@ def min_support_kernel_rational(
         return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
     vec = _rational_nullvector(entries, hit)
     if any(v == 0 for v in vec):
-        raise RuntimeError("witness support is smaller than the found set")
+        raise InvariantError("witness support is smaller than the found set")
     for row in entries:
         if sum(row[j] * v for j, v in zip(hit, vec)):
-            raise RuntimeError("witness is not in the rational kernel")
+            raise InvariantError("witness is not in the rational kernel")
     return SearchReport(len(hit), hit, vec, MODE_SUPPORT, True, cap)

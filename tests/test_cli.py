@@ -255,6 +255,24 @@ def test_minweight_support_budget_refusal(tmp_path, capsys):
     assert err.startswith("error:") and "budget" in err
 
 
+def test_minweight_broken_witness_is_an_internal_error(wilson_file, capsys, monkeypatch):
+    # a witness helper that returns a vector outside the kernel is a bug: the
+    # self-check must end in exit 3, not in the usage-error exit 2 (over GF(3)
+    # the least witness here is 1 2 2 1 2 1, so all ones is wrong)
+    import qnull.linalg
+
+    monkeypatch.setattr(
+        qnull.linalg, "_witness_on_support", lambda m, support: (1,) * len(support)
+    )
+    code, out, err = run(
+        capsys,
+        "minweight", "--matrix", wilson_file, "--p", "3", "--cap", "8",
+        "--mode", "support",
+    )
+    assert code == 3 and out == ""
+    assert err == "internal error: witness is not in the kernel\n"
+
+
 def test_minweight_cap_validation(wilson_file, capsys):
     code, _, err = run(
         capsys, "minweight", "--matrix", wilson_file, "--p", "2", "--cap", "0"

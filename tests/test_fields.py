@@ -1,6 +1,6 @@
 import pytest
 
-from qnull.fields import Field, GfElement, field, gf_add, gf_inv, gf_mul
+from qnull.fields import Field, field
 
 
 @pytest.mark.parametrize("q", Field.REQUIRED_ORDERS)
@@ -63,28 +63,6 @@ def test_bad_modulus_rejected(monkeypatch):
     monkeypatch.setitem(fm._MODULI, 4, (1, 1))
     with pytest.raises(ValueError, match="monic"):
         Field(4)
-
-
-def test_element_wrapper():
-    f = field(4)
-    a = f.element(2)
-    b = f.element(3)
-    assert gf_add(a, b).code == f.add(2, 3)
-    assert gf_mul(a, b).code == f.mul(2, 3)
-    assert gf_mul(a, gf_inv(a)).code == 1
-    with pytest.raises(ValueError):
-        GfElement(f, 4)
-    with pytest.raises(ValueError):
-        GfElement(f, -1)
-
-
-def test_mismatched_fields_rejected():
-    a = field(4).element(1)
-    b = field(8).element(1)
-    with pytest.raises(ValueError, match="mismatched"):
-        gf_add(a, b)
-    with pytest.raises(ValueError, match="mismatched"):
-        gf_mul(a, b)
 
 
 def test_frobenius_in_characteristic_p():

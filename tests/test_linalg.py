@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -86,6 +87,93 @@ def test_kernel_basis_spans_kernel_of_wilson():
     for v in basis:
         for row in m.entries:
             assert sum(a * b for a, b in zip(row, v)) % 2 == 0
+
+
+def _rref_mod2(rows, ncols):
+    """Reference: plain Gauss-Jordan mod 2 on lists, (rows, rank, pivots)."""
+    work = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                work[i] = [a ^ b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return tuple(map(tuple, work)), len(pivots), tuple(pivots)
+
+
+@st.composite
+def gf2_rows(draw, max_cols, max_rows):
+    """0/1 rows with repeated rows, sums of rows, zero rows and zero columns."""
+    ncols = draw(st.integers(min_value=0, max_value=max_cols))
+    base = draw(st.lists(st.integers(0, 2**ncols - 1), max_size=max_rows))
+    masks = list(base)
+    if base:
+        pick = st.sampled_from(base)
+        masks += draw(st.lists(pick, max_size=2))
+        masks += [a ^ b for a, b in draw(st.lists(st.tuples(pick, pick), max_size=2))]
+    masks += [0] * draw(st.integers(min_value=0, max_value=2))
+    masks = draw(st.permutations(masks))
+    dead = draw(st.sets(st.integers(min_value=0, max_value=max(ncols - 1, 0))))
+    live = [j for j in range(ncols) if j not in dead]
+    rows = []
+    for mk in masks:
+        row = [0] * ncols
+        for j in live:
+            row[j] = (mk >> j) & 1
+        rows.append(row)
+    return ncols, rows
+
+
+@given(gf2_rows(max_cols=200, max_rows=10))
+@settings(max_examples=200, deadline=None)
+def test_gf2_rref_matches_list_elimination(shape):
+    # widths up to 200 cross the 64- and 128-bit boundaries of the packed rows
+    ncols, rows = shape
+    m = _m(2, rows)
+    red, rank, pivots = rref_gfp(m)
+    assert (red.entries, rank, pivots) == _rref_mod2(rows, ncols)
+    basis = kernel_basis_gfp(m)
+    assert len(basis) == m.cols - rank
+    for v in basis:
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, v)) % 2 == 0
+
+
+@given(gf2_rows(max_cols=12, max_rows=5))
+@settings(max_examples=200, deadline=None)
+def test_all_ones_in_row_space_matches_subset_sums(shape):
+    _, rows = shape
+    m = _m(2, rows)
+    ncols = m.cols  # a matrix with no rows has no columns
+    sums = {
+        tuple(sum(col) % 2 for col in zip(*subset)) if subset else (0,) * ncols
+        for size in range(len(rows) + 1)
+        for subset in itertools.combinations(rows, size)
+    }
+    assert _all_ones_in_row_space(m) == ((1,) * ncols in sums)
+
+
+def test_gf2_rank_of_points_against_k_spaces_is_a_reed_muller_dimension():
+    # the 2-rank of points against k-spaces of GF(2)^n is dim RM(n-k, n)
+    for n in range(2, 8):
+        for k in range(1, n):
+            m = GfpMatrix.from_incidence(wilson_matrix(2, n, 1, k), 2)
+            want = sum(math.comb(n, i) for i in range(n - k + 1))
+            assert rref_gfp(m)[1] == want, (n, k)
+
+
+def test_hamada_p_rank_of_points_against_hyperplanes():
+    # Hamada: over GF(p) the p-rank of points against hyperplanes of GF(p)^n
+    # is C(n+p-2, n-1) + 1
+    for p, n, want in ((3, 3, 7), (3, 4, 11), (3, 5, 16), (5, 3, 16)):
+        assert want == math.comb(n + p - 2, n - 1) + 1
+        m = GfpMatrix.from_incidence(wilson_matrix(p, n, 1, n - 1), p)
+        assert rref_gfp(m)[1] == want, (p, n)
 
 
 # -- exact rational rank ------------------------------------------------------
