@@ -14,8 +14,9 @@ tables at construction, which keeps inner loops at list-indexing cost.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
-__all__ = ["Field", "field"]
+__all__ = ["Field", "field", "lane_adder"]
 
 # Modulus polynomials for the non-prime orders, low degree first:
 # GF(4): x^2+x+1, GF(8): x^3+x+1, GF(9): x^2+2x+2, GF(16): x^4+x+1,
@@ -210,9 +211,6 @@ class Field:
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
@@ -230,6 +228,23 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(GF({self.q}))"
+
+
+def lane_adder(p: int, w: int, lanes: int) -> Callable[[int, int], int]:
+    """Lane-wise (a + b) mod p on ints of `lanes` w-bit lanes, 2^(w-1) >= p.
+
+    Each lane of a and b holds a residue below p.  Adding 2^(w-1) - p sets a
+    lane's high bit exactly when its sum reaches p, and no lane carries into
+    the next, so one mask and one multiply take p off where it is due.
+    """
+    ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)  # the low bit of every lane
+    fold, high, sh = ones * ((1 << (w - 1)) - p), ones << (w - 1), w - 1
+
+    def add(a: int, b: int) -> int:
+        t = a + b
+        return t - (((t + fold) & high) >> sh) * p
+
+    return add
 
 
 @lru_cache(maxsize=None)

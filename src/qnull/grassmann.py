@@ -7,8 +7,9 @@ element code (fields.py: code = sum of digit_i p^i) sits w*i bits above that.
 Over p = 2 a lane is one bit and vector addition is XOR.  Over odd p a lane
 has w bits with 2^(w-1) >= p, room for the sum of two digits, so addition is
 one integer add followed by a lane-wise subtraction of p wherever the sum
-reached p.  The pivot columns are stored with the rows, and `Subspace.rows`
-decodes the packed rows back into tuples of element codes.
+reached p (fields.lane_adder, which linalg's GF(p) elimination shares).  The
+pivot columns are stored with the rows, and `Subspace.rows` decodes the
+packed rows back into tuples of element codes.
 
 The fixed enumeration order is: pivot column sets ascending lexicographically
 (as increasing tuples), then the free entries read row-major as a base-q
@@ -32,7 +33,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .fields import Field, field
+from .fields import Field, field, lane_adder
 
 __all__ = [
     "Subspace",
@@ -76,21 +77,11 @@ class _Lanes:
         self.dec = {raw: c for c, raw in enumerate(self.enc)}
         # -c at the lane pattern of each code c; no other pattern occurs
         self._neg_at = [f.neg(self.dec.get(raw, 0)) for raw in range(max(self.enc) + 1)]
-        ones = sum(1 << (i * w) for i in range(n * s))  # the low bit of every lane
-        if p == 2:
-            self.add = operator.xor
-        else:
-            fold, high, sh = ones * ((1 << (w - 1)) - p), ones << (w - 1), w - 1
-
-            def add(a: int, b: int) -> int:
-                t = a + b
-                return t - (((t + fold) & high) >> sh) * p
-
-            self.add = add
+        self.add = operator.xor if p == 2 else lane_adder(p, w, n * s)
         # x times a coordinate moves its digits up one lane and adds the top
         # digit d back in as d*x^s = d*(-modulus[0] - modulus[1] x - ...)
         self._top = sum(((1 << w) - 1) << (j * self.bw + (s - 1) * w) for j in range(n))
-        self._low = ones * ((1 << w) - 1) & ~self._top
+        self._low = ((1 << n * self.bw) - 1) & ~self._top
         self._w, self._top_shift = w, (s - 1) * w
         self._fold = [j * w for j, m in enumerate(f.modulus[:s]) for _ in range(-m % p)]
         # c*v = (c - p^i)*v + x^i*v, with i the lowest nonzero digit of c

@@ -103,6 +103,9 @@ def read_matrix(text: str) -> IncidenceMatrix:
     if len(head) != 6:
         raise ValueError(f"bad header {lines[0]!r}, expected 'q n t k rows cols'")
     q, n, t, k, rows, cols = map(int, head)
+    # a 0-row matrix would lose its width: GfpMatrix reads cols off row 0
+    if rows < 0 or cols < 0 or rows == 0 < cols:
+        raise ValueError(f"bad shape {rows}x{cols}: need sizes >= 0, rows if cols")
     col_sets: list[set[int]] = [set() for _ in range(cols)]
     for ln in lines[1:]:
         si, sj = ln.split()

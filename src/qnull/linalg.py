@@ -1,10 +1,13 @@
 """Exact rank/kernel computations over GF(p) and Q, with minimum searches.
 
-Every GF(2) elimination (rref_gfp at p=2 and so the kernels and witnesses,
-the all-ones test and the rational prefilter) runs on one core: a row is one
-int with column j at bit nc-1-j, _xor_basis is the forward pass to an
-echelon basis keyed by leading bit, and back-substitution in descending
-column order gives the unique RREF.  Odd p runs a list-of-ints loop.
+Each ring has one elimination core, and rref_gfp (so also the kernels and
+witnesses) reaches both prime ones.  Over GF(2) a row is one int with column
+j at bit nc-1-j; _xor_basis, also used by the all-ones test and the rational
+prefilter, is the forward pass to an echelon basis keyed by leading bit.
+Over odd p a row is one int with column j at w-bit lane nc-1-j, added
+lane-wise by fields.lane_adder, and the forward pass keys its basis by
+leading lane.  Both back-substitute in descending column order to the
+unique RREF.  Over Q, rank_rational runs fraction-free Bareiss elimination.
 
 Two exhaustive minimum-weight strategies are implemented for kernels over
 GF(p):
@@ -35,10 +38,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
-from .fields import _is_prime
+from .fields import _is_prime, lane_adder
 
 __all__ = [
     "GfpMatrix",
@@ -135,14 +137,25 @@ class SearchReport:
 # -- RREF and kernels over GF(p) -------------------------------------------
 
 
-# ASCII bit of each byte's parity, and back from ASCII bits to 0/1 bytes
-_BYTE_TO_BIT = bytes(b"01"[i & 1] for i in range(256))
-_BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+# ASCII digit of each residue below 16, and back: one binary digit per
+# column at p = 2, one hex digit per 4-bit lane at odd p <= 7
+_TO_DIGIT = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+_FROM_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-def _pack_gf2(entries: Iterable[Sequence[int]]) -> list[int]:
-    """Rows mod 2 as ints; column j of an nc-column row is bit nc-1-j."""
-    return [int(b"0" + bytes(row).translate(_BYTE_TO_BIT), 2) for row in entries]
+def _pack(entries: Iterable[Sequence[int]], w: int) -> list[int]:
+    """Rows as ints of w-bit lanes (w = 1 or 4k); column j is lane nc-1-j."""
+    if w <= 4:
+        return [int(b"0" + bytes(row).translate(_TO_DIGIT), 1 << w) for row in entries]
+    return [int("0" + "".join(f"{v:0{w // 4}x}" for v in row), 16) for row in entries]
+
+
+def _unpack(v: int, nc: int, w: int) -> tuple[int, ...]:
+    text = format(v, f"0{nc}b" if w == 1 else f"0{nc * w // 4}x")
+    if w <= 4:
+        return tuple(text.encode().translate(_FROM_DIGIT))
+    d = w // 4
+    return tuple(int(text[i : i + d], 16) for i in range(0, len(text), d))
 
 
 def _reduce(basis: dict[int, int], v: int) -> int:
@@ -165,9 +178,9 @@ def _xor_basis(vectors: Iterable[int]) -> dict[int, int]:
     return basis
 
 
-def _rref_gf2(m: GfpMatrix) -> tuple[GfpMatrix, int, tuple[int, ...]]:
-    nc = m.cols
-    basis = _xor_basis(_pack_gf2(m.entries))
+def _rref_gf2(m: GfpMatrix) -> dict[int, int]:
+    """p = 2: the RREF rows as bit-vectors, keyed by leading bit."""
+    basis = _xor_basis(_pack(m.entries, 1))
     # last pivot column first: each done row is zero at the other pivot
     # bits, so one XOR per pivot bit set in v clears v there
     done: dict[int, int] = {}
@@ -177,69 +190,83 @@ def _rref_gf2(m: GfpMatrix) -> tuple[GfpMatrix, int, tuple[int, ...]]:
             if v & bit:
                 v ^= row
         done[1 << h] = v
-    order = sorted(done, reverse=True)
-    rows = [
-        tuple(format(done[bit], f"0{nc}b").encode().translate(_BIT_TO_BYTE))
-        for bit in order
-    ]
-    rows += [(0,) * nc] * (m.rows - len(rows))
-    pivots = tuple(nc - bit.bit_length() for bit in order)
-    return GfpMatrix(2, tuple(rows)), len(pivots), pivots
+    return {bit.bit_length() - 1: v for bit, v in done.items()}
+
+
+def _rref_lanes(m: GfpMatrix, w: int) -> dict[int, int]:
+    """Odd p: the RREF rows as ints of w-bit lanes, keyed by leading lane."""
+    p, nc = m.p, m.cols
+    add, lane = lane_adder(p, w, nc), (1 << w) - 1
+
+    def doublings(b: int) -> list[int]:
+        """b, 2b, 4b, ... up to the top bit of p - 1."""
+        out = [b]
+        for _ in range(p.bit_length() - 1):
+            out.append(add(out[-1], out[-1]))
+        return out
+
+    def axpy(v: int, c: int, dbl: list[int]) -> int:
+        """v + c*b from the doublings of b: one lane add per set bit of c."""
+        for b in dbl:
+            if c & 1:
+                v = add(v, b)
+            c >>= 1
+        return v
+
+    # forward pass: an echelon basis keyed by leading lane, each row leading
+    # 1 and stored with its doublings
+    basis: dict[int, list[int]] = {}
+    for v in _pack(m.entries, w):
+        while v:
+            h = (v.bit_length() - 1) // w
+            c = v >> (h * w)
+            if h not in basis:
+                if c != 1:
+                    v = axpy(0, pow(c, p - 2, p), doublings(v))
+                basis[h] = doublings(v)
+                break
+            v = axpy(v, p - c, basis[h])
+            if v.bit_length() > h * w:
+                raise InvariantError("a lane add left a leading lane nonzero")
+        if len(basis) == nc:
+            break
+    # last pivot column first, as over GF(2): one multiple of a done row per
+    # nonzero pivot lane of v
+    done: dict[int, list[int]] = {}
+    for h in sorted(basis):
+        v = basis[h][0]
+        for g, dbl in done.items():
+            c = (v >> (g * w)) & lane
+            if c:
+                v = axpy(v, p - c, dbl)
+        done[h] = doublings(v)
+    return {h: dbl[0] for h, dbl in done.items()}
 
 
 def rref_gfp(m: GfpMatrix) -> tuple[GfpMatrix, int, tuple[int, ...]]:
-    """Reduced row echelon form over GF(p): (rref, rank, pivot columns)."""
-    p = m.p
-    if p == 2:
-        return _rref_gf2(m)
-    work = [list(row) for row in m.entries]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], p - 2, p)
-        if inv != 1:
-            work[r] = [v * inv % p for v in work[r]]
-        for i in range(nr):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                wr = work[r]
-                wi = work[i]
-                for j in range(c, nc):
-                    wi[j] = (wi[j] - f * wr[j]) % p
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return (
-        GfpMatrix(p, tuple(tuple(row) for row in work)),
-        len(pivots),
-        tuple(pivots),
-    )
+    """Reduced row echelon form over GF(p): (rref, rank, pivot columns).
+
+    Odd p packs w-bit lanes, w the least multiple of 4 with 2^(w-1) >= p.
+    """
+    p, nc = m.p, m.cols
+    w = 1 if p == 2 else -(-((p - 1).bit_length() + 1) // 4) * 4
+    done = _rref_gf2(m) if p == 2 else _rref_lanes(m, w)
+    order = sorted(done, reverse=True)
+    rows = [_unpack(done[h], nc, w) for h in order]
+    rows += [(0,) * nc] * (m.rows - len(rows))
+    pivots = tuple(nc - 1 - h for h in order)
+    return GfpMatrix(p, tuple(rows)), len(pivots), pivots
 
 
 def kernel_basis_gfp(m: GfpMatrix) -> list[tuple[int, ...]]:
     """Basis of {x : Mx = 0 mod p}, one vector per free column, ascending."""
-    red, rank, pivots = rref_gfp(m)
-    p = m.p
-    nc = m.cols
-    pivot_set = set(pivots)
+    red, _, pivots = rref_gfp(m)
     basis = []
-    for f in range(nc):
-        if f in pivot_set:
-            continue
-        v = [0] * nc
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        v = [0] * m.cols
         v[f] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = (-red.entries[r][f]) % p
+            v[pc] = -red.entries[r][f] % m.p
         basis.append(tuple(v))
     return basis
 
@@ -297,26 +324,15 @@ def _verify_kernel_vector(
 def _witness_on_support(m: GfpMatrix, support: tuple[int, ...]) -> tuple[int, ...]:
     """Least full-support kernel coefficient tuple on a minimal dependent set."""
     p = m.p
-    sub = GfpMatrix(
-        p, tuple(tuple(row[j] for j in support) for row in m.entries)
-    )
+    sub = GfpMatrix(p, tuple(tuple(row[j] for j in support) for row in m.entries))
     basis = kernel_basis_gfp(sub)
     if not basis:
         raise InvariantError("support set is not dependent")
     best = None
-    dims = len(basis)
-    for coeffs in itertools.product(range(p), repeat=dims):
-        if not any(coeffs):
-            continue
-        vec = [0] * len(support)
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i, bv in enumerate(b):
-                    vec[i] = (vec[i] + c * bv) % p
-        if all(vec):
-            cand = tuple(vec)
-            if best is None or cand < best:
-                best = cand
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        vec = tuple(sum(c * x for c, x in zip(coeffs, col)) % p for col in zip(*basis))
+        if all(vec) and (best is None or vec < best):
+            best = vec
     if best is None:
         raise InvariantError("no full-support kernel vector on the set")
     return best
@@ -385,7 +401,7 @@ def _kernel_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
 
 def _all_ones_in_row_space(m: GfpMatrix) -> bool:
     """p=2: is the all-ones row a GF(2) combination of the rows?"""
-    return not _reduce(_xor_basis(_pack_gf2(m.entries)), (1 << m.cols) - 1)
+    return not _reduce(_xor_basis(_pack(m.entries, 1)), (1 << m.cols) - 1)
 
 
 def _column_masks(entries: Sequence[Sequence[int]]) -> list[int]:
@@ -567,13 +583,9 @@ def _rational_nullvector(
     vec[f0] = Fraction(1)
     for row, pc in enumerate(pivots):
         vec[pc] = -work[row][f0]
-    lcm = 1
-    for v in vec:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+    lcm = math.lcm(*(v.denominator for v in vec))
     ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = math.gcd(*ints)
     ints = [v // g for v in ints]
     lead = next(v for v in ints if v)
     if lead < 0:

@@ -176,6 +176,25 @@ def test_rank_rejects_duplicate_matrix_entry(tmp_path, capsys):
     assert "entry (0,0) listed twice" in err
 
 
+@pytest.mark.parametrize("shape", ["0 3", "-1 3", "2 -1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minweight", "--p", "3", "--cap", "4"],
+        ["minsupport", "--cap", "4"],
+        ["rank", "--over", "gf"],
+    ],
+)
+def test_degenerate_matrix_shape_is_a_usage_error(tmp_path, capsys, shape, argv):
+    # a 0x3 matrix has every vector in its kernel, so "none found" would be wrong
+    path = tmp_path / "shape.txt"
+    path.write_text(f"2 3 1 2 {shape}\n")
+    code, out, err = run(capsys, *argv, "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"bad shape {shape.replace(' ', 'x')}" in err
+
+
 # -- minweight ----------------------------------------------------------------------
 
 

@@ -122,6 +122,12 @@ def test_read_matrix_rejects_malformed_input():
     # a repeated entry would count twice in apply_check but once in dense()
     with pytest.raises(ValueError, match=r"entry \(0,0\) listed twice"):
         read_matrix("2 2 1 1 1 1\n0 0\n0 0\n")
+    # negative sizes, and columns without rows: a 0-row GfpMatrix has no
+    # width, so its kernel would be lost instead of being everything
+    for shape in ("-1 3", "2 -1", "0 3"):
+        with pytest.raises(ValueError, match="bad shape"):
+            read_matrix(f"2 3 1 2 {shape}\n")
+    assert read_matrix("2 3 1 2 0 0\n").col_rows == ()
 
 
 def test_row_and_col_subspace_lists_are_fresh_and_ordered():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnull.designs import NullDesign, verify_strength
+from qnull.fields import field
 from qnull.incidence import wilson_matrix
 from qnull.linalg import (
     MODE_KERNEL,
@@ -89,8 +91,8 @@ def test_kernel_basis_spans_kernel_of_wilson():
             assert sum(a * b for a, b in zip(row, v)) % 2 == 0
 
 
-def _rref_mod2(rows, ncols):
-    """Reference: plain Gauss-Jordan mod 2 on lists, (rows, rank, pivots)."""
+def _rref_mod_p(rows, ncols, p):
+    """Reference: plain Gauss-Jordan mod p on lists, (rows, rank, pivots)."""
     work = [list(row) for row in rows]
     pivots = []
     for c in range(ncols):
@@ -99,55 +101,75 @@ def _rref_mod2(rows, ncols):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
+        inv = pow(work[r][c], p - 2, p)
+        work[r] = [v * inv % p for v in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c]:
-                work[i] = [a ^ b for a, b in zip(work[i], work[r])]
+                f = work[i][c]
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
         pivots.append(c)
     return tuple(map(tuple, work)), len(pivots), tuple(pivots)
 
 
 @st.composite
-def gf2_rows(draw, max_cols, max_rows):
-    """0/1 rows with repeated rows, sums of rows, zero rows and zero columns."""
+def gfp_rows(draw, primes, max_cols, max_rows):
+    """Rows mod p: repeated rows, combinations of rows, zero rows, zero columns."""
+    p = draw(st.sampled_from(primes))
     ncols = draw(st.integers(min_value=0, max_value=max_cols))
-    base = draw(st.lists(st.integers(0, 2**ncols - 1), max_size=max_rows))
-    masks = list(base)
+    base = []
+    for code in draw(st.lists(st.integers(0, p**ncols - 1), max_size=max_rows)):
+        row = []
+        for _ in range(ncols):
+            code, digit = divmod(code, p)
+            row.append(digit)
+        base.append(row)
+    rows = list(base)
     if base:
         pick = st.sampled_from(base)
-        masks += draw(st.lists(pick, max_size=2))
-        masks += [a ^ b for a, b in draw(st.lists(st.tuples(pick, pick), max_size=2))]
-    masks += [0] * draw(st.integers(min_value=0, max_value=2))
-    masks = draw(st.permutations(masks))
+        rows += draw(st.lists(pick, max_size=2))
+        coeff = st.integers(min_value=1, max_value=p - 1)
+        combos = draw(st.lists(st.tuples(pick, coeff, pick, coeff), max_size=2))
+        rows += [[(a * u + b * v) % p for u, v in zip(x, y)] for x, a, y, b in combos]
+    rows += [[0] * ncols] * draw(st.integers(min_value=0, max_value=2))
+    rows = draw(st.permutations(rows))
     dead = draw(st.sets(st.integers(min_value=0, max_value=max(ncols - 1, 0))))
-    live = [j for j in range(ncols) if j not in dead]
-    rows = []
-    for mk in masks:
-        row = [0] * ncols
-        for j in live:
-            row[j] = (mk >> j) & 1
-        rows.append(row)
-    return ncols, rows
+    rows = [[0 if j in dead else v for j, v in enumerate(row)] for row in rows]
+    return p, ncols, rows
 
 
-@given(gf2_rows(max_cols=200, max_rows=10))
+def _check_rref_and_kernel(p, ncols, rows):
+    m = _m(p, rows)
+    red, rank, pivots = rref_gfp(m)
+    assert (red.entries, rank, pivots) == _rref_mod_p(rows, ncols, p)
+    basis = kernel_basis_gfp(m)
+    free = [j for j in range(m.cols) if j not in pivots]
+    assert len(basis) == len(free) == m.cols - rank
+    for v, f in zip(basis, free):
+        assert [v[j] for j in free] == [int(j == f) for j in free]
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, v)) % p == 0
+
+
+@given(gfp_rows(primes=(2,), max_cols=200, max_rows=10))
 @settings(max_examples=200, deadline=None)
 def test_gf2_rref_matches_list_elimination(shape):
     # widths up to 200 cross the 64- and 128-bit boundaries of the packed rows
-    ncols, rows = shape
-    m = _m(2, rows)
-    red, rank, pivots = rref_gfp(m)
-    assert (red.entries, rank, pivots) == _rref_mod2(rows, ncols)
-    basis = kernel_basis_gfp(m)
-    assert len(basis) == m.cols - rank
-    for v in basis:
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) % 2 == 0
+    _check_rref_and_kernel(*shape)
 
 
-@given(gf2_rows(max_cols=12, max_rows=5))
+@given(gfp_rows(primes=(3, 5, 7, 11, 131, 2**31 - 1), max_cols=200, max_rows=10))
+@settings(max_examples=300, deadline=None)
+def test_gfp_rref_matches_list_elimination(shape):
+    # 4-bit lanes for p <= 7, 8 bits for 11, 12 for 131 and 32 for 2^31 - 1,
+    # so a scalar multiple takes up to 31 doublings; widths up to 200 cross
+    # the 64-bit words of the packed rows at every lane width
+    _check_rref_and_kernel(*shape)
+
+
+@given(gfp_rows(primes=(2,), max_cols=12, max_rows=5))
 @settings(max_examples=200, deadline=None)
 def test_all_ones_in_row_space_matches_subset_sums(shape):
-    _, rows = shape
+    _, _, rows = shape
     m = _m(2, rows)
     ncols = m.cols  # a matrix with no rows has no columns
     sums = {
@@ -170,10 +192,35 @@ def test_gf2_rank_of_points_against_k_spaces_is_a_reed_muller_dimension():
 def test_hamada_p_rank_of_points_against_hyperplanes():
     # Hamada: over GF(p) the p-rank of points against hyperplanes of GF(p)^n
     # is C(n+p-2, n-1) + 1
-    for p, n, want in ((3, 3, 7), (3, 4, 11), (3, 5, 16), (5, 3, 16)):
+    # (7, n) and (11, 3) run on 4- and 8-bit lanes; (11, 3) is 133x133
+    cells = (
+        (3, 3, 7), (3, 4, 11), (3, 5, 16), (5, 3, 16), (7, 3, 29), (7, 4, 85),
+        (11, 3, 67),
+    )
+    for p, n, want in cells:
         assert want == math.comb(n + p - 2, n - 1) + 1
         m = GfpMatrix.from_incidence(wilson_matrix(p, n, 1, n - 1), p)
         assert rref_gfp(m)[1] == want, (p, n)
+
+
+def test_minimum_weight_of_the_dual_plane_code_is_a_closed_form():
+    # at n = 3, t = 1, k = 2 the kernel of W over GF(p) is the dual code of
+    # PG(2,q); its minimum weight is 2p for prime q = p, and q + 2 for even q,
+    # where the supports are hyperovals (Assmus-Key, Designs and their Codes,
+    # ch. 6).  The uniform construction has weight q^2 here.
+    for q, want in ((3, 6), (4, 6), (5, 10), (8, 10)):
+        f = field(q)
+        assert want == (2 * q if q == f.p else q + 2)
+        m = wilson_matrix(q, 3, 1, 2)
+        g = GfpMatrix.from_incidence(m, f.p)
+        rep = min_weight_kernel_gfp(g, cap=want, mode=MODE_SUPPORT)
+        assert rep.weight == want and rep.exhaustive, q
+        # the witness is a null design in its own right
+        cols = m.col_subspaces()
+        support = {cols[j]: v for j, v in zip(rep.witness_support, rep.witness_values)}
+        d = NullDesign(f, 3, f.p, 1, support)
+        assert len(d.support) == want
+        assert verify_strength(d, 1).ok and d.uniform_dim() == 2, q
 
 
 # -- exact rational rank ------------------------------------------------------
