@@ -31,6 +31,7 @@ _MODULI: dict[int, tuple[int, ...]] = {
 }
 
 
+@lru_cache(maxsize=None)
 def _is_prime(m: int) -> bool:
     if m < 2:
         return False

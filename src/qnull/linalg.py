@@ -1,13 +1,23 @@
 """Exact rank/kernel computations over GF(p) and Q, with minimum searches.
 
-Each ring has one elimination core, and rref_gfp (so also the kernels and
-witnesses) reaches both prime ones.  Over GF(2) a row is one int with column
-j at bit nc-1-j; _xor_basis, also used by the all-ones test and the rational
+There are two elimination cores, and rref_gfp (so also the kernels and
+witnesses) reaches both.  Over GF(2) a row is one int with column j at bit
+nc-1-j; _xor_basis, also used by the all-ones test and the rational
 prefilter, is the forward pass to an echelon basis keyed by leading bit.
 Over odd p a row is one int with column j at w-bit lane nc-1-j, added
-lane-wise by fields.lane_adder, and the forward pass keys its basis by
-leading lane.  Both back-substitute in descending column order to the
-unique RREF.  Over Q, rank_rational runs fraction-free Bareiss elimination.
+lane-wise by fields.lane_adder, and the forward pass _lane_basis keys its
+basis by leading lane.  Both back-substitute in descending column order to
+the unique RREF.
+
+Over Q, rank_rational has no elimination of its own.  It turns the matrix
+so that rows <= columns and takes its rank mod p on _lane_basis for the odd
+primes below 2^7, largest first, then below 2^11, 2^15, ...  The largest
+rank r seen is a lower bound: a minor nonzero mod p is nonzero.  It stops
+at r = rows, or once the product P of the primes tried has P^2 above the
+product of the r+1 largest squared column (or, if less, row) norms.  Each
+(r+1)-minor is then divisible by P and, by Hadamard's inequality, below P
+in absolute value, so 0.  Full rank (Kantor: W_{t,k} for t <= min(k, n-k))
+costs one pass; a rank-deficient matrix, passes until P beats the bound.
 
 Two exhaustive minimum-weight strategies are implemented for kernels over
 GF(p):
@@ -29,16 +39,17 @@ GF(p):
 
 Minimum rational support runs the same search with a GF(2) prefilter at the
 leaves: a rational dependency among 0/1 columns survives reduction mod 2, so
-only subsets that are GF(2)-deficient get the exact fraction-free test.
+only subsets that are GF(2)-deficient get the exact rank test.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .fields import _is_prime, lane_adder
 
@@ -143,10 +154,17 @@ _TO_DIGIT = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 _FROM_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
+def _lane_width(p: int) -> int:
+    """1 at p = 2, else the least multiple of 4 with 2^(w-1) >= p."""
+    return 1 if p == 2 else -(-((p - 1).bit_length() + 1) // 4) * 4
+
+
 def _pack(entries: Iterable[Sequence[int]], w: int) -> list[int]:
     """Rows as ints of w-bit lanes (w = 1 or 4k); column j is lane nc-1-j."""
     if w <= 4:
         return [int(b"0" + bytes(row).translate(_TO_DIGIT), 1 << w) for row in entries]
+    if w == 8:
+        return [int.from_bytes(bytes(row), "big") for row in entries]
     return [int("0" + "".join(f"{v:0{w // 4}x}" for v in row), 16) for row in entries]
 
 
@@ -193,43 +211,50 @@ def _rref_gf2(m: GfpMatrix) -> dict[int, int]:
     return {bit.bit_length() - 1: v for bit, v in done.items()}
 
 
-def _rref_lanes(m: GfpMatrix, w: int) -> dict[int, int]:
-    """Odd p: the RREF rows as ints of w-bit lanes, keyed by leading lane."""
-    p, nc = m.p, m.cols
-    add, lane = lane_adder(p, w, nc), (1 << w) - 1
+def _doublings(b: int, add: Callable[[int, int], int], p: int) -> list[int]:
+    """b, 2b, 4b, ... up to the top bit of p - 1."""
+    out = [b]
+    for _ in range(p.bit_length() - 1):
+        out.append(add(out[-1], out[-1]))
+    return out
 
-    def doublings(b: int) -> list[int]:
-        """b, 2b, 4b, ... up to the top bit of p - 1."""
-        out = [b]
-        for _ in range(p.bit_length() - 1):
-            out.append(add(out[-1], out[-1]))
-        return out
 
-    def axpy(v: int, c: int, dbl: list[int]) -> int:
-        """v + c*b from the doublings of b: one lane add per set bit of c."""
-        for b in dbl:
-            if c & 1:
-                v = add(v, b)
-            c >>= 1
-        return v
+def _axpy(v: int, c: int, dbl: list[int], add: Callable[[int, int], int]) -> int:
+    """v + c*b from the doublings of b: one lane add per set bit of c."""
+    for b in dbl:
+        if c & 1:
+            v = add(v, b)
+        c >>= 1
+    return v
 
-    # forward pass: an echelon basis keyed by leading lane, each row leading
-    # 1 and stored with its doublings
+
+def _lane_basis(rows: Iterable[int], p: int, w: int, nc: int) -> dict[int, list[int]]:
+    """Odd p: echelon basis of rows of nc w-bit lanes, keyed by leading lane,
+    each row leading 1 and stored with its doublings; its size is the rank."""
+    add = lane_adder(p, w, nc)
     basis: dict[int, list[int]] = {}
-    for v in _pack(m.entries, w):
+    for v in rows:
         while v:
             h = (v.bit_length() - 1) // w
             c = v >> (h * w)
             if h not in basis:
                 if c != 1:
-                    v = axpy(0, pow(c, p - 2, p), doublings(v))
-                basis[h] = doublings(v)
+                    v = _axpy(0, pow(c, p - 2, p), _doublings(v, add, p), add)
+                basis[h] = _doublings(v, add, p)
                 break
-            v = axpy(v, p - c, basis[h])
+            v = _axpy(v, p - c, basis[h], add)
             if v.bit_length() > h * w:
                 raise InvariantError("a lane add left a leading lane nonzero")
         if len(basis) == nc:
             break
+    return basis
+
+
+def _rref_lanes(m: GfpMatrix, w: int) -> dict[int, int]:
+    """Odd p: the RREF rows as ints of w-bit lanes, keyed by leading lane."""
+    p, nc = m.p, m.cols
+    add, lane = lane_adder(p, w, nc), (1 << w) - 1
+    basis = _lane_basis(_pack(m.entries, w), p, w, nc)
     # last pivot column first, as over GF(2): one multiple of a done row per
     # nonzero pivot lane of v
     done: dict[int, list[int]] = {}
@@ -238,8 +263,8 @@ def _rref_lanes(m: GfpMatrix, w: int) -> dict[int, int]:
         for g, dbl in done.items():
             c = (v >> (g * w)) & lane
             if c:
-                v = axpy(v, p - c, dbl)
-        done[h] = doublings(v)
+                v = _axpy(v, p - c, dbl, add)
+        done[h] = _doublings(v, add, p)
     return {h: dbl[0] for h, dbl in done.items()}
 
 
@@ -248,8 +273,7 @@ def rref_gfp(m: GfpMatrix) -> tuple[GfpMatrix, int, tuple[int, ...]]:
 
     Odd p packs w-bit lanes, w the least multiple of 4 with 2^(w-1) >= p.
     """
-    p, nc = m.p, m.cols
-    w = 1 if p == 2 else -(-((p - 1).bit_length() + 1) // 4) * 4
+    p, nc, w = m.p, m.cols, _lane_width(m.p)
     done = _rref_gf2(m) if p == 2 else _rref_lanes(m, w)
     order = sorted(done, reverse=True)
     rows = [_unpack(done[h], nc, w) for h in order]
@@ -274,38 +298,39 @@ def kernel_basis_gfp(m: GfpMatrix) -> list[tuple[int, ...]]:
 # -- exact rational rank ----------------------------------------------------
 
 
+def _rank_primes() -> Iterator[int]:
+    """Odd primes below 2^7, then 2^7..2^11, 2^11..2^15, ..., each largest first."""
+    lo = 2
+    for e in itertools.count(7, 4):
+        yield from (p for p in range((1 << e) - 1, lo, -2) if _is_prime(p))
+        lo = 1 << e
+
+
+def _norm_products(vectors: Iterable[Sequence[int]]) -> list[int]:
+    """[1, n1, n1*n2, ...] over the squared norms n1 >= n2 >= ... of vectors."""
+    norms = sorted((sum(v * v for v in x) for x in vectors), reverse=True)
+    return list(itertools.accumulate(norms, operator.mul, initial=1))
+
+
 def rank_rational(entries: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination on unbounded ints."""
-    m = [[int(v) for v in row] for row in entries]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(nc):
-        piv = None
-        for i in range(row, nr):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-        pivval = m[row][col]
-        for i in range(row + 1, nr):
-            mi = m[i]
-            mic = mi[col]
-            mr = m[row]
-            for j in range(col + 1, nc):
-                mi[j] = (mi[j] * pivval - mic * mr[j]) // prev
-            mi[col] = 0
-        prev = pivval
-        row += 1
-        rank += 1
-        if row == nr:
-            break
-    return rank
+    """Rank over Q of an integer matrix, from its ranks mod p (see module doc)."""
+    if not entries or not entries[0]:
+        return 0
+    rows = entries if len(entries) <= len(entries[0]) else list(zip(*entries))
+    lo, hi = min(map(min, rows)), max(map(max, rows))
+    rank, prod, bounds = 0, 1, None
+    for p in _rank_primes():
+        w = _lane_width(p)
+        mod = rows if 0 <= lo and hi < p else [[v % p for v in r] for r in rows]
+        rank = max(rank, len(_lane_basis(_pack(mod, w), p, w, len(rows[0]))))
+        prod *= p
+        if rank == len(rows):
+            return rank
+        if bounds is None:
+            bounds = list(map(min, _norm_products(rows), _norm_products(zip(*rows))))
+        # each (rank+1)-minor is divisible by prod, and below it by Hadamard
+        if prod * prod > bounds[rank + 1]:
+            return rank
 
 
 # -- witness helpers --------------------------------------------------------
@@ -370,17 +395,13 @@ def _kernel_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
         for c in range(1, p**kd):
             # modular Gray step: bump the digit at the p-adic valuation of c,
             # which adds one basis vector to the running combination
-            cc = c
-            i = 0
+            cc, i = c, 0
             while cc % p == 0:
-                cc //= p
-                i += 1
+                cc, i = cc // p, i + 1
             for j, bv in enumerate(basis[i]):
                 if bv:
-                    old = cur[j]
-                    new = (old + bv) % p
-                    cur[j] = new
-                    live += (1 if new else 0) - (1 if old else 0)
+                    old, cur[j] = cur[j], (cur[j] + bv) % p
+                    live += (cur[j] != 0) - (old != 0)
             if best_w is not None and live > best_w:
                 continue
             support = tuple(j for j in range(m.cols) if cur[j])
@@ -406,13 +427,7 @@ def _all_ones_in_row_space(m: GfpMatrix) -> bool:
 
 def _column_masks(entries: Sequence[Sequence[int]]) -> list[int]:
     """Per column, the bitmask of rows with a nonzero entry."""
-    masks = [0] * (len(entries[0]) if entries else 0)
-    for i, row in enumerate(entries):
-        bit = 1 << i
-        for j, v in enumerate(row):
-            if v:
-                masks[j] |= bit
-    return masks
+    return [sum(1 << i for i, v in enumerate(col) if v) for col in zip(*entries)]
 
 
 def _least_dependent_set(
@@ -499,10 +514,12 @@ def _support_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
         dependent = None
     else:
         stages = range(1, top + 1)
+        lw = _lane_width(p)
+        cols = _pack(zip(*m.entries), lw)  # column j over the rows as one int
 
-        def dependent(cols: list[int]) -> bool:
-            sub = tuple(tuple(row[j] for j in cols) for row in m.entries)
-            return rref_gfp(GfpMatrix(p, sub))[1] < len(cols)
+        def dependent(chosen: list[int]) -> bool:
+            vecs = [cols[j] for j in chosen]
+            return len(_lane_basis(vecs, p, lw, m.rows)) < len(chosen)
 
     hit = _least_dependent_set(
         _column_masks(m.entries), stages, p == 2, dependent, budget
@@ -534,13 +551,8 @@ def min_weight_kernel_gfp(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    mode_norm = {
-        "kernel": MODE_KERNEL,
-        MODE_KERNEL: MODE_KERNEL,
-        "support": MODE_SUPPORT,
-        MODE_SUPPORT: MODE_SUPPORT,
-    }.get(mode)
-    if mode_norm is None:
+    mode_norm = {"kernel": MODE_KERNEL, "support": MODE_SUPPORT}.get(mode, mode)
+    if mode_norm not in (MODE_KERNEL, MODE_SUPPORT):
         raise ValueError(f"unknown mode {mode!r}")
     del threads
     if budget is None:
@@ -557,40 +569,26 @@ def _rational_nullvector(
     entries: Sequence[Sequence[int]], support: tuple[int, ...]
 ) -> tuple[int, ...]:
     """Primitive integer kernel vector of the chosen columns (first nonzero > 0)."""
-    nr = len(entries)
     w = len(support)
-    work = [[Fraction(entries[i][j]) for j in support] for i in range(nr)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(w):
-        piv = next((i for i in range(r, nr) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][c]
-        work[r] = [v / lead for v in work[r]]
-        for i in range(nr):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(w) if c not in pivots]
+    done: dict[int, list[Fraction]] = {}  # the RREF rows, keyed by pivot column
+    for row in entries:
+        v = [Fraction(row[j]) for j in support]
+        for c, r in done.items():
+            f = v[c]
+            v = [a - f * b for a, b in zip(v, r)]
+        c = next((c for c in range(w) if v[c]), None)
+        if c is not None:
+            v = [a / v[c] for a in v]
+            done = {g: [a - r[c] * b for a, b in zip(r, v)] for g, r in done.items()}
+            done[c] = v
+    free = [c for c in range(w) if c not in done]
     if not free:
         raise InvariantError("support set is not rationally dependent")
-    f0 = free[0]
-    vec = [Fraction(0)] * w
-    vec[f0] = Fraction(1)
-    for row, pc in enumerate(pivots):
-        vec[pc] = -work[row][f0]
+    vec = [-done[c][free[0]] if c in done else Fraction(c == free[0]) for c in range(w)]
     lcm = math.lcm(*(v.denominator for v in vec))
     ints = [int(v * lcm) for v in vec]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+    return tuple(v // g for v in ints)
 
 
 def min_support_kernel_rational(
@@ -606,13 +604,14 @@ def min_support_kernel_rational(
     if any(v not in (0, 1) for row in entries for v in row):
         raise ValueError("expected a 0/1 integer matrix")
     masks = _column_masks(entries)
+    cols = list(zip(*entries))
 
-    def dependent(cols: list[int]) -> bool:
+    def dependent(chosen: list[int]) -> bool:
         # a rational dependency among 0/1 columns survives reduction mod 2,
-        # so only GF(2)-deficient sets get the exact fraction-free test
-        w = len(cols)
-        return len(_xor_basis(masks[j] for j in cols)) < w and (
-            rank_rational([[row[j] for j in cols] for row in entries]) < w
+        # so only GF(2)-deficient sets get the exact rank test
+        w = len(chosen)
+        return len(_xor_basis(masks[j] for j in chosen)) < w and (
+            rank_rational([cols[j] for j in chosen]) < w
         )
 
     stages = range(1, min(cap, len(masks)) + 1)

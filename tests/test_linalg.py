@@ -157,12 +157,13 @@ def test_gf2_rref_matches_list_elimination(shape):
     _check_rref_and_kernel(*shape)
 
 
-@given(gfp_rows(primes=(3, 5, 7, 11, 131, 2**31 - 1), max_cols=200, max_rows=10))
+@given(gfp_rows(primes=(3, 5, 7, 11, 127, 131, 2**31 - 1), max_cols=200, max_rows=10))
 @settings(max_examples=300, deadline=None)
 def test_gfp_rref_matches_list_elimination(shape):
-    # 4-bit lanes for p <= 7, 8 bits for 11, 12 for 131 and 32 for 2^31 - 1,
-    # so a scalar multiple takes up to 31 doublings; widths up to 200 cross
-    # the 64-bit words of the packed rows at every lane width
+    # 4-bit lanes for p <= 7, 8 bits for 11 and 127 (the widest prime there,
+    # whose sums reach the top bit of a lane), 12 for 131 and 32 for
+    # 2^31 - 1, so a scalar multiple takes up to 31 doublings; widths up to
+    # 200 cross the 64-bit words of the packed rows at every lane width
     _check_rref_and_kernel(*shape)
 
 
@@ -270,6 +271,60 @@ def test_rank_rational_edge_cases():
     big = 10**30
     assert rank_rational([[big, 1], [1, big]]) == 2
     assert rank_rational([[big, big], [big, big]]) == 1
+
+
+@st.composite
+def zero_one_rows(draw, max_size=24):
+    """0/1 rows, wide or tall, with repeated rows, sums of two rows (entries
+    up to 2), zero rows and zero columns."""
+    ncols = draw(st.integers(min_value=1, max_value=max_size))
+    bit_row = st.lists(st.integers(0, 1), min_size=ncols, max_size=ncols)
+    base = draw(st.lists(bit_row, min_size=1, max_size=max_size - 6))
+    pick = st.sampled_from(base)
+    rows = base + draw(st.lists(pick, max_size=2))
+    pairs = draw(st.lists(st.tuples(pick, pick), max_size=2))
+    rows += [[a + b for a, b in zip(x, y)] for x, y in pairs]
+    rows += [[0] * ncols] * draw(st.integers(min_value=0, max_value=2))
+    rows = draw(st.permutations(rows))
+    dead = draw(st.sets(st.integers(min_value=0, max_value=ncols - 1)))
+    return [[0 if j in dead else v for j, v in enumerate(row)] for row in rows]
+
+
+@given(zero_one_rows())
+@settings(max_examples=200, deadline=None)
+def test_rank_rational_matches_fraction_elimination_on_01_matrices(rows):
+    assert rank_rational(rows) == _fraction_rank(rows)
+    assert rank_rational([list(col) for col in zip(*rows)]) == _fraction_rank(rows)
+
+
+def test_rank_rational_certificate_edge_cases():
+    # P is 0 mod every prime below 128, so the ranks mod those primes are 1
+    # and 0, and the Hadamard stop holds off until a larger prime is tried
+    P = math.prod(p for p in range(2, 128) if all(p % d for d in range(2, p)))
+    assert rank_rational([[P, 0], [0, 1]]) == 2
+    assert rank_rational([[P, P], [P, P]]) == 1
+    assert rank_rational([[0] * 5] * 3) == 0
+    assert rank_rational([[0, 3, -4, 0, 7]]) == 1
+    assert rank_rational([[0], [3], [-4]]) == 1
+    assert rank_rational([[0, 0, 0]]) == 0
+    assert rank_rational([[0], [0]]) == 0
+    assert rank_rational([[], []]) == 0
+
+
+def test_rational_rank_of_wilson_matrices_is_kantors_closed_form():
+    # Kantor (1972): W_{t,k} has full rank [n,t]_q over Q when t <= min(k, n-k)
+    def qbinom(n, k, q):
+        num = den = 1
+        for i in range(k):
+            num *= q ** (n - i) - 1
+            den *= q ** (i + 1) - 1
+        return num // den
+
+    # (q, n, t, k): 651x1395, 121x1210, 127x11811 and 85x357
+    for q, n, t, k in ((2, 6, 2, 3), (3, 5, 1, 2), (2, 7, 1, 3), (4, 4, 1, 2)):
+        m = wilson_matrix(q, n, t, k)
+        assert (m.rows, m.cols) == (qbinom(n, t, q), qbinom(n, k, q))
+        assert rank_rational(m.dense()) == qbinom(n, t, q), (q, n, t, k)
 
 
 # -- minimum-weight search ----------------------------------------------------
