@@ -23,7 +23,6 @@ from .designs import (
     construct_uniform_design,
     read_design,
     strength_of,
-    sum_over_superspaces,
     verify_strength,
     write_design,
 )

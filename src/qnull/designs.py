@@ -5,15 +5,22 @@ nonzero residues mod r, where r is a power of the field characteristic.  It
 has strength t when, for every t-dimensional y, the coefficients of the
 support elements containing y sum to zero mod r.
 
-Two verifiers are provided on purpose: verify_strength scatters each support
-element's coefficient onto its own t-dimensional subspaces (fast, touches
-only reachable y), while verify_strength_direct walks all of J_q(n,t) and
-sums superspace coefficients per y.  They are independent code paths and are
-held equal by tests.
+Two verifiers are provided on purpose.  verify_strength scatters each support
+element's coefficient onto its own t-dimensional subspaces, read out of the
+span of the element's basis (fast, touches only reachable y).
+verify_strength_direct walks all of J_q(n,t) and, per y, reduces y's basis
+rows against the basis rows of every support element whose pivots cover
+y's, so it never forms a span.  They are independent code paths and are held
+equal by tests.
+
+construct_uniform_design does not search: the support elements are the
+kernels of the functionals solved for in the chain's top space, read off its
+basis (see the function).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -22,10 +29,16 @@ from typing import Mapping, Optional
 from .fields import Field, field
 from .grassmann import (
     Subspace,
+    _coordinates,
+    _hyperplanes,
+    _lanes,
+    _layer,
+    _ordinal,
     _packed_subspaces_of,
+    _reducer,
+    canonicalize,
     contains,
     coordinate_span,
-    enumerate_subspaces,
     gaussian_binomial,
     index_of,
     join,
@@ -146,7 +159,8 @@ def verify_strength(design: NullDesign, t: int) -> Verdict:
 
     Scatter formulation: only y below some support element can have a nonzero
     sum, so accumulate per support element, keyed by the packed basis of y,
-    and build subspaces only for the nonzero cells.
+    and build subspaces only for the nonzero cells, with the pivots read off
+    their packed rows.
     """
     _check_domain(design, t)
     acc: dict[tuple[int, ...], int] = {}
@@ -154,24 +168,48 @@ def verify_strength(design: NullDesign, t: int) -> Verdict:
         for _, bases in _packed_subspaces_of(x, t):
             for key in bases:
                 acc[key] = acc.get(key, 0) + c
-    r = design.r
-    bad = [
-        (Subspace.from_vecs(design.field, design.n, key), v % r)
-        for key, v in acc.items()
-        if v % r
-    ]
-    bad.sort(key=lambda yv: index_of(yv[0]))
-    return Verdict(ok=not bad, violations=tuple(bad))
+    lanes, r = _lanes(design.field.q, design.n), design.r
+    bad = []
+    for key, v in acc.items():
+        if v % r:
+            pivots = lanes.pivots(key)
+            bad.append((_ordinal(lanes, key, pivots), key, pivots, v % r))
+    bad.sort()
+    violations = tuple((Subspace(lanes, key, pivots), v) for _, key, pivots, v in bad)
+    return Verdict(ok=not violations, violations=violations)
 
 
 def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
-    """Reference verifier: enumerate all of J_q(n,t) and sum per element."""
+    """Reference verifier: walk all of J_q(n,t) and sum per y.
+
+    y lies in x only if the pivots of y are pivots of x, so a pivot set of
+    the t-layer that no support element covers is skipped whole.  Otherwise
+    each basis row of y is reduced against the candidates' basis rows and y
+    lies in x when every row reduces to zero.
+    """
     _check_domain(design, t)
+    lanes, r = _lanes(design.field.q, design.n), design.r
+    add, mask = lanes.add, lanes.mask
+    above = [(set(x.pivots), _reducer(x), c) for x, c in design.support.items()]
     bad = []
-    for y in enumerate_subspaces(design.field, design.n, t):
-        v = sum_over_superspaces(design, y)
-        if v:
-            bad.append((y, v))
+    for pivots, bases in _layer(lanes, t):
+        below = [(red, c) for xp, red, c in above if xp.issuperset(pivots)]
+        if not below:
+            continue
+        for vecs in bases:
+            total = 0
+            for red, c in below:
+                for v in vecs:
+                    for shift, negs in red:
+                        d = (v >> shift) & mask
+                        if d:
+                            v = add(v, negs[d])
+                    if v:
+                        break
+                else:
+                    total += c
+            if total % r:
+                bad.append((Subspace(lanes, vecs, pivots), total % r))
     return Verdict(ok=not bad, violations=tuple(bad))
 
 
@@ -180,6 +218,8 @@ def strength_of(design: NullDesign, t_max: int) -> Optional[int]:
 
     Valid as an upward scan because strength is downward closed.
     """
+    if not 0 <= t_max <= design.n:
+        raise ValueError(f"t_max {t_max} out of range [0, {design.n}]")
     if design.is_void():
         return t_max
     limit = min(t_max, min(x.k for x in design.support))
@@ -230,6 +270,11 @@ def construct_uniform_design(
     Given a chain u < v < w of dimensions k-t-1, k-t, k+1, the design is the
     0/1 indicator of the k-dimensional x with u < x < w minus those with
     v < x < w.  Any valid chain works; the default is the coordinate chain.
+
+    Those x are the kernels of the functionals phi on w with phi(u) = 0 and
+    phi(e) = 1, for e a basis row of v outside u: the solutions of one affine
+    system in w's local coordinates, q^{t+1} of them, each read off w's RREF
+    rows.
     """
     f = field(q)
     if not (0 <= t < k < n):
@@ -249,28 +294,58 @@ def construct_uniform_design(
             raise ValueError("chain is not nested: need u <= v <= w")
         if u.n != n or v.n != n or w.n != n:
             raise ValueError("chain lives in the wrong ambient dimension")
-    upper = 0
-    lower = 0
-    support: dict[Subspace, int] = {}
-    for x in subspaces_of(w, k):
-        if contains(x, u):
-            upper += 1
-            if contains(x, v):
-                lower += 1
-            else:
-                support[x] = 1
-    if upper != gaussian_binomial(t + 2, t + 1, q) or lower != gaussian_binomial(
-        t + 1, t, q
-    ):
+    # the pivots of u are pivots of v, and v's row at the other one is not in u
+    e = next(row for row, p in zip(v.vecs, v.pivots) if p not in u.pivots)
+    zeros = [_coordinates(w, row) for row in u.vecs]
+    one = _coordinates(w, e)
+    functionals = _functionals(f, zeros, one)
+    for phi in functionals:
+        if any(_dot(f, phi, a) for a in zeros) or _dot(f, phi, one) != 1:
+            raise InvariantError(f"functional {phi} is not 0 on u and 1 at e")
+    support = dict.fromkeys(_hyperplanes(w, functionals), 1)
+    if len(support) != q ** (t + 1):
         raise InvariantError(
-            f"interval counts ({upper}, {lower}) do not match the chain quotients"
+            f"{len(support)} distinct support elements != q^(t+1) = {q ** (t + 1)}"
         )
-    design = NullDesign(f, n, q, t, support)
-    if len(design.support) != q ** (t + 1):
-        raise InvariantError(
-            f"support size {len(design.support)} != q^(t+1) = {q ** (t + 1)}"
-        )
-    return design
+    return NullDesign(f, n, q, t, support)
+
+
+def _dot(f: Field, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    total = 0
+    for x, y in zip(a, b):
+        total = f.add(total, f.mul(x, y))
+    return total
+
+
+def _functionals(
+    f: Field, zeros: list[tuple[int, ...]], one: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Every phi on GF(q)^m with phi.a = 0 for each a in zeros and phi.one = 1.
+
+    The solutions are read off the RREF of the augmented system: the free
+    columns take every value, in base-q order, and each pivot column follows
+    from its row.
+    """
+    m = len(one)
+    system = canonicalize(f, m + 1, [[*a, 0] for a in zeros] + [[*one, 1]])
+    if system.k != len(zeros) + 1 or m in system.pivots:
+        raise InvariantError("the conditions on the functional are dependent")
+    free = [c for c in range(m) if c not in system.pivots]
+    eqs = [
+        (p, row[m], [f.neg(row[c]) for c in free])
+        for p, row in zip(system.pivots, system.rows)
+    ]
+    out = []
+    for vals in itertools.product(range(f.q), repeat=len(free)):
+        phi = [0] * m
+        for c, val in zip(free, vals):
+            phi[c] = val
+        for p, val, negs in eqs:
+            for a, b in zip(negs, vals):
+                val = f.add(val, f.mul(a, b))
+            phi[p] = val
+        out.append(tuple(phi))
+    return out
 
 
 def as_modulus(design: NullDesign, r: int) -> NullDesign:

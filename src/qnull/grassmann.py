@@ -116,6 +116,10 @@ class _Lanes:
             out = [add(a, m) for a in out for m in mult]
         return out
 
+    def pivots(self, vecs: tuple[int, ...]) -> tuple[int, ...]:
+        """The pivot columns of a packed RREF basis: each row's lowest set bit."""
+        return tuple(((v & -v).bit_length() - 1) // self.bw for v in vecs)
+
     def code(self, v: int, j: int) -> int:
         return self.dec[(v >> (j * self.bw)) & self.mask]
 
@@ -157,14 +161,7 @@ class Subspace:
         self.vecs = vecs
         self.pivots = pivots
         self._lanes = lanes
-        self._reducer = None  # set by contains(): per row, (pivot shift, -c*row)
-
-    @classmethod
-    def from_vecs(cls, f: Field, n: int, vecs: tuple[int, ...]) -> "Subspace":
-        """The subspace whose packed RREF basis (as in `vecs`) is given."""
-        lanes = _lanes(f.q, n)
-        pivots = tuple(((v & -v).bit_length() - 1) // lanes.bw for v in vecs)
-        return cls(lanes, vecs, pivots)
+        self._reducer = None  # set by _reducer(): per row, (pivot shift, -c*row)
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -232,6 +229,18 @@ def random_subspace_of(parent: Subspace, d: int, rng: random.Random) -> Subspace
             return cand
 
 
+def _reducer(x: Subspace) -> tuple[tuple[int, list[int]], ...]:
+    """Per basis row of x: its pivot's bit shift and -c*row for each lane
+    pattern c.  Adding them in turn takes any vector of x to zero; built once
+    per subspace object."""
+    if x._reducer is None:
+        lanes = x._lanes
+        x._reducer = tuple(
+            (p * lanes.bw, lanes.negated(v)) for v, p in zip(x.vecs, x.pivots)
+        )
+    return x._reducer
+
+
 def contains(x: Subspace, y: Subspace) -> bool:
     """True iff y is a subspace of x (every basis row of y reduces to zero)."""
     lanes = x._lanes
@@ -239,11 +248,7 @@ def contains(x: Subspace, y: Subspace) -> bool:
         raise ValueError("subspaces live in different ambient spaces")
     if y.k > x.k:
         return False
-    reducer = x._reducer
-    if reducer is None:
-        reducer = x._reducer = tuple(
-            (p * lanes.bw, lanes.negated(v)) for v, p in zip(x.vecs, x.pivots)
-        )
+    reducer = _reducer(x)
     add, mask = lanes.add, lanes.mask
     for v in y.vecs:
         for shift, negs in reducer:
@@ -301,14 +306,19 @@ def enumerate_subspaces(f: Field, n: int, k: int) -> Iterator[Subspace]:
 
 def index_of(x: Subspace) -> int:
     """Ordinal of x within enumerate_subspaces(field, n, k), the inverse of from_index."""
-    by_pivots, _ = _pivot_layout(x.field.q, x.n, x.k)
-    if x.pivots not in by_pivots:
-        raise ValueError("pivot set not found (corrupt subspace?)")
-    free, offset = by_pivots[x.pivots]
-    q, code = x.field.q, x._lanes.code
+    try:
+        return _ordinal(x._lanes, x.vecs, x.pivots)
+    except KeyError:
+        raise ValueError("pivot set not found (corrupt subspace?)") from None
+
+
+def _ordinal(lanes: _Lanes, vecs: tuple[int, ...], pivots: tuple[int, ...]) -> int:
+    """Ordinal of a packed RREF basis, with its pivots, within its layer."""
+    free, offset = _pivot_layout(lanes.q, lanes.n, len(vecs))[0][pivots]
+    q, dec, bw, mask = lanes.q, lanes.dec, lanes.bw, lanes.mask
     val = 0
     for r, c in free:
-        val = val * q + code(x.vecs[r], c)
+        val = val * q + dec[(vecs[r] >> (c * bw)) & mask]
     return offset + val
 
 
@@ -364,6 +374,36 @@ def _packed_subspaces_of(x: Subspace, d: int):
         yield (
             tuple(xp[j] for j in local_pivots),
             list(zip(*[map(span.__getitem__, col) for col in cols])),
+        )
+
+
+def _coordinates(x: Subspace, vec: int) -> tuple[int, ...]:
+    """The coefficients of a packed vector of x in x's RREF basis, which are
+    its codes at the pivot columns of x."""
+    code = x._lanes.code
+    return tuple(code(vec, p) for p in x.pivots)
+
+
+def _hyperplanes(x: Subspace, functionals: Iterable[Sequence[int]]) -> Iterator[Subspace]:
+    """ker phi for each nonzero functional phi on x, given by its values on
+    x's basis rows.
+
+    With l the last row where phi is nonzero, the rows x_i - (phi_i/phi_l) x_l
+    for i < l and x_i for i > l are the RREF basis of the kernel (the local
+    kernel basis is RREF, so the structural fact applies): one lane add per
+    row and no reduction.
+    """
+    lanes, f, vecs = x._lanes, x.field, x.vecs
+    mults = [lanes.multiples(v) for v in vecs]
+    add = lanes.add
+    for phi in functionals:
+        last = max(i for i, c in enumerate(phi) if c)
+        scale, along = f.neg(f.inv(phi[last])), mults[last]
+        rows = [add(v, along[f.mul(c, scale)]) for v, c in zip(vecs[:last], phi)]
+        yield Subspace(
+            lanes,
+            tuple(rows) + vecs[last + 1:],
+            x.pivots[:last] + x.pivots[last + 1:],
         )
 
 

@@ -314,6 +314,8 @@ def _norm_products(vectors: Iterable[Sequence[int]]) -> list[int]:
 
 def rank_rational(entries: Sequence[Sequence[int]]) -> int:
     """Rank over Q of an integer matrix, from its ranks mod p (see module doc)."""
+    if len({len(r) for r in entries}) > 1:
+        raise ValueError("ragged matrix")
     if not entries or not entries[0]:
         return 0
     rows = entries if len(entries) <= len(entries[0]) else list(zip(*entries))

@@ -18,7 +18,6 @@ from .designs import (
     construct_lb_design,
     construct_uniform_design,
     make_random_chain,
-    sum_over_superspaces,
     verify_strength,
     verify_strength_direct,
 )
@@ -331,7 +330,7 @@ def _rows_oracle_equivalence(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
                 for k in range(t, n + 1):
                     m = wilson_matrix(q, n, t, k)
                     col_subs = m.col_subspaces()
-                    row_subs = m.row_subspaces()
+                    row_of = {y: i for i, y in enumerate(m.row_subspaces())}
                     for _ in range(100):
                         c = _random_sparse_vector(m.cols, p, rng)
                         got = apply_check(m, c, p)
@@ -339,14 +338,15 @@ def _rows_oracle_equivalence(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
                             col_subs[j]: v for j, v in enumerate(c) if v % p
                         }
                         design = NullDesign(f, n, p, 0, support)
-                        want = [
-                            sum_over_superspaces(design, y) for y in row_subs
-                        ]
+                        # the direct verdict holds every nonzero superspace sum
+                        vb = verify_strength_direct(design, t)
+                        want = [0] * m.rows
+                        for y, v in vb.violations:
+                            want[row_of[y]] = v
                         if got != want:
                             bad = f"t{t} k{k}: matrix/superspace mismatch"
                             break
                         va = verify_strength(design, t)
-                        vb = verify_strength_direct(design, t)
                         if va != vb:
                             bad = f"t{t} k{k}: verifier mismatch"
                             break

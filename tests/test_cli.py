@@ -140,6 +140,20 @@ def test_construct_uniform_needs_k(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "design, t_max",
+    [
+        ("2 3 2 1\n2|100;010|1\n", "-1"),  # below 0
+        ("2 3 2 0\n", "9"),  # void design, beyond n = 3
+    ],
+)
+def test_strength_rejects_t_max_outside_0_to_n(tmp_path, capsys, design, t_max):
+    path = tmp_path / "d.txt"
+    path.write_text(design)
+    code, out, err = run(capsys, "strength", "--design", str(path), "--t-max", t_max)
+    assert code == 2 and out == "" and "t_max" in err
+
+
 def test_verify_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--design", "/nonexistent/d.txt")
     assert code == 2 and "cannot read" in err

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qnull import designs
 from qnull.designs import (
     NullDesign,
     as_modulus,
@@ -19,9 +22,14 @@ from qnull.fields import field
 from qnull.grassmann import (
     canonicalize,
     contains,
+    coordinate_span,
     enumerate_subspaces,
+    from_index,
+    gaussian_binomial,
+    index_of,
     subspaces_of,
 )
+from qnull.linalg import InvariantError
 
 
 def _span(q, n, *rows):
@@ -81,6 +89,17 @@ def test_void_design():
     assert d.uniform_dim() is None
     assert strength_of(d, 4) == 4
     assert verify_strength(d, 1).ok
+
+
+def test_strength_of_rejects_t_max_outside_0_to_n():
+    void = NullDesign(field(2), 3, 2, 0, {})
+    for bad in (-1, 4, 9):
+        with pytest.raises(ValueError, match="t_max"):
+            strength_of(void, bad)
+    d = construct_lb_design(2, 3, 1)
+    with pytest.raises(ValueError, match="t_max"):
+        strength_of(d, -1)
+    assert strength_of(d, 0) == 0 and strength_of(d, 3) == 1
 
 
 # -- minimal-support construction --------------------------------------------
@@ -165,6 +184,71 @@ def test_uniform_design_rejects_bad_chains():
         construct_uniform_design(q, n, n, 1)  # k = n
 
 
+def _filtered_uniform_support(q, n, k, t, chain=None):
+    """The support by its definition: every k-subspace of w that contains u
+    and not v, found by filtering all of them through `contains`."""
+    f = field(q)
+    if chain is None:
+        chain = tuple(coordinate_span(f, n, d) for d in (k - t - 1, k - t, k + 1))
+    u, v, w = chain
+    return {x: 1 for x in subspaces_of(w, k) if contains(x, u) and not contains(x, v)}
+
+
+def _keyed(support):
+    # Subspace equality reads only the packed rows; the pivots must match too
+    return {(x.vecs, x.pivots): c for x, c in support.items()}
+
+
+def _assert_uniform_matches_filter(q, n, k, t, chains):
+    for chain in chains:
+        got = construct_uniform_design(q, n, k, t, chain=chain).support
+        want = _filtered_uniform_support(q, n, k, t, chain)
+        assert dict(got) == want
+        assert _keyed(got) == _keyed(want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_uniform_design_matches_the_containment_filter_on_grid_cells(q):
+    f = field(q)
+    for n in range(2, 6):
+        for k in range(1, n):
+            for t in range(k):
+                rng = random.Random(q * 1000 + n * 100 + k * 10 + t)
+                chains = [None] + [make_random_chain(f, n, k, t, rng) for _ in range(10)]
+                _assert_uniform_matches_filter(q, n, k, t, chains)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_uniform_design_matches_the_containment_filter_for_larger_q(q):
+    f = field(q)
+    for n in range(2, 5 if q == 5 else 4):
+        for k in range(1, n):
+            for t in range(k):
+                rng = random.Random(q * 1000 + n * 100 + k * 10 + t)
+                chains = [None] + [make_random_chain(f, n, k, t, rng) for _ in range(2)]
+                _assert_uniform_matches_filter(q, n, k, t, chains)
+
+
+def test_uniform_design_rejects_a_broken_functional(monkeypatch):
+    solve = designs._functionals
+
+    def doubled(f, zeros, one):  # 2*phi is 2 at e, not 1
+        first, *rest = solve(f, zeros, one)
+        return [tuple(f.add(c, c) for c in first)] + rest
+
+    def repeated(f, zeros, one):  # a valid functional twice: one kernel short
+        phis = solve(f, zeros, one)
+        return [phis[0]] + phis[:-1]
+
+    construct_uniform_design(3, 4, 2, 1)
+    monkeypatch.setattr(designs, "_functionals", doubled)
+    with pytest.raises(InvariantError, match="not 0 on u and 1 at e"):
+        construct_uniform_design(3, 4, 2, 1)
+    monkeypatch.setattr(designs, "_functionals", repeated)
+    with pytest.raises(InvariantError, match="distinct support elements"):
+        construct_uniform_design(3, 4, 2, 1)
+
+
 def test_uniform_design_strength_is_exactly_t_in_small_cases():
     for q, n, k, t in [(2, 4, 2, 1), (2, 4, 2, 0), (3, 4, 2, 1), (2, 5, 3, 1)]:
         d = construct_uniform_design(q, n, k, t)
@@ -191,6 +275,89 @@ def test_two_verifiers_agree_on_valid_and_corrupted(q, n, k, t):
     assert not va.ok and not vb.ok
     assert va.violations == vb.violations
     assert all(1 <= v < bad.r for _, v in va.violations)
+
+
+@st.composite
+def design_case(draw):
+    """(q, n, r, t, items): a design over GF(q)^n mod r, one (dim, ordinal,
+    coefficient) item per support element, every dim at least t."""
+    q, n_max = draw(st.sampled_from([(2, 4), (3, 3), (4, 3), (5, 2), (9, 2)]))
+    n = draw(st.integers(min_value=1, max_value=n_max))
+    t = draw(st.integers(min_value=0, max_value=n))
+    f = field(q)
+    r = draw(st.sampled_from([f.p**i for i in range(1, f.s + 1)]))
+    items = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=t, max_value=n),
+                st.integers(min_value=0, max_value=10**6),
+                st.integers(min_value=1, max_value=r - 1),
+            ),
+            max_size=5,
+        )
+    )
+    return q, n, r, t, [(d, o % gaussian_binomial(n, d, q), c) for d, o, c in items]
+
+
+def _design_of(case):
+    q, n, r, t, items = case
+    f = field(q)
+    support = {from_index(f, n, d, o): c for d, o, c in items}
+    return NullDesign(f, n, r, t, support), t
+
+
+def _listed(violations):
+    return [(y.vecs, y.pivots, y.k, v) for y, v in violations]
+
+
+VERIFIER_EXAMPLES = [
+    (2, 3, 2, 0, [(1, 0, 1), (2, 3, 1), (3, 0, 1)]),  # t = 0
+    (3, 2, 3, 2, [(2, 0, 2)]),  # t = n
+    (3, 3, 3, 1, [(1, 0, 1), (2, 5, 2), (1, 7, 1)]),  # t is a support dim
+    (2, 4, 2, 1, [(2, 0, 1)]),  # pivots (0, 1): groups (2,) and (3,) missed
+    (4, 3, 4, 1, [(2, 0, 2), (2, 1, 2)]),  # sums 0 mod 4 on their meet
+]
+
+
+def _with_examples(test):
+    for case in VERIFIER_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@given(design_case())
+@_with_examples
+@settings(max_examples=150, deadline=None)
+def test_verify_strength_direct_matches_per_y_superspace_sums(case):
+    design, t = _design_of(case)
+    want = []
+    for y in enumerate_subspaces(design.field, design.n, t):
+        v = sum_over_superspaces(design, y)
+        if v:
+            want.append((y, v))
+    verdict = verify_strength_direct(design, t)
+    assert _listed(verdict.violations) == _listed(want)
+    assert verdict.ok == (not want)
+
+
+@given(design_case())
+@_with_examples
+@settings(max_examples=150, deadline=None)
+def test_verify_strength_violations_match_the_keyed_scatter(case):
+    """Scatter onto the subspaces that subspaces_of yields, keyed by subspace,
+    and sort the nonzero sums by index_of."""
+    design, t = _design_of(case)
+    acc = {}
+    for x, c in design.support.items():
+        for y in subspaces_of(x, t):
+            acc[y] = acc.get(y, 0) + c
+    want = sorted(
+        ((y, v % design.r) for y, v in acc.items() if v % design.r),
+        key=lambda yv: index_of(yv[0]),
+    )
+    verdict = verify_strength(design, t)
+    assert _listed(verdict.violations) == _listed(want)
+    assert verdict == verify_strength_direct(design, t)
 
 
 def test_verify_rejects_undefined_strata():

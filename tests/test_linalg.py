@@ -273,6 +273,12 @@ def test_rank_rational_edge_cases():
     assert rank_rational([[big, big], [big, big]]) == 1
 
 
+@pytest.mark.parametrize("rows", [[[1], [2, 3]], [[1, 2], [3]], [[], [1]]])
+def test_rank_rational_rejects_ragged_rows(rows):
+    with pytest.raises(ValueError, match="ragged"):
+        rank_rational(rows)
+
+
 @st.composite
 def zero_one_rows(draw, max_size=24):
     """0/1 rows, wide or tall, with repeated rows, sums of two rows (entries
