@@ -113,15 +113,16 @@ def _write_out(path: Optional[str], text: str) -> None:
 
 
 def _budget_from(args) -> Optional[int]:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
+    budget = getattr(args, "budget", None)
     env = os.environ.get("QNULL_BUDGET")
-    if env is not None:
+    if budget is None and env is not None:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise UsageError(f"QNULL_BUDGET must be an integer, got {env!r}")
-    return None
+    if budget is not None and budget < 1:
+        raise UsageError(f"budget must be >= 1, got {budget}")
+    return budget
 
 
 # -- subcommands --------------------------------------------------------------

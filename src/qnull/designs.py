@@ -6,12 +6,12 @@ has strength t when, for every t-dimensional y, the coefficients of the
 support elements containing y sum to zero mod r.
 
 Two verifiers are provided on purpose.  verify_strength scatters each support
-element's coefficient onto its own t-dimensional subspaces, read out of the
-span of the element's basis (fast, touches only reachable y).
+element's coefficient onto its own t-dimensional subspaces, built from the
+element's basis rows (fast, touches only reachable y).
 verify_strength_direct walks all of J_q(n,t) and, per y, reduces y's basis
 rows against the basis rows of every support element whose pivots cover
-y's, so it never forms a span.  They are independent code paths and are held
-equal by tests.
+y's.  They share only the subspace enumeration (grassmann's local one,
+applied to the whole space for the direct walk) and are held equal by tests.
 
 construct_uniform_design does not search: the support elements are the
 kernels of the functionals solved for in the chain's top space, read off its
@@ -32,7 +32,6 @@ from .grassmann import (
     _coordinates,
     _hyperplanes,
     _lanes,
-    _layer,
     _ordinal,
     _packed_subspaces_of,
     _reducer,
@@ -192,7 +191,7 @@ def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
     add, mask = lanes.add, lanes.mask
     above = [(set(x.pivots), _reducer(x), c) for x, c in design.support.items()]
     bad = []
-    for pivots, bases in _layer(lanes, t):
+    for pivots, bases in _packed_subspaces_of(lanes.whole, t):
         below = [(red, c) for xp, red, c in above if xp.issuperset(pivots)]
         if not below:
             continue

@@ -20,8 +20,10 @@ One structural fact carries most of the module: if B is the k x n RREF basis
 of x and L is any d x k RREF matrix, then L.B is already in RREF form with
 pivot columns {pivots(x)[j] : j pivot of L}, and distinct L give distinct
 subspaces.  So the d-dimensional subspaces of x are exactly the products L.B
-with L ranging over the d x k RREF matrices, no re-reduction needed; each row
-of L.B is read out of the q^k vectors of x, spanned once per call.
+with L ranging over the d x k RREF matrices, no re-reduction needed.  Row r
+of L.B is x's row at L's r-th pivot plus a multiple of x's row c for each
+free entry (r, c) of L, so it is built from x's cached row multiples and x is
+never spanned; the ambient layer is the same construction on the unit basis.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ class _Lanes:
         for c in range(1, q):
             i = min(i for i in range(s) if c // p**i % p)
             self._steps.append((c - p**i, i))
+        # GF(q)^n itself, on the unit basis.  Set here, not on first use, so
+        # that every instance keeps one attribute layout and stays fast to read.
+        units = tuple(1 << (j * self.bw) for j in range(n))
+        self.whole = Subspace(self, units, tuple(range(n)))
 
     def multiples(self, v: int) -> list[int]:
         """c*v for every element code c, indexed by c."""
@@ -104,17 +110,10 @@ class _Lanes:
             out.append(add(out[prev], basis[i]))
         return out
 
-    def negated(self, v: int) -> list[int]:
-        """-c*v for every element code c, indexed by the lane pattern of c."""
-        return list(map(self.multiples(v).__getitem__, self._neg_at))
-
-    def span(self, vecs: tuple[int, ...]) -> list[int]:
-        """All q^k sums of c_j vecs[j], indexed by (c_0 .. c_{k-1}) read in base q."""
-        out, add = [0], self.add
-        for v in vecs:
-            mult = self.multiples(v)
-            out = [add(a, m) for a in out for m in mult]
-        return out
+    def negated(self, mult: list[int]) -> list[int]:
+        """-c*v for every element code c, indexed by the lane pattern of c,
+        from the multiples of v."""
+        return list(map(mult.__getitem__, self._neg_at))
 
     def pivots(self, vecs: tuple[int, ...]) -> tuple[int, ...]:
         """The pivot columns of a packed RREF basis: each row's lowest set bit."""
@@ -133,7 +132,7 @@ class _Lanes:
                 continue
             row = work.pop(src)
             row = self.multiples(row)[self.field.inv(self.code(row, col))]
-            negs = self.negated(row)
+            negs = self.negated(self.multiples(row))
             out = [self.add(v, negs[(v >> shift) & mask]) for v in out] + [row]
             work = [self.add(v, negs[(v >> shift) & mask]) for v in work]
             pivots.append(col)
@@ -152,7 +151,7 @@ class Subspace:
     canonical basis, so two values are equal iff they are the same subspace.
     """
 
-    __slots__ = ("field", "n", "k", "vecs", "pivots", "_lanes", "_reducer")
+    __slots__ = ("field", "n", "k", "vecs", "pivots", "_lanes", "_reducer", "_multiples")
 
     def __init__(self, lanes: _Lanes, vecs: tuple[int, ...], pivots: tuple[int, ...]):
         self.field = lanes.field
@@ -162,6 +161,7 @@ class Subspace:
         self.pivots = pivots
         self._lanes = lanes
         self._reducer = None  # set by _reducer(): per row, (pivot shift, -c*row)
+        self._multiples = None  # set by _multiples(): per row, c*row
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -215,8 +215,7 @@ def random_subspace_of(parent: Subspace, d: int, rng: random.Random) -> Subspace
     Draws d vectors, each with one rng.randrange(q) coefficient per basis row
     of parent, and draws again until they are independent.
     """
-    lanes = parent._lanes
-    mults = [lanes.multiples(v) for v in parent.vecs]
+    lanes, mults = parent._lanes, _multiples(parent)
     while True:
         rows = []
         for _ in range(d):
@@ -229,6 +228,14 @@ def random_subspace_of(parent: Subspace, d: int, rng: random.Random) -> Subspace
             return cand
 
 
+def _multiples(x: Subspace) -> tuple[list[int], ...]:
+    """Per basis row of x: c*row for each element code c; built once per
+    subspace object."""
+    if x._multiples is None:
+        x._multiples = tuple(map(x._lanes.multiples, x.vecs))
+    return x._multiples
+
+
 def _reducer(x: Subspace) -> tuple[tuple[int, list[int]], ...]:
     """Per basis row of x: its pivot's bit shift and -c*row for each lane
     pattern c.  Adding them in turn takes any vector of x to zero; built once
@@ -236,7 +243,7 @@ def _reducer(x: Subspace) -> tuple[tuple[int, list[int]], ...]:
     if x._reducer is None:
         lanes = x._lanes
         x._reducer = tuple(
-            (p * lanes.bw, lanes.negated(v)) for v, p in zip(x.vecs, x.pivots)
+            (p * lanes.bw, lanes.negated(m)) for m, p in zip(_multiples(x), x.pivots)
         )
     return x._reducer
 
@@ -283,23 +290,12 @@ def _pivot_layout(q: int, n: int, k: int):
     return by_pivots, total
 
 
-def _layer(lanes: _Lanes, k: int):
-    """Per pivot set of the k-layer: the pivots and an iterator over the packed
-    bases with those pivots, all in enumeration order."""
-    enc, bw = lanes.enc, lanes.bw
-    for pivots, (free, _) in _pivot_layout(lanes.q, lanes.n, k)[0].items():
-        choices = [[1 << (p * bw)] for p in pivots]
-        for r, c in free:
-            choices[r] = [v | (e << (c * bw)) for v in choices[r] for e in enc]
-        yield pivots, itertools.product(*choices)
-
-
 def enumerate_subspaces(f: Field, n: int, k: int) -> Iterator[Subspace]:
     """All k-dimensional subspaces of GF(q)^n in the fixed order, streamed."""
     if not 0 <= k <= n:
         return
     lanes = _lanes(f.q, n)
-    for pivots, bases in _layer(lanes, k):
+    for pivots, bases in _packed_subspaces_of(lanes.whole, k):
         for vecs in bases:
             yield Subspace(lanes, vecs, pivots)
 
@@ -343,38 +339,30 @@ def from_index(f: Field, n: int, k: int, ordinal: int) -> Subspace:
 
 # -- local enumeration inside a subspace ---------------------------------
 
-@lru_cache(maxsize=None)
-def _local_rref(q: int, m: int, d: int):
-    """The d x m RREF matrices over GF(q) in enumeration order, grouped by
-    pivot set: per group the pivots and, per row r, the index into
-    _Lanes.span of row r of each matrix."""
-    lanes = _lanes(q, m)
-    groups = []
-    for pivots, bases in _layer(lanes, d):
-        idx = [
-            [sum(lanes.code(v, j) * q ** (m - 1 - j) for j in range(m)) for v in vecs]
-            for vecs in bases
-        ]
-        groups.append((pivots, tuple(zip(*idx))))
-    return tuple(groups)
-
-
 def _packed_subspaces_of(x: Subspace, d: int):
-    """Per pivot set: the pivots and the packed bases of the d-dimensional
-    subspaces of x with those pivots (0 <= d <= x.k), in local order."""
-    if d == x.k:
-        yield x.pivots, [x.vecs]
+    """Per pivot set: the pivots and an iterator over the packed bases of the
+    d-dimensional subspaces of x with those pivots (0 <= d <= x.k), in local
+    order.
+
+    Row r's choices start at x's row at the r-th local pivot; each free entry
+    (r, c), read row-major, replaces them by every sum of a choice and a
+    multiple of x's row c, in code order.  So the last free entry varies
+    fastest and the product reads the free entries as a base-q integer.
+    """
+    if d == x.k:  # x itself; neither end of the range needs x's multiples
+        yield x.pivots, (x.vecs,)
         return
     if d == 0:
-        yield (), [()]
+        yield (), ((),)
         return
-    span = x._lanes.span(x.vecs)
-    xp = x.pivots
-    for local_pivots, cols in _local_rref(x.field.q, x.k, d):
-        yield (
-            tuple(xp[j] for j in local_pivots),
-            list(zip(*[map(span.__getitem__, col) for col in cols])),
-        )
+    lanes, vecs, xp, mults = x._lanes, x.vecs, x.pivots, _multiples(x)
+    # the unit rows share no lane, so in the ambient layer a sum is an OR
+    add = operator.or_ if x is lanes.whole else lanes.add
+    for local, (free, _) in _pivot_layout(lanes.q, x.k, d)[0].items():
+        choices = [[vecs[p]] for p in local]
+        for r, c in free:
+            choices[r] = [add(v, m) for v in choices[r] for m in mults[c]]
+        yield tuple(map(xp.__getitem__, local)), itertools.product(*choices)
 
 
 def _coordinates(x: Subspace, vec: int) -> tuple[int, ...]:
@@ -394,8 +382,7 @@ def _hyperplanes(x: Subspace, functionals: Iterable[Sequence[int]]) -> Iterator[
     row and no reduction.
     """
     lanes, f, vecs = x._lanes, x.field, x.vecs
-    mults = [lanes.multiples(v) for v in vecs]
-    add = lanes.add
+    mults, add = _multiples(x), lanes.add
     for phi in functionals:
         last = max(i for i, c in enumerate(phi) if c)
         scale, along = f.neg(f.inv(phi[last])), mults[last]

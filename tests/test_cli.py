@@ -272,6 +272,24 @@ def test_minweight_budget_env(wilson_file, capsys, monkeypatch):
     assert code == 2 and "QNULL_BUDGET" in err
 
 
+def test_budget_below_one_is_a_usage_error(wilson_file, capsys, monkeypatch):
+    # refused before any work, not as a search that "reached 1 nodes"
+    code, out, err = run(capsys, "reproduce", "--only", "gf2-rank", "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: budget must be >= 1, got -1\n"
+    monkeypatch.setenv("QNULL_BUDGET", "-3")
+    code, out, err = run(
+        capsys,
+        "minweight", "--matrix", wilson_file, "--p", "2", "--cap", "4",
+        "--mode", "kernel",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: budget must be >= 1, got -3\n"
+    monkeypatch.setenv("QNULL_BUDGET", "0")
+    code, _, err = run(capsys, "reproduce", "--only", "gf2-rank")
+    assert code == 2 and err == "error: budget must be >= 1, got 0\n"
+
+
 def test_minweight_support_budget_refusal(tmp_path, capsys):
     path = tmp_path / "w2523.txt"
     run(

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from qnull.fields import field
 from qnull.grassmann import (
     Subspace,
+    _lanes,
     canonicalize,
     contains,
+    coordinate_span,
     enumerate_subspaces,
     from_index,
     gaussian_binomial,
@@ -197,6 +199,81 @@ def test_subspaces_of_yields_canonical_forms(q, n, k):
         for d in range(k + 1):
             for y in subspaces_of(x, d):
                 assert canonicalize(f, n, y.rows) == y
+
+
+# -- reference enumerations: the span-based construction ------------------------
+#
+# The packed layer used to be built by OR-ing each free entry's code into the
+# unit rows, and the d-subspaces of x by spanning all q^k vectors of x and
+# reading each local RREF row out of that span by its base-q index.  They are
+# kept here, unchanged, to pin the exact output order of the current code.
+
+ORDER_FIELDS = [2, 3, 4, 5, 7, 8, 9]
+
+
+def layer_by_or(lanes, k):
+    """Per pivot set of GF(q)^n's k-layer: the pivots and the packed bases."""
+    n, enc, bw = lanes.n, lanes.enc, lanes.bw
+    for pivots in itertools.combinations(range(n), k):
+        rest = [c for c in range(n) if c not in pivots]
+        free = [(r, c) for r, p in enumerate(pivots) for c in rest if c > p]
+        choices = [[1 << (p * bw)] for p in pivots]
+        for r, c in free:
+            choices[r] = [v | (e << (c * bw)) for v in choices[r] for e in enc]
+        yield pivots, itertools.product(*choices)
+
+
+def subspaces_by_span(x, d):
+    """(vecs, pivots) of each d-subspace of x, read out of x's full span."""
+    lanes, q, k = x._lanes, x.field.q, x.k
+    span = [0]
+    for v in x.vecs:
+        span = [lanes.add(a, m) for a in span for m in lanes.multiples(v)]
+    local = _lanes(q, k)
+    out = []
+    for local_pivots, bases in layer_by_or(local, d):
+        pivots = tuple(x.pivots[j] for j in local_pivots)
+        for rows in bases:
+            idx = [
+                sum(local.code(v, j) * q ** (k - 1 - j) for j in range(k))
+                for v in rows
+            ]
+            out.append((tuple(span[i] for i in idx), pivots))
+    return out
+
+
+def random_subspace(f, n, k, rng):
+    while True:
+        x = canonicalize(
+            f, n, [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]
+        )
+        if x.k == k:
+            return x
+
+
+@pytest.mark.parametrize("q", ORDER_FIELDS)
+def test_subspaces_of_order_matches_the_span_construction(q):
+    f, rng = field(q), random.Random(q)
+    for k in range(5 if q <= 4 else 4):
+        n = k + 2
+        for x in (coordinate_span(f, n, k), random_subspace(f, n, k, rng)):
+            for d in range(k + 1):
+                got = [(y.vecs, y.pivots) for y in subspaces_of(x, d)]
+                assert got == subspaces_by_span(x, d), (x, d)
+
+
+@pytest.mark.parametrize("q", ORDER_FIELDS)
+def test_enumerate_subspaces_order_matches_the_or_built_layer(q):
+    f = field(q)
+    for n in range(5 if q <= 4 else 4):
+        for k in range(n + 1):
+            want = [
+                (vecs, pivots)
+                for pivots, bases in layer_by_or(_lanes(q, n), k)
+                for vecs in bases
+            ]
+            got = [(x.vecs, x.pivots) for x in enumerate_subspaces(f, n, k)]
+            assert got == want, (n, k)
 
 
 def test_text_round_trip():
