@@ -112,6 +112,12 @@ def _write_out(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _at_least_one(name: str, value: Optional[int]) -> Optional[int]:
+    if value is not None and value < 1:
+        raise UsageError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _budget_from(args) -> Optional[int]:
     budget = getattr(args, "budget", None)
     env = os.environ.get("QNULL_BUDGET")
@@ -120,9 +126,7 @@ def _budget_from(args) -> Optional[int]:
             budget = int(env)
         except ValueError:
             raise UsageError(f"QNULL_BUDGET must be an integer, got {env!r}")
-    if budget is not None and budget < 1:
-        raise UsageError(f"budget must be >= 1, got {budget}")
-    return budget
+    return _at_least_one("budget", budget)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -231,9 +235,10 @@ def _cmd_verify(args) -> int:
         verdict = verify_strength(design, t)
     except ValueError as e:
         raise UsageError(str(e)) from None
+    f, n = design.field, design.n
     violations = [
-        {"dim": y.k, "subspace": subspace_to_text(y), "sum": s}
-        for y, s in verdict.violations
+        {"dim": t, "subspace": subspace_to_text(from_index(f, n, t, i)), "sum": s}
+        for i, s in verdict.violations
     ]
     payload = {
         "design": args.design,
@@ -354,8 +359,7 @@ def _report_human(rep: SearchReport, witness_design: Optional[str]) -> str:
 
 def _cmd_minweight(args) -> int:
     m = _load_matrix(args.matrix)
-    if args.cap < 1:
-        raise UsageError(f"cap must be >= 1, got {args.cap}")
+    _at_least_one("cap", args.cap)
     budget = _budget_from(args)
     try:
         g = GfpMatrix.from_incidence(m, args.p)
@@ -379,8 +383,7 @@ def _cmd_minweight(args) -> int:
 
 def _cmd_minsupport(args) -> int:
     m = _load_matrix(args.matrix)
-    if args.cap < 1:
-        raise UsageError(f"cap must be >= 1, got {args.cap}")
+    _at_least_one("cap", args.cap)
     rep = min_support_kernel_rational(m.dense(), cap=args.cap)
     payload = _report_payload(rep)
     payload["matrix"] = args.matrix
@@ -397,11 +400,10 @@ def _cmd_minsupport(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    budget = _budget_from(args)
     rows = run_grid(
         only=args.only,
         inject_corruption=args.inject_corruption,
-        budget=budget,
+        budget=_budget_from(args),
         threads=args.threads,
     )
     failures = sum(1 for r in rows if not r.ok)
@@ -515,6 +517,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _at_least_one("threads", getattr(args, "threads", None))
         code = args.func(args)
         sys.stdout.flush()
         return code

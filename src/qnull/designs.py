@@ -12,6 +12,8 @@ verify_strength_direct walks all of J_q(n,t) and, per y, reduces y's basis
 rows against the basis rows of every support element whose pivots cover
 y's.  They share only the subspace enumeration (grassmann's local one,
 applied to the whole space for the direct walk) and are held equal by tests.
+Both name a violation as a row of W_{t,k} c = 0 with its nonzero sum: the
+row is y's ordinal in its layer (see Verdict), so neither builds a Subspace.
 
 construct_uniform_design does not search: the support elements are the
 kernels of the functionals solved for in the chain's top space, read off its
@@ -34,6 +36,7 @@ from .grassmann import (
     _lanes,
     _ordinal,
     _packed_subspaces_of,
+    _pivot_layout,
     _reducer,
     canonicalize,
     contains,
@@ -127,8 +130,12 @@ class NullDesign:
 
 @dataclass(frozen=True)
 class Verdict:
+    """violations: (ordinal, sum mod r) per t-subspace y with a nonzero sum,
+    ascending.  The ordinal is index_of(y), y's row in wilson_matrix(q, n, t,
+    k); from_index(field, n, t, ordinal) recovers y."""
+
     ok: bool
-    violations: tuple[tuple[Subspace, int], ...]  # (y, nonzero sum), ordinal order
+    violations: tuple[tuple[int, int], ...]
 
 
 def sum_over_superspaces(design: NullDesign, y: Subspace) -> int:
@@ -157,9 +164,9 @@ def verify_strength(design: NullDesign, t: int) -> Verdict:
     """Check the strength-t condition at every t-dimensional subspace.
 
     Scatter formulation: only y below some support element can have a nonzero
-    sum, so accumulate per support element, keyed by the packed basis of y,
-    and build subspaces only for the nonzero cells, with the pivots read off
-    their packed rows.
+    sum, so accumulate per support element in one dict keyed by the packed
+    basis of y, and compute the ordinal (see Verdict) only for the nonzero
+    cells, with the pivots read off their packed rows.
     """
     _check_domain(design, t)
     acc: dict[tuple[int, ...], int] = {}
@@ -168,13 +175,11 @@ def verify_strength(design: NullDesign, t: int) -> Verdict:
             for key in bases:
                 acc[key] = acc.get(key, 0) + c
     lanes, r = _lanes(design.field.q, design.n), design.r
-    bad = []
-    for key, v in acc.items():
-        if v % r:
-            pivots = lanes.pivots(key)
-            bad.append((_ordinal(lanes, key, pivots), key, pivots, v % r))
-    bad.sort()
-    violations = tuple((Subspace(lanes, key, pivots), v) for _, key, pivots, v in bad)
+    violations = tuple(sorted(
+        (_ordinal(lanes, key, lanes.pivots(key)), v % r)
+        for key, v in acc.items()
+        if v % r
+    ))
     return Verdict(ok=not violations, violations=violations)
 
 
@@ -184,18 +189,20 @@ def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
     y lies in x only if the pivots of y are pivots of x, so a pivot set of
     the t-layer that no support element covers is skipped whole.  Otherwise
     each basis row of y is reduced against the candidates' basis rows and y
-    lies in x when every row reduces to zero.
+    lies in x when every row reduces to zero.  The walk is in enumeration
+    order, so y's ordinal is its pivot set's offset plus its place there.
     """
     _check_domain(design, t)
     lanes, r = _lanes(design.field.q, design.n), design.r
     add, mask = lanes.add, lanes.mask
+    layout = _pivot_layout(lanes.q, design.n, t)[0]
     above = [(set(x.pivots), _reducer(x), c) for x, c in design.support.items()]
     bad = []
     for pivots, bases in _packed_subspaces_of(lanes.whole, t):
         below = [(red, c) for xp, red, c in above if xp.issuperset(pivots)]
         if not below:
             continue
-        for vecs in bases:
+        for i, vecs in enumerate(bases, layout[pivots][1]):
             total = 0
             for red, c in below:
                 for v in vecs:
@@ -208,7 +215,7 @@ def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
                 else:
                     total += c
             if total % r:
-                bad.append((Subspace(lanes, vecs, pivots), total % r))
+                bad.append((i, total % r))
     return Verdict(ok=not bad, violations=tuple(bad))
 
 

@@ -8,7 +8,8 @@ the table entry is re-verified (irreducible and primitive) at construction
 instead of being trusted.
 
 Arithmetic is table-driven: a Field instance precomputes full add/mul/inv
-tables at construction, which keeps inner loops at list-indexing cost.
+tables at construction, which keeps inner loops at list-indexing cost; they
+grow as q^2, so orders above Field.MAX_ORDER are refused before any is built.
 """
 
 from __future__ import annotations
@@ -109,8 +110,12 @@ class Field:
 
     #: orders that must be available; larger ones work if a modulus is listed
     REQUIRED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+    #: the largest order accepted: the add and mul tables hold q^2 entries each
+    MAX_ORDER = 1024
 
     def __init__(self, q: int):
+        if q > self.MAX_ORDER:
+            raise ValueError(f"field order {q} is above the limit {self.MAX_ORDER}")
         p, s = _factor_prime_power(q)
         self.p = p
         self.s = s

@@ -34,9 +34,6 @@ class IncidenceMatrix:
     cols: int
     col_rows: tuple[tuple[int, ...], ...]  # per column, sorted row indices of the 1s
 
-    def row_subspaces(self) -> list[Subspace]:
-        return list(enumerate_subspaces(field(self.q), self.n, self.t))
-
     def col_subspaces(self) -> list[Subspace]:
         return list(enumerate_subspaces(field(self.q), self.n, self.k))
 

@@ -60,6 +60,21 @@ def _row(criterion: int, label: str, expected, computed) -> CheckRow:
     return CheckRow(criterion, label, e, c, e == c)
 
 
+def _ok_rows(
+    keep: Callable[[str], bool],
+    criterion: int,
+    label_format: str,
+    cells: Iterable[tuple[int, ...]],
+    check: Callable[..., Optional[str]],
+) -> Iterable[CheckRow]:
+    """One row per cell whose label, label_format.format(*cell), keep passes:
+    "ok", or the first failure that check(*cell) returns."""
+    for cell in cells:
+        label = label_format.format(*cell)
+        if keep(label):
+            yield _row(criterion, label, "ok", check(*cell) or "ok")
+
+
 # -- criterion 1: Grassmannian counts ----------------------------------------
 
 
@@ -83,80 +98,57 @@ def _rows_counts(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
 # -- criterion 2: interval counts are (q^{d-t+1}-1)/(q-1) = 1 mod r ----------
 
 
-def _count_between(y: Subspace, z: Subspace, t: int) -> int:
-    return sum(1 for x in subspaces_of(z, t) if contains(x, y))
+def _check_interval_cell(q: int, n: int) -> Optional[str]:
+    f = field(q)
+    # per-row seed: a row's draws never depend on which rows ran
+    rng = random.Random(_VECTOR_SEED + 10_000 + q * 100 + n)
+    for t in range(1, n + 1):
+        for d in range(t, n + 1):
+            want = (q ** (d - t + 1) - 1) // (q - 1)
+            full = coordinate_span(f, n, n)
+            pairs = [(coordinate_span(f, n, t - 1), coordinate_span(f, n, d))]
+            for _ in range(3):
+                z = random_subspace_of(full, d, rng)
+                y = random_subspace_of(z, t - 1, rng)
+                pairs.append((y, z))
+            for y, z in pairs:
+                got = sum(1 for x in subspaces_of(z, t) if contains(x, y))
+                if got != want:
+                    return f"t{t} d{d}: count {got} != {want}"
+                for r in {f.p, q}:
+                    if got % r != 1:
+                        return f"t{t} d{d}: {got} mod {r} != 1"
+    return None
 
 
 def _rows_interval_congruence(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    for q in (2, 3, 4):
-        f = field(q)
-        p = f.p
-        for n in range(1, 5):
-            label = f"interval-count q{q} n{n}"
-            if not keep(label):
-                continue
-            # per-row seed: a row's draws never depend on which rows ran
-            rng = random.Random(_VECTOR_SEED + 10_000 + q * 100 + n)
-            bad = None
-            for t in range(1, n + 1):
-                for d in range(t, n + 1):
-                    want = (q ** (d - t + 1) - 1) // (q - 1)
-                    full = coordinate_span(f, n, n)
-                    pairs = [
-                        (
-                            coordinate_span(f, n, t - 1),
-                            coordinate_span(f, n, d),
-                        )
-                    ]
-                    for _ in range(3):
-                        z = random_subspace_of(full, d, rng)
-                        y = random_subspace_of(z, t - 1, rng)
-                        pairs.append((y, z))
-                    for y, z in pairs:
-                        got = _count_between(y, z, t)
-                        if got != want:
-                            bad = f"t{t} d{d}: count {got} != {want}"
-                            break
-                        for r in {p, q}:
-                            if got % r != 1:
-                                bad = f"t{t} d{d}: {got} mod {r} != 1"
-                                break
-                        if bad:
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            yield _row(2, label, "ok", bad or "ok")
+    cells = [(q, n) for q in (2, 3, 4) for n in range(1, 5)]
+    return _ok_rows(keep, 2, "interval-count q{} n{}", cells, _check_interval_cell)
 
 
 # -- criterion 3: minimum-support lower-bound construction -------------------
 
 
+def _check_lb_cell(q: int, n: int, t: int) -> Optional[str]:
+    d = construct_lb_design(q, n, t)
+    want_support = 1 + (q ** (t + 1) - 1) // (q - 1)
+    if len(d.support) != want_support:
+        return f"support {len(d.support)} != {want_support}"
+    for tau in range(t, -1, -1):
+        if not verify_strength(d, tau).ok:
+            return f"fails at strength {tau}"
+    return None
+
+
 def _rows_lb_designs(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    for q in (2, 3, 4):
-        for n in range(1, 6):
-            for t in range(0, n):
-                label = f"lower-bound-design q{q} n{n} t{t}"
-                if not keep(label):
-                    continue
-                d = construct_lb_design(q, n, t)
-                want_support = 1 + (q ** (t + 1) - 1) // (q - 1)
-                bad = None
-                if len(d.support) != want_support:
-                    bad = f"support {len(d.support)} != {want_support}"
-                else:
-                    for tau in range(t, -1, -1):
-                        if not verify_strength(d, tau).ok:
-                            bad = f"fails at strength {tau}"
-                            break
-                yield _row(3, label, "ok", bad or "ok")
+    cells = [(q, n, t) for q in (2, 3, 4) for n in range(1, 6) for t in range(n)]
+    return _ok_rows(keep, 3, "lower-bound-design q{} n{} t{}", cells, _check_lb_cell)
 
 
 # -- criterion 4: k-uniform construction, default and random chains ----------
 
 
-def _check_uniform_cell(q: int, n: int, k: int, t: int) -> Optional[str]:
+def _check_uniform_cell(q: int, n: int, t: int, k: int) -> Optional[str]:
     f = field(q)
     rng = random.Random(_CHAIN_SEED + q * 10000 + n * 100 + k * 10 + t)
     chains: list[Optional[tuple[Subspace, Subspace, Subspace]]] = [None]
@@ -176,15 +168,9 @@ def _check_uniform_cell(q: int, n: int, k: int, t: int) -> Optional[str]:
 
 
 def _rows_uniform_designs(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    for q in (2, 3, 4):
-        for n in range(2, 6):
-            for k in range(1, n):
-                for t in range(0, k):
-                    label = f"uniform-design q{q} n{n} t{t} k{k}"
-                    if not keep(label):
-                        continue
-                    bad = _check_uniform_cell(q, n, k, t)
-                    yield _row(4, label, "ok", bad or "ok")
+    cells = [(q, n, t, k) for q in (2, 3, 4) for n in range(2, 6)
+             for k in range(1, n) for t in range(k)]
+    return _ok_rows(keep, 4, "uniform-design q{} n{} t{} k{}", cells, _check_uniform_cell)
 
 
 # -- criterion 5: exact GF(2) minima -----------------------------------------
@@ -234,24 +220,19 @@ def _rows_gf2_ranks(
 # -- criterion 7: full rational rank -----------------------------------------
 
 
+def _check_rational_rank_cell(q: int, n: int) -> Optional[str]:
+    for t in range(0, n + 1):
+        for k in range(t, n - t + 1):
+            got = rank_rational(wilson_matrix(q, n, t, k).dense())
+            want = gaussian_binomial(n, t, q)
+            if got != want:
+                return f"t{t} k{k}: rank {got} != {want}"
+    return None
+
+
 def _rows_rational_rank(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    for q in (2, 3):
-        for n in range(1, 5):
-            label = f"rational-rank q{q} n{n}"
-            if not keep(label):
-                continue
-            bad = None
-            for t in range(0, n + 1):
-                for k in range(t, n - t + 1):
-                    m = wilson_matrix(q, n, t, k)
-                    got = rank_rational(m.dense())
-                    want = gaussian_binomial(n, t, q)
-                    if got != want:
-                        bad = f"t{t} k{k}: rank {got} != {want}"
-                        break
-                if bad:
-                    break
-            yield _row(7, label, "ok", bad or "ok")
+    cells = [(q, n) for q in (2, 3) for n in range(1, 5)]
+    return _ok_rows(keep, 7, "rational-rank q{} n{}", cells, _check_rational_rank_cell)
 
 
 # -- criterion 8: rational minimum support for k = t+1 ------------------------
@@ -316,45 +297,32 @@ def _random_sparse_vector(
     return c
 
 
+def _check_oracle_cell(q: int, n: int) -> Optional[str]:
+    """W c mod p, listed as (row, sum) where nonzero, must be the direct
+    verdict's violations, and the scatter verdict must equal the direct one."""
+    f = field(q)
+    p = f.p
+    rng = random.Random(_VECTOR_SEED + q * 100 + n)
+    for t in range(0, n + 1):
+        for k in range(t, n + 1):
+            m = wilson_matrix(q, n, t, k)
+            col_subs = m.col_subspaces()
+            for _ in range(100):
+                c = _random_sparse_vector(m.cols, p, rng)
+                got = tuple((i, v) for i, v in enumerate(apply_check(m, c, p)) if v)
+                support = {col_subs[j]: v for j, v in enumerate(c) if v % p}
+                design = NullDesign(f, n, p, 0, support)
+                direct = verify_strength_direct(design, t)
+                if got != direct.violations:
+                    return f"t{t} k{k}: matrix/superspace mismatch"
+                if verify_strength(design, t) != direct:
+                    return f"t{t} k{k}: verifier mismatch"
+    return None
+
+
 def _rows_oracle_equivalence(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    for q in (2, 3, 4):
-        f = field(q)
-        p = f.p
-        for n in range(2, 5):
-            label = f"oracle-equivalence q{q} n{n}"
-            if not keep(label):
-                continue
-            rng = random.Random(_VECTOR_SEED + q * 100 + n)
-            bad = None
-            for t in range(0, n + 1):
-                for k in range(t, n + 1):
-                    m = wilson_matrix(q, n, t, k)
-                    col_subs = m.col_subspaces()
-                    row_of = {y: i for i, y in enumerate(m.row_subspaces())}
-                    for _ in range(100):
-                        c = _random_sparse_vector(m.cols, p, rng)
-                        got = apply_check(m, c, p)
-                        support = {
-                            col_subs[j]: v for j, v in enumerate(c) if v % p
-                        }
-                        design = NullDesign(f, n, p, 0, support)
-                        # the direct verdict holds every nonzero superspace sum
-                        vb = verify_strength_direct(design, t)
-                        want = [0] * m.rows
-                        for y, v in vb.violations:
-                            want[row_of[y]] = v
-                        if got != want:
-                            bad = f"t{t} k{k}: matrix/superspace mismatch"
-                            break
-                        va = verify_strength(design, t)
-                        if va != vb:
-                            bad = f"t{t} k{k}: verifier mismatch"
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            yield _row(10, label, "ok", bad or "ok")
+    cells = [(q, n) for q in (2, 3, 4) for n in range(2, 5)]
+    return _ok_rows(keep, 10, "oracle-equivalence q{} n{}", cells, _check_oracle_cell)
 
 
 # -- grid driver ---------------------------------------------------------------

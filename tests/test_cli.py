@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from qnull.cli import EXIT_PIPE_CLOSED, main
-from qnull.designs import read_design
+from qnull.designs import read_design, sum_over_superspaces
+from qnull.grassmann import enumerate_subspaces, subspace_to_text
 from qnull.incidence import read_matrix
 
 
@@ -118,6 +119,37 @@ def test_verify_flags_a_corrupted_design(tmp_path, capsys):
     assert not payload["ok"] and payload["violations"]
     code, out, _ = run(capsys, "verify", "--design", str(path))
     assert code == 1 and "FAIL" in out
+
+
+def test_verify_lists_exactly_the_per_y_violations(tmp_path, capsys):
+    """Each violation printed by its Wilson row is the literal per-y sum."""
+    path = tmp_path / "u.txt"
+    run(
+        capsys,
+        "construct", "--kind", "uniform", "--q", "3", "--n", "4", "--t", "1",
+        "--k", "2", "--out", str(path),
+    )
+    lines = path.read_text().splitlines()
+    dim, text, coeff = lines[1].split("|")
+    lines[1] = f"{dim}|{text}|{int(coeff) + 1}"  # 1 -> 2 mod 3
+    del lines[-1]
+    path.write_text("\n".join(lines) + "\n")
+    design = read_design(path.read_text())
+    want = []
+    for y in enumerate_subspaces(design.field, design.n, 1):
+        v = sum_over_superspaces(design, y)
+        if v:
+            want.append({"dim": 1, "subspace": subspace_to_text(y), "sum": v})
+    assert {w["sum"] for w in want} == {1, 2}
+
+    code, payload, _ = run_json(capsys, "verify", "--design", str(path))
+    assert code == 1 and not payload["ok"]
+    assert payload["violations"] == want
+    code, out, _ = run(capsys, "verify", "--design", str(path))
+    assert code == 1
+    assert out.splitlines() == ["FAIL: strength 1 violated mod 3"] + [
+        f"  dim 1 [{w['subspace']}] sum={w['sum']}" for w in want
+    ]
 
 
 def test_construct_uniform_needs_k(tmp_path, capsys):
@@ -288,6 +320,44 @@ def test_budget_below_one_is_a_usage_error(wilson_file, capsys, monkeypatch):
     monkeypatch.setenv("QNULL_BUDGET", "0")
     code, _, err = run(capsys, "reproduce", "--only", "gf2-rank")
     assert code == 2 and err == "error: budget must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("threads", ["-5", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "--only", "gf2-rank q2 n4"],
+        ["minweight", "--p", "2", "--cap", "4", "--matrix"],
+        ["minsupport", "--cap", "4", "--matrix"],
+    ],
+)
+def test_threads_below_one_is_a_usage_error(wilson_file, capsys, argv, threads):
+    if argv[-1] == "--matrix":
+        argv = argv + [wilson_file]
+    code, out, err = run(capsys, *argv, "--threads", threads)
+    assert (code, out) == (2, "")
+    assert err == f"error: threads must be >= 1, got {threads}\n"
+
+
+def test_field_orders_above_the_table_limit_are_usage_errors(tmp_path, capsys):
+    # q = 10007 would first build two q x q tables, about 10^8 entries each
+    code, out, err = run(capsys, "enumerate", "--q", "10007", "--n", "1", "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: field order 10007 is above the limit 1024\n"
+    design = tmp_path / "d.txt"
+    design.write_text("10007 1 10007 0\n")
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("10007 1 0 1 1 2\n0 0\n0 1\n")
+    for argv in (
+        ["verify", "--design", str(design)],
+        ["rank", "--matrix", str(matrix), "--over", "gf"],
+        # the search finds columns 0 and 1; the refusal comes with its design
+        ["minweight", "--matrix", str(matrix), "--p", "2", "--cap", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "field order 10007 is above the limit 1024" in err, argv
 
 
 def test_minweight_support_budget_refusal(tmp_path, capsys):

@@ -80,3 +80,18 @@ def test_frobenius_in_characteristic_p():
         for a in range(q):
             for b in range(q):
                 assert power(f.add(a, b), p) == f.add(power(a, p), power(b, p))
+
+
+def test_orders_above_the_table_limit_are_refused_before_any_table():
+    # each table holds q^2 entries, and factoring 2^61 - 1 by trial division
+    # alone would take about 1.5e9 steps: both must be refused up front
+    assert Field.MAX_ORDER == 1024
+    for q in (1031, 10007, 2**61 - 1):
+        with pytest.raises(ValueError, match="above the limit 1024"):
+            field(q)
+
+
+def test_every_order_up_to_37_with_tables_on_record_is_accepted():
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for q in primes + (4, 8, 9, 16, 25, 27):
+        assert field(q).q == q

@@ -353,7 +353,7 @@ def check_against_closure(f, n, x_gens, y_gens, t, k):
         assert len(set(got)) == len(got)
         assert set(got) == closed_subsets(f, n, sx, d)
     m = wilson_matrix(f.q, n, t, k)
-    rows = [closure(f, n, z.rows) for z in m.row_subspaces()]
+    rows = [closure(f, n, z.rows) for z in enumerate_subspaces(f, n, t)]
     for j, z in enumerate(m.col_subspaces()):
         sz = closure(f, n, z.rows)
         assert m.col_rows[j] == tuple(i for i, s in enumerate(rows) if s <= sz)

@@ -23,7 +23,7 @@ def test_shape_and_entries_match_containment(q, n, t, k):
     m = wilson_matrix(q, n, t, k)
     assert m.rows == gaussian_binomial(n, t, q)
     assert m.cols == gaussian_binomial(n, k, q)
-    rows = m.row_subspaces()
+    rows = list(enumerate_subspaces(field(q), n, t))
     cols = m.col_subspaces()
     for i, y in enumerate(rows):
         assert index_of(y) == i
