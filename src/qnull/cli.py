@@ -35,10 +35,10 @@ from .grassmann import (
 )
 from .incidence import read_matrix, wilson_matrix, write_matrix
 from .linalg import (
-    BudgetExceededError,
     GfpMatrix,
     InvariantError,
     SearchReport,
+    default_budget,
     min_support_kernel_rational,
     min_weight_kernel_gfp,
     rank_rational,
@@ -365,12 +365,9 @@ def _cmd_minweight(args) -> int:
         g = GfpMatrix.from_incidence(m, args.p)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    try:
-        rep = min_weight_kernel_gfp(
-            g, cap=args.cap, mode=args.mode, budget=budget, threads=args.threads
-        )
-    except BudgetExceededError as e:
-        raise UsageError(str(e)) from None
+    rep = min_weight_kernel_gfp(
+        g, cap=args.cap, mode=args.mode, budget=budget, threads=args.threads
+    )
     design_text = _witness_design_text(m, args.p, rep)
     payload = _report_payload(rep)
     payload["p"] = args.p
@@ -384,7 +381,8 @@ def _cmd_minweight(args) -> int:
 def _cmd_minsupport(args) -> int:
     m = _load_matrix(args.matrix)
     _at_least_one("cap", args.cap)
-    rep = min_support_kernel_rational(m.dense(), cap=args.cap)
+    budget = _budget_from(args) or default_budget(2)
+    rep = min_support_kernel_rational(m.dense(), cap=args.cap, budget=budget)
     payload = _report_payload(rep)
     payload["matrix"] = args.matrix
     human = _report_human(rep, None)
@@ -494,6 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--matrix", required=True)
     p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
     add_json(p)
     p.set_defaults(func=_cmd_minsupport)
@@ -531,7 +530,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, RuntimeError) as e:
+    except (ValueError, RuntimeError) as e:  # bad input, or a refused budget
         print(f"error: {e}", file=sys.stderr)
         return 2
 

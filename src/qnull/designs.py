@@ -5,15 +5,15 @@ nonzero residues mod r, where r is a power of the field characteristic.  It
 has strength t when, for every t-dimensional y, the coefficients of the
 support elements containing y sum to zero mod r.
 
-Two verifiers are provided on purpose.  verify_strength scatters each support
-element's coefficient onto its own t-dimensional subspaces, built from the
-element's basis rows (fast, touches only reachable y).
-verify_strength_direct walks all of J_q(n,t) and, per y, reduces y's basis
-rows against the basis rows of every support element whose pivots cover
-y's.  They share only the subspace enumeration (grassmann's local one,
-applied to the whole space for the direct walk) and are held equal by tests.
-Both name a violation as a row of W_{t,k} c = 0 with its nonzero sum: the
-row is y's ordinal in its layer (see Verdict), so neither builds a Subspace.
+Two verifiers are provided on purpose.  Within one pivot set of the t-layer
+each basis row of y ranges over its own list of packed row choices
+(grassmann._packed_subspaces_of).  verify_strength counts the products of
+the lists built from each support element's rows.  verify_strength_direct
+builds the lists of the whole space and tests each row choice once against
+each support element covering the pivots, so it never lists an element's
+subspaces; tests hold the two equal.  Both name a violation as a row of
+W_{t,k} c = 0 with its nonzero sum: the row is y's ordinal in its layer (see
+Verdict), so neither builds a Subspace.
 
 construct_uniform_design does not search: the support elements are the
 kernels of the functionals solved for in the chain's top space, read off its
@@ -23,7 +23,9 @@ basis (see the function).
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -160,63 +162,79 @@ def _check_domain(design: NullDesign, t: int) -> None:
         )
 
 
+def _nonzero_cells(counts: dict[int, Counter], r: int) -> list[tuple[object, int]]:
+    """(cell, sum mod r) wherever the sum of c times the cell's count under
+    each coefficient c is nonzero; counts of coefficient 1 alone are the sums."""
+    total = counts.get(1, {})
+    if len(counts) > 1 or not total:
+        total = {}
+        for c, cells in counts.items():
+            for key, m in cells.items():
+                total[key] = total.get(key, 0) + m * c
+    return [(key, v % r) for key, v in total.items() if v % r]
+
+
 def verify_strength(design: NullDesign, t: int) -> Verdict:
     """Check the strength-t condition at every t-dimensional subspace.
 
     Scatter formulation: only y below some support element can have a nonzero
-    sum, so accumulate per support element in one dict keyed by the packed
-    basis of y, and compute the ordinal (see Verdict) only for the nonzero
-    cells, with the pivots read off their packed rows.
+    sum.  The packed bases of the elements' t-subspaces are counted per pivot
+    set and coefficient, and only nonzero cells get an ordinal (see Verdict).
     """
     _check_domain(design, t)
-    acc: dict[tuple[int, ...], int] = {}
+    groups = defaultdict(lambda: defaultdict(Counter))  # pivots -> c -> counts
     for x, c in design.support.items():
-        for _, bases in _packed_subspaces_of(x, t):
-            for key in bases:
-                acc[key] = acc.get(key, 0) + c
+        for pivots, choices in _packed_subspaces_of(x, t):
+            groups[pivots][c].update(itertools.product(*choices))
     lanes, r = _lanes(design.field.q, design.n), design.r
     violations = tuple(sorted(
-        (_ordinal(lanes, key, lanes.pivots(key)), v % r)
-        for key, v in acc.items()
-        if v % r
+        (_ordinal(lanes, key, pivots), v)
+        for pivots, counts in groups.items()
+        for key, v in _nonzero_cells(counts, r)
     ))
     return Verdict(ok=not violations, violations=violations)
 
 
 def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
-    """Reference verifier: walk all of J_q(n,t) and sum per y.
+    """Reference verifier: walk the pivot sets of J_q(n,t) and sum per y.
 
-    y lies in x only if the pivots of y are pivots of x, so a pivot set of
-    the t-layer that no support element covers is skipped whole.  Otherwise
-    each basis row of y is reduced against the candidates' basis rows and y
-    lies in x when every row reduces to zero.  The walk is in enumeration
-    order, so y's ordinal is its pivot set's offset plus its place there.
+    y lies in x only if x has y's pivots, so a pivot set that no support
+    element covers is skipped whole.  y lies in x exactly when each of its
+    rows reduces to zero against x, and each row picks from its own list, so
+    each choice is reduced once per candidate x and c is counted at every
+    product of hits.  y's ordinal is its pivot set's offset plus the
+    mixed-radix value of its row indices over the list lengths.
     """
     _check_domain(design, t)
     lanes, r = _lanes(design.field.q, design.n), design.r
     add, mask = lanes.add, lanes.mask
     layout = _pivot_layout(lanes.q, design.n, t)[0]
     above = [(set(x.pivots), _reducer(x), c) for x, c in design.support.items()]
-    bad = []
-    for pivots, bases in _packed_subspaces_of(lanes.whole, t):
+    counts = defaultdict(Counter)  # c -> ordinals
+    for pivots, choices in _packed_subspaces_of(lanes.whole, t):
         below = [(red, c) for xp, red, c in above if xp.issuperset(pivots)]
         if not below:
             continue
-        for i, vecs in enumerate(bases, layout[pivots][1]):
-            total = 0
-            for red, c in below:
-                for v in vecs:
+        weights = [math.prod(map(len, choices[i + 1:])) for i in range(len(choices))]
+        offsets = itertools.repeat(layout[pivots][1])
+        for red, c in below:
+            hits = []
+            for row, weight in zip(choices, weights):
+                hit = []
+                for i, v in enumerate(row):
                     for shift, negs in red:
                         d = (v >> shift) & mask
                         if d:
                             v = add(v, negs[d])
-                    if v:
-                        break
-                else:
-                    total += c
-            if total % r:
-                bad.append((i, total % r))
-    return Verdict(ok=not bad, violations=tuple(bad))
+                    if not v:
+                        hit.append(i * weight)
+                if not hit:
+                    break
+                hits.append(hit)
+            else:
+                counts[c].update(map(sum, itertools.product(*hits), offsets))
+    bad = tuple(sorted(_nonzero_cells(counts, r)))
+    return Verdict(ok=not bad, violations=bad)
 
 
 def strength_of(design: NullDesign, t_max: int) -> Optional[int]:

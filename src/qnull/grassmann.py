@@ -115,10 +115,6 @@ class _Lanes:
         from the multiples of v."""
         return list(map(mult.__getitem__, self._neg_at))
 
-    def pivots(self, vecs: tuple[int, ...]) -> tuple[int, ...]:
-        """The pivot columns of a packed RREF basis: each row's lowest set bit."""
-        return tuple(((v & -v).bit_length() - 1) // self.bw for v in vecs)
-
     def code(self, v: int, j: int) -> int:
         return self.dec[(v >> (j * self.bw)) & self.mask]
 
@@ -295,8 +291,8 @@ def enumerate_subspaces(f: Field, n: int, k: int) -> Iterator[Subspace]:
     if not 0 <= k <= n:
         return
     lanes = _lanes(f.q, n)
-    for pivots, bases in _packed_subspaces_of(lanes.whole, k):
-        for vecs in bases:
+    for pivots, choices in _packed_subspaces_of(lanes.whole, k):
+        for vecs in itertools.product(*choices):
             yield Subspace(lanes, vecs, pivots)
 
 
@@ -340,20 +336,20 @@ def from_index(f: Field, n: int, k: int, ordinal: int) -> Subspace:
 # -- local enumeration inside a subspace ---------------------------------
 
 def _packed_subspaces_of(x: Subspace, d: int):
-    """Per pivot set: the pivots and an iterator over the packed bases of the
-    d-dimensional subspaces of x with those pivots (0 <= d <= x.k), in local
-    order.
+    """Per pivot set of the d-dimensional subspaces of x (0 <= d <= x.k), in
+    local order: the global pivots and, per basis row, the packed vectors the
+    row can take.  The rows choose independently: the bases are the product.
 
-    Row r's choices start at x's row at the r-th local pivot; each free entry
-    (r, c), read row-major, replaces them by every sum of a choice and a
-    multiple of x's row c, in code order.  So the last free entry varies
-    fastest and the product reads the free entries as a base-q integer.
+    Row r's list starts at x's row at the r-th local pivot; each free entry
+    (r, c), read row-major, replaces it by every sum of a choice and a
+    multiple of x's row c, in code order.  So a basis's place in local order
+    is the mixed-radix value of its row indices over the list lengths.
     """
     if d == x.k:  # x itself; neither end of the range needs x's multiples
-        yield x.pivots, (x.vecs,)
+        yield x.pivots, [[v] for v in x.vecs]
         return
     if d == 0:
-        yield (), ((),)
+        yield (), []
         return
     lanes, vecs, xp, mults = x._lanes, x.vecs, x.pivots, _multiples(x)
     # the unit rows share no lane, so in the ambient layer a sum is an OR
@@ -362,7 +358,7 @@ def _packed_subspaces_of(x: Subspace, d: int):
         choices = [[vecs[p]] for p in local]
         for r, c in free:
             choices[r] = [add(v, m) for v in choices[r] for m in mults[c]]
-        yield tuple(map(xp.__getitem__, local)), itertools.product(*choices)
+        yield tuple(map(xp.__getitem__, local)), choices
 
 
 def _coordinates(x: Subspace, vec: int) -> tuple[int, ...]:
@@ -403,8 +399,8 @@ def subspaces_of(x: Subspace, d: int) -> Iterator[Subspace]:
     if d > x.k or d < 0:
         return
     lanes = x._lanes
-    for pivots, bases in _packed_subspaces_of(x, d):
-        for vecs in bases:
+    for pivots, choices in _packed_subspaces_of(x, d):
+        for vecs in itertools.product(*choices):
             yield Subspace(lanes, vecs, pivots)
 
 

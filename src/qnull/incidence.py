@@ -9,11 +9,17 @@ gaussian_binomial(k,t,q) ones), which is what the kernel searches want.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import field
-from .grassmann import Subspace, _packed_subspaces_of, enumerate_subspaces
+from .grassmann import (
+    Subspace,
+    _packed_subspaces_of,
+    enumerate_subspaces,
+    gaussian_binomial,
+)
 
 __all__ = [
     "IncidenceMatrix",
@@ -52,7 +58,11 @@ def wilson_matrix(q: int, n: int, t: int, k: int) -> IncidenceMatrix:
     f = field(q)
     ordinal = {y.vecs: i for i, y in enumerate(enumerate_subspaces(f, n, t))}
     cols = tuple(
-        tuple(sorted([ordinal[y] for _, ys in _packed_subspaces_of(x, t) for y in ys]))
+        tuple(sorted([
+            ordinal[y]
+            for _, choices in _packed_subspaces_of(x, t)
+            for y in itertools.product(*choices)
+        ]))
         for x in enumerate_subspaces(f, n, k)
     )
     return IncidenceMatrix(
@@ -100,13 +110,27 @@ def read_matrix(text: str) -> IncidenceMatrix:
     if len(head) != 6:
         raise ValueError(f"bad header {lines[0]!r}, expected 'q n t k rows cols'")
     q, n, t, k, rows, cols = map(int, head)
+    field(q)
+    if not 0 <= t <= k <= n:
+        raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
     # a 0-row matrix would lose its width: GfpMatrix reads cols off row 0
     if rows < 0 or cols < 0 or rows == 0 < cols:
         raise ValueError(f"bad shape {rows}x{cols}: need sizes >= 0, rows if cols")
+    for name, size, d in (("rows", rows, t), ("cols", cols, k)):
+        # [n,d]_q = [n,m]_q >= q^(m(n-m)) for m = min(d, n-d): so only a
+        # small one is built, and n may be huge
+        m = min(d, n - d)
+        if m * (n - m) < size.bit_length() and size > gaussian_binomial(n, m, q):
+            raise ValueError(
+                f"{size} {name} exceed the {gaussian_binomial(n, m, q)} "
+                f"{d}-subspaces of GF({q})^{n}"
+            )
     col_sets: list[set[int]] = [set() for _ in range(cols)]
     for ln in lines[1:]:
-        si, sj = ln.split()
-        i, j = int(si), int(sj)
+        try:
+            i, j = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad matrix line {ln!r}") from None
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"entry ({i},{j}) out of bounds {rows}x{cols}")
         if i in col_sets[j]:

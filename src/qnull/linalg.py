@@ -594,12 +594,14 @@ def _rational_nullvector(
 
 
 def min_support_kernel_rational(
-    entries: Sequence[Sequence[int]], cap: int
+    entries: Sequence[Sequence[int]], cap: int, budget: Optional[int] = None
 ) -> SearchReport:
     """Smallest column subset dependent over Q, first in lexicographic order.
 
     entries must be a 0/1 integer matrix.  The witness is the primitive
-    integer kernel vector on that subset with positive leading entry.
+    integer kernel vector on that subset with positive leading entry.  With a
+    budget, a search past that many nodes raises BudgetExceededError; without
+    one it is unbounded.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -617,7 +619,7 @@ def min_support_kernel_rational(
         )
 
     stages = range(1, min(cap, len(masks)) + 1)
-    hit = _least_dependent_set(masks, stages, False, dependent, None)
+    hit = _least_dependent_set(masks, stages, False, dependent, budget)
     if hit is None:
         return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
     vec = _rational_nullvector(entries, hit)

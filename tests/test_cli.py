@@ -241,6 +241,38 @@ def test_degenerate_matrix_shape_is_a_usage_error(tmp_path, capsys, shape, argv)
     assert f"bad shape {shape.replace(' ', 'x')}" in err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # 99,999,999,999 rows would be allocated by the dense paths
+        ("2 3 1 2 99999999999 1\n0 0\n", "99999999999 rows exceed the 7 1-subspaces"),
+        ("6 1 0 1 1 2\n0 0\n0 1\n", "6 is not a prime power"),
+        ("2 3 1 2 1 1\n1\n", "bad matrix line '1'"),
+        ("2 3 1 2 1 1\n0 1 2\n", "bad matrix line '0 1 2'"),
+    ],
+)
+def test_matrix_header_and_lines_are_checked_before_any_work(
+    tmp_path, capsys, monkeypatch, text, message
+):
+    import qnull.cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran on a refused matrix file")
+
+    monkeypatch.setattr(qnull.cli, "min_weight_kernel_gfp", no_search)
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    for argv in (
+        ["minweight", "--p", "2", "--cap", "2"],
+        ["rank", "--over", "q"],
+    ):
+        code, out, err = run(capsys, *argv, "--matrix", str(path))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: bad matrix file ") and err.count("\n") == 1
+        assert message in err
+        assert "unpack" not in err
+
+
 # -- minweight ----------------------------------------------------------------------
 
 
@@ -419,6 +451,27 @@ def test_minsupport_finds_pair_on_rank_one_matrix(tmp_path, capsys):
     assert payload["witness"] == {"support": [0, 1], "values": [1, -1]}
     code, out, _ = run(capsys, "minsupport", "--matrix", str(path), "--cap", "3")
     assert "witness subspaces:" in out and "|-1" in out
+
+
+def test_minsupport_budget_refusal_states_the_count(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "row.txt"
+    run(
+        capsys,
+        "wilson", "--q", "2", "--n", "4", "--t", "0", "--k", "1",
+        "--out", str(path),
+    )
+    code, out, err = run(
+        capsys, "minsupport", "--matrix", str(path), "--cap", "3", "--budget", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: support search reached 2 nodes at stage w=1, budget is 1\n"
+    monkeypatch.setenv("QNULL_BUDGET", "1")
+    assert run(capsys, "minsupport", "--matrix", str(path), "--cap", "3") == (
+        code, out, err
+    )
+    monkeypatch.setenv("QNULL_BUDGET", "x")
+    code, _, err = run(capsys, "minsupport", "--matrix", str(path), "--cap", "3")
+    assert code == 2 and "QNULL_BUDGET must be an integer" in err
 
 
 def test_minsupport_none_on_full_rank_matrix(tmp_path, capsys):

@@ -29,6 +29,7 @@ from qnull.grassmann import (
     index_of,
     subspaces_of,
 )
+from qnull.incidence import apply_check, wilson_matrix
 from qnull.linalg import InvariantError
 
 
@@ -317,6 +318,10 @@ VERIFIER_EXAMPLES = [
     (3, 3, 3, 1, [(1, 0, 1), (2, 5, 2), (1, 7, 1)]),  # t is a support dim
     (2, 4, 2, 1, [(2, 0, 1)]),  # pivots (0, 1): groups (2,) and (3,) missed
     (4, 3, 4, 1, [(2, 0, 2), (2, 1, 2)]),  # sums 0 mod 4 on their meet
+    # several candidates of dims 2, 3 and 4 over two-row pivot groups
+    (3, 4, 3, 2, [(2, 5, 1), (3, 0, 2), (3, 20, 1), (4, 0, 1)]),
+    # coefficients 2 and 3 mod 4 meeting in the same pivot groups
+    (4, 4, 4, 1, [(2, 3, 2), (2, 40, 3), (3, 7, 2), (3, 0, 3)]),
 ]
 
 
@@ -359,6 +364,26 @@ def test_verify_strength_violations_match_the_keyed_scatter(case):
     verdict = verify_strength(design, t)
     assert verdict.violations == _listed(want)
     assert verdict == verify_strength_direct(design, t)
+
+
+def test_verifiers_name_the_nonzero_rows_of_w_c_at_a_lattice_cell():
+    """q3 n5 k4 t3: one corrupted coefficient of a uniform design breaks the
+    sum at exactly the [4,3]_3 t-subspaces of its element."""
+    q, n, k, t = 3, 5, 4, 3
+    design = construct_uniform_design(q, n, k, t)
+    x, c = design.items_sorted()[0]
+    support = dict(design.support)
+    support[x] = c + 1
+    bad = NullDesign(design.field, n, design.r, t, support)
+    m = wilson_matrix(q, n, t, k)
+    col = [0] * m.cols
+    for y, v in bad.support.items():
+        col[index_of(y)] = v
+    want = tuple((i, v) for i, v in enumerate(apply_check(m, col, q)) if v)
+    assert len(want) == gaussian_binomial(k, t, q) == 40
+    assert verify_strength_direct(bad, t).violations == want
+    assert verify_strength(bad, t).violations == want
+    assert verify_strength_direct(design, t).ok and verify_strength(design, t).ok
 
 
 def test_verify_rejects_undefined_strata():

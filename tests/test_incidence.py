@@ -128,6 +128,24 @@ def test_read_matrix_rejects_malformed_input():
         with pytest.raises(ValueError, match="bad shape"):
             read_matrix(f"2 3 1 2 {shape}\n")
     assert read_matrix("2 3 1 2 0 0\n").col_rows == ()
+    # the header is checked before anything is allocated
+    for head, message in (
+        ("2 3 1 2 99999999999 1", "99999999999 rows exceed the 7 1-subspaces"),
+        ("2 3 1 2 1 99999999999", "99999999999 cols exceed the 7 2-subspaces"),
+        ("6 1 0 1 1 2", "6 is not a prime power"),
+        ("10007 1 0 1 1 2", "field order 10007 is above the limit 1024"),
+        ("2 3 2 1 1 1", "need 0 <= t <= k <= n"),
+        ("2 3 -1 2 1 1", "need 0 <= t <= k <= n"),
+        ("2 3 1 4 1 1", "need 0 <= t <= k <= n"),
+        # [n,0] = 1 however large n is, and it is not built from q^n
+        ("2 1000000000000 0 1 2 1", "2 rows exceed the 1 0-subspaces"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            read_matrix(head + "\n0 0\n")
+    assert read_matrix("2 1000000000000 1 2 3 3\n").rows == 3
+    for line in ("1", "0 1 2", "x 0"):
+        with pytest.raises(ValueError, match=f"^bad matrix line '{line}'$"):
+            read_matrix(f"2 3 1 2 1 1\n{line}\n")
 
 
 def test_row_and_col_subspace_lists_are_fresh_and_ordered():
