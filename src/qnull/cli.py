@@ -1,10 +1,18 @@
 """Command-line front end: `qnull <subcommand>`.
 
+Parameters are checked where they are used: the fields, constructors, file
+readers and searches raise ValueError on what they cannot serve.  The checks
+here cover only what the library would take without complaint, such as
+`enumerate --k` outside [0, n], which would list nothing.  A search's budget
+is `--budget`, else QNULL_BUDGET, else the library default, default_budget(p)
+for `minweight` and default_budget(2) for `minsupport`.
+
 Exit codes: 0 on success, 1 when a verification or reproduction check fails,
-2 on usage errors (bad parameters, malformed files, exceeded budget), 3 when
-a self-check on a computed result fails (an internal error: a bug, printed as
-`internal error: ...`), and 141 (128 + SIGPIPE) when the reader of stdout
-goes away early (`qnull ... | head`).
+2 on usage errors (bad parameters, unreadable, unwritable or malformed files,
+exceeded budget; any ValueError or RuntimeError, printed as one `error: ...`
+line), 3 when a self-check on a computed result fails (an internal error: a
+bug, printed as `internal error: ...`), and 141 (128 + SIGPIPE) when the
+reader of stdout goes away early (`qnull ... | head`).
 """
 
 from __future__ import annotations
@@ -13,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .designs import (
@@ -26,7 +33,7 @@ from .designs import (
     verify_strength,
     write_design,
 )
-from .fields import Field, field
+from .fields import field
 from .grassmann import (
     enumerate_subspaces,
     from_index,
@@ -38,7 +45,6 @@ from .linalg import (
     GfpMatrix,
     InvariantError,
     SearchReport,
-    default_budget,
     min_support_kernel_rational,
     min_weight_kernel_gfp,
     rank_rational,
@@ -50,43 +56,6 @@ __all__ = ["main"]
 
 EXIT_INTERNAL = 3
 EXIT_PIPE_CLOSED = 141
-
-
-class UsageError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated numeric parameters shared by the subcommands."""
-
-    q: Optional[int] = None
-    n: Optional[int] = None
-    t: Optional[int] = None
-    k: Optional[int] = None
-    r: Optional[int] = None
-
-    def validated_field(self) -> Field:
-        try:
-            return field(self.q)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-
-    def validate(self) -> "RunConfig":
-        f = self.validated_field()
-        n, t, k, r = self.n, self.t, self.k, self.r
-        if n is not None and n < 0:
-            raise UsageError(f"n must be nonnegative, got {n}")
-        for name, v in (("t", t), ("k", k)):
-            if v is not None and n is not None and not 0 <= v <= n:
-                raise UsageError(f"{name} must lie in [0, {n}], got {v}")
-        if t is not None and k is not None and t > k:
-            raise UsageError(f"need t <= k, got t={t}, k={k}")
-        if r is not None and not f.is_modulus(r):
-            raise UsageError(
-                f"r must be a power of {f.p} with 2 <= r <= {f.q}, got {r}"
-            )
-        return self
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -101,20 +70,27 @@ def _read_file(path: str) -> str:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except OSError as e:
-        raise UsageError(f"cannot read {path}: {e}") from None
+        raise ValueError(f"cannot read {path}: {e}") from None
 
 
-def _write_out(path: Optional[str], text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
+def _emit_file(args, text: str, payload: dict, key: str, what: str) -> None:
+    """Write a matrix or design file to --out and say so, or else print it
+    (in the --json payload under key)."""
+    if args.out is None:
+        payload[key] = text
+        _emit(args, payload, text)
+        return
+    try:
+        with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {args.out}: {e}") from None
+    _emit(args, payload, f"wrote {what} to {args.out}")
 
 
 def _at_least_one(name: str, value: Optional[int]) -> Optional[int]:
     if value is not None and value < 1:
-        raise UsageError(f"{name} must be >= 1, got {value}")
+        raise ValueError(f"{name} must be >= 1, got {value}")
     return value
 
 
@@ -125,7 +101,7 @@ def _budget_from(args) -> Optional[int]:
         try:
             budget = int(env)
         except ValueError:
-            raise UsageError(f"QNULL_BUDGET must be an integer, got {env!r}")
+            raise ValueError(f"QNULL_BUDGET must be an integer, got {env!r}") from None
     return _at_least_one("budget", budget)
 
 
@@ -133,8 +109,10 @@ def _budget_from(args) -> Optional[int]:
 
 
 def _cmd_enumerate(args) -> int:
-    cfg = RunConfig(q=args.q, n=args.n, k=args.k).validate()
-    f = cfg.validated_field()
+    f = field(args.q)
+    # enumerate_subspaces yields nothing outside this range
+    if not 0 <= args.k <= args.n:
+        raise ValueError(f"need 0 <= k <= n, got k={args.k}, n={args.n}")
     texts = [subspace_to_text(x) for x in enumerate_subspaces(f, args.n, args.k)]
     want = gaussian_binomial(args.n, args.k, args.q)
     payload = {
@@ -151,90 +129,66 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_wilson(args) -> int:
-    RunConfig(q=args.q, n=args.n, t=args.t, k=args.k).validate()
     m = wilson_matrix(args.q, args.n, args.t, args.k)
-    text = write_matrix(m)
     nnz = sum(len(col) for col in m.col_rows)
-    if args.json:
-        payload = {
-            "q": args.q,
-            "n": args.n,
-            "t": args.t,
-            "k": args.k,
-            "rows": m.rows,
-            "cols": m.cols,
-            "nonzeros": nnz,
-            "out": args.out,
-        }
-        if args.out is not None:
-            _write_out(args.out, text)
-        else:
-            payload["matrix"] = text
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        _write_out(args.out, text)
-        if args.out is not None:
-            print(f"wrote {m.rows}x{m.cols} matrix ({nnz} nonzeros) to {args.out}")
+    payload = {
+        "q": args.q,
+        "n": args.n,
+        "t": args.t,
+        "k": args.k,
+        "rows": m.rows,
+        "cols": m.cols,
+        "nonzeros": nnz,
+        "out": args.out,
+    }
+    what = f"{m.rows}x{m.cols} matrix ({nnz} nonzeros)"
+    _emit_file(args, write_matrix(m), payload, "matrix", what)
     return 0
 
 
 def _cmd_construct(args) -> int:
-    cfg = RunConfig(q=args.q, n=args.n, t=args.t, k=args.k, r=args.r)
-    cfg.validate()
     if args.kind == "lb":
+        # the lb design has no k, but a k that is given must still fit
+        if args.k is not None and not 0 <= args.t <= args.k <= args.n:
+            raise ValueError(
+                f"need 0 <= t <= k <= n, got t={args.t}, k={args.k}, n={args.n}"
+            )
         design = construct_lb_design(args.q, args.n, args.t, r=args.r)
     else:
         if args.k is None:
-            raise UsageError("--k is required for --kind uniform")
+            raise ValueError("--k is required for --kind uniform")
         design = construct_uniform_design(args.q, args.n, args.k, args.t)
         if args.r is not None and args.r != design.r:
             design = as_modulus(design, args.r)
-    text = write_design(design)
-    if args.json:
-        payload = {
-            "kind": args.kind,
-            "q": args.q,
-            "n": args.n,
-            "t": args.t,
-            "k": args.k,
-            "r": design.r,
-            "support_size": len(design.support),
-            "out": args.out,
-        }
-        if args.out is not None:
-            _write_out(args.out, text)
-        else:
-            payload["design"] = text
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        _write_out(args.out, text)
-        if args.out is not None:
-            print(
-                f"wrote {args.kind} design ({len(design.support)} nonzeros) "
-                f"to {args.out}"
-            )
+    payload = {
+        "kind": args.kind,
+        "q": args.q,
+        "n": args.n,
+        "t": args.t,
+        "k": args.k,
+        "r": design.r,
+        "support_size": len(design.support),
+        "out": args.out,
+    }
+    what = f"{args.kind} design ({len(design.support)} nonzeros)"
+    _emit_file(args, write_design(design), payload, "design", what)
     return 0
 
 
 def _load_design(path: str) -> NullDesign:
+    text = _read_file(path)
     try:
-        return read_design(_read_file(path))
+        return read_design(text)
     except ValueError as e:
-        raise UsageError(f"bad design file {path}: {e}") from None
+        raise ValueError(f"bad design file {path}: {e}") from None
 
 
 def _cmd_verify(args) -> int:
     design = _load_design(args.design)
     t = args.t if args.t is not None else design.t_claimed
     if args.r is not None and args.r != design.r:
-        try:
-            design = as_modulus(design, args.r)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-    try:
-        verdict = verify_strength(design, t)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+        design = as_modulus(design, args.r)
+    verdict = verify_strength(design, t)
     f, n = design.field, design.n
     violations = [
         {"dim": t, "subspace": subspace_to_text(from_index(f, n, t, i)), "sum": s}
@@ -277,10 +231,11 @@ def _cmd_strength(args) -> int:
 
 
 def _load_matrix(path: str):
+    text = _read_file(path)
     try:
-        return read_matrix(_read_file(path))
+        return read_matrix(text)
     except ValueError as e:
-        raise UsageError(f"bad matrix file {path}: {e}") from None
+        raise ValueError(f"bad matrix file {path}: {e}") from None
 
 
 def _cmd_rank(args) -> int:
@@ -290,11 +245,7 @@ def _cmd_rank(args) -> int:
         p = None
     else:
         p = args.p if args.p is not None else field(m.q).p
-        try:
-            g = GfpMatrix.from_incidence(m, p)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-        _, rank, _ = rref_gfp(g)
+        _, rank, _ = rref_gfp(GfpMatrix.from_incidence(m, p))
     payload = {
         "matrix": args.matrix,
         "over": args.over,
@@ -361,10 +312,7 @@ def _cmd_minweight(args) -> int:
     m = _load_matrix(args.matrix)
     _at_least_one("cap", args.cap)
     budget = _budget_from(args)
-    try:
-        g = GfpMatrix.from_incidence(m, args.p)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    g = GfpMatrix.from_incidence(m, args.p)
     rep = min_weight_kernel_gfp(
         g, cap=args.cap, mode=args.mode, budget=budget, threads=args.threads
     )
@@ -381,7 +329,7 @@ def _cmd_minweight(args) -> int:
 def _cmd_minsupport(args) -> int:
     m = _load_matrix(args.matrix)
     _at_least_one("cap", args.cap)
-    budget = _budget_from(args) or default_budget(2)
+    budget = _budget_from(args)
     rep = min_support_kernel_rational(m.dense(), cap=args.cap, budget=budget)
     payload = _report_payload(rep)
     payload["matrix"] = args.matrix
@@ -524,9 +472,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         # stdout stays broken; point it at devnull so the flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE_CLOSED
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except InvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

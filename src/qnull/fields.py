@@ -112,6 +112,10 @@ class Field:
     REQUIRED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
     #: the largest order accepted: the add and mul tables hold q^2 entries each
     MAX_ORDER = 1024
+    #: the largest ambient dimension n accepted for GF(q)^n: its packed layout
+    #: holds n unit rows of up to n lanes each, O(n^2) bits, and a subspace
+    #: count [n, n/2]_q has about (n^2/4) log2(q) bits
+    MAX_DIMENSION = 256
 
     def __init__(self, q: int):
         if q > self.MAX_ORDER:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -137,6 +136,8 @@ class _Lanes:
 
 @lru_cache(maxsize=None)
 def _lanes(q: int, n: int) -> _Lanes:
+    if n > Field.MAX_DIMENSION:
+        raise ValueError(f"dimension {n} is above the limit {Field.MAX_DIMENSION}")
     return _Lanes(field(q), n)
 
 
@@ -272,6 +273,12 @@ def join(x: Subspace, y: Subspace) -> Subspace:
 
 # -- enumeration order ---------------------------------------------------
 
+def _free_entries(n: int, pivots: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The free coordinates (r, c) of an RREF basis with these pivots, row-major."""
+    rest = [c for c in range(n) if c not in pivots]
+    return [(r, c) for r, p in enumerate(pivots) for c in rest if c > p]
+
+
 @lru_cache(maxsize=None)
 def _pivot_layout(q: int, n: int, k: int):
     """Per pivot set, in enumeration order: its row-major free coordinates
@@ -279,8 +286,7 @@ def _pivot_layout(q: int, n: int, k: int):
     by_pivots = {}
     total = 0
     for pivots in itertools.combinations(range(n), k):
-        rest = [c for c in range(n) if c not in pivots]
-        free = [(r, c) for r, p in enumerate(pivots) for c in rest if c > p]
+        free = _free_entries(n, pivots)
         by_pivots[pivots] = (free, total)
         total += q ** len(free)
     return by_pivots, total
@@ -318,16 +324,22 @@ def from_index(f: Field, n: int, k: int, ordinal: int) -> Subspace:
     """The subspace at a given position of the fixed enumeration order."""
     if not 0 <= k <= n:
         raise ValueError(f"dimension {k} out of range for n={n}")
-    by_pivots, total = _pivot_layout(f.q, n, k)
+    lanes = _lanes(f.q, n)
+    total = gaussian_binomial(n, k, f.q)
     if not 0 <= ordinal < total:
         raise ValueError(f"ordinal {ordinal} out of range [0, {total})")
-    offsets = [offset for _, offset in by_pivots.values()]
-    pivots = list(by_pivots)[bisect_right(offsets, ordinal) - 1]
-    free, offset = by_pivots[pivots]
-    lanes = _lanes(f.q, n)
+    # Each pivot set holds q^(its free entries) subspaces, and row r's free
+    # entries are the n - k - (p_r - r) non-pivot columns right of its pivot
+    # p_r.  The walk stops at the set that holds the ordinal, so it takes at
+    # most ordinal + 1 steps, though there are C(n, k) sets.
+    val = ordinal
+    for pivots in itertools.combinations(range(n), k):
+        size = f.q ** sum(n - k - p + r for r, p in enumerate(pivots))
+        if val < size:
+            break
+        val -= size
     rows = [1 << (p * lanes.bw) for p in pivots]
-    val = ordinal - offset
-    for r, c in reversed(free):
+    for r, c in reversed(_free_entries(n, pivots)):
         val, digit = divmod(val, f.q)
         rows[r] |= lanes.enc[digit] << (c * lanes.bw)
     return Subspace(lanes, tuple(rows), pivots)

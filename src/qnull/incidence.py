@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import field
+from .fields import Field, field
 from .grassmann import (
     Subspace,
     _packed_subspaces_of,
@@ -113,12 +113,16 @@ def read_matrix(text: str) -> IncidenceMatrix:
     field(q)
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
+    # naming a row's or column's subspace (a search witness, say) builds the
+    # packed layout of GF(q)^n
+    if n > Field.MAX_DIMENSION:
+        raise ValueError(f"dimension {n} is above the limit {Field.MAX_DIMENSION}")
     # a 0-row matrix would lose its width: GfpMatrix reads cols off row 0
     if rows < 0 or cols < 0 or rows == 0 < cols:
         raise ValueError(f"bad shape {rows}x{cols}: need sizes >= 0, rows if cols")
     for name, size, d in (("rows", rows, t), ("cols", cols, k)):
-        # [n,d]_q = [n,m]_q >= q^(m(n-m)) for m = min(d, n-d): so only a
-        # small one is built, and n may be huge
+        # [n,d]_q = [n,m]_q >= q^(m(n-m)) for m = min(d, n-d): so the count
+        # is only built for a size that could exceed it
         m = min(d, n - d)
         if m * (n - m) < size.bit_length() and size > gaussian_binomial(n, m, q):
             raise ValueError(

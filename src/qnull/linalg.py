@@ -437,7 +437,7 @@ def _least_dependent_set(
     stages: Iterable[int],
     parity: bool,
     dependent: Optional[Callable[[list[int]], bool]],
-    budget: Optional[int],
+    budget: int,
 ) -> Optional[tuple[int, ...]]:
     """Lex-least column set of the first stage size w that has one, or None.
 
@@ -472,7 +472,7 @@ def _least_dependent_set(
     def push(c: int, once: int, multi: int, used: int) -> None:
         nonlocal nodes
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes > budget:
             raise BudgetExceededError(
                 f"support search reached {nodes} nodes at stage w={w}, "
                 f"budget is {budget}"
@@ -599,9 +599,9 @@ def min_support_kernel_rational(
     """Smallest column subset dependent over Q, first in lexicographic order.
 
     entries must be a 0/1 integer matrix.  The witness is the primitive
-    integer kernel vector on that subset with positive leading entry.  With a
-    budget, a search past that many nodes raises BudgetExceededError; without
-    one it is unbounded.
+    integer kernel vector on that subset with positive leading entry.  A
+    search past budget nodes raises BudgetExceededError; budget defaults to
+    default_budget(2), the support search's default over GF(2).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -619,6 +619,8 @@ def min_support_kernel_rational(
         )
 
     stages = range(1, min(cap, len(masks)) + 1)
+    if budget is None:
+        budget = default_budget(2)
     hit = _least_dependent_set(masks, stages, False, dependent, budget)
     if hit is None:
         return SearchReport(None, None, None, MODE_SUPPORT, True, cap)

@@ -1,16 +1,26 @@
 """The reproduction grid: every check row behind `qnull reproduce`.
 
-The same rows back the acceptance test suite, so the CLI table and the test
-results cannot drift apart.  Every row is deterministic: randomized pieces
-(chains, sparse vectors) draw from fixed-seed generators, so repeated runs are
-byte-identical regardless of thread count.
+run_grid holds the grid as one table.  Each criterion has a label format,
+the cells it runs on, and a compute function.  A cell's row is labelled
+label_format.format(*cell).  compute(*cell) returns (expected, computed), and
+the row passes when the two print the same.  Criterion 9 alone returns
+(expected, computed, ok), since its expectation is a range.  The pass/fail
+criteria compute "ok" or the first failure that their check finds.
+
+The `--only` filter is a label substring.  It is applied to each label before
+that cell computes anything, and every randomized piece (chains, sparse
+vectors) draws from a generator seeded by its own cell.  So a row's content
+never depends on which other rows ran, and repeated runs are byte-identical
+regardless of thread count.  The same rows back the acceptance test suite,
+so the CLI table and the test results cannot drift apart.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .designs import (
     NullDesign,
@@ -31,7 +41,7 @@ from .grassmann import (
     random_subspace_of,
     subspaces_of,
 )
-from .incidence import IncidenceMatrix, apply_check, wilson_matrix
+from .incidence import apply_check, wilson_matrix
 from .linalg import (
     GfpMatrix,
     min_support_kernel_rational,
@@ -55,44 +65,22 @@ class CheckRow:
     ok: bool
 
 
-def _row(criterion: int, label: str, expected, computed) -> CheckRow:
-    e, c = str(expected), str(computed)
-    return CheckRow(criterion, label, e, c, e == c)
-
-
-def _ok_rows(
-    keep: Callable[[str], bool],
-    criterion: int,
-    label_format: str,
-    cells: Iterable[tuple[int, ...]],
-    check: Callable[..., Optional[str]],
-) -> Iterable[CheckRow]:
-    """One row per cell whose label, label_format.format(*cell), keep passes:
-    "ok", or the first failure that check(*cell) returns."""
-    for cell in cells:
-        label = label_format.format(*cell)
-        if keep(label):
-            yield _row(criterion, label, "ok", check(*cell) or "ok")
+def _passes(check: Callable[..., Optional[str]]) -> Callable[..., tuple[str, str]]:
+    """The compute of a pass/fail criterion: "ok", or the first failure that
+    check(*cell) returns."""
+    return lambda *cell: ("ok", check(*cell) or "ok")
 
 
 # -- criterion 1: Grassmannian counts ----------------------------------------
 
 
-def _rows_counts(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    for q in (2, 3, 4):
-        f = field(q)
-        for n in range(1, 6):
-            label = f"counts q{q} n{n} all-k"
-            if not keep(label):
-                continue
-            expected = " ".join(
-                str(gaussian_binomial(n, k, q)) for k in range(n + 1)
-            )
-            computed = " ".join(
-                str(sum(1 for _ in enumerate_subspaces(f, n, k)))
-                for k in range(n + 1)
-            )
-            yield _row(1, label, expected, computed)
+def _counts(q: int, n: int) -> tuple[str, str]:
+    f = field(q)
+    expected = " ".join(str(gaussian_binomial(n, k, q)) for k in range(n + 1))
+    computed = " ".join(
+        str(sum(1 for _ in enumerate_subspaces(f, n, k))) for k in range(n + 1)
+    )
+    return expected, computed
 
 
 # -- criterion 2: interval counts are (q^{d-t+1}-1)/(q-1) = 1 mod r ----------
@@ -121,11 +109,6 @@ def _check_interval_cell(q: int, n: int) -> Optional[str]:
     return None
 
 
-def _rows_interval_congruence(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    cells = [(q, n) for q in (2, 3, 4) for n in range(1, 5)]
-    return _ok_rows(keep, 2, "interval-count q{} n{}", cells, _check_interval_cell)
-
-
 # -- criterion 3: minimum-support lower-bound construction -------------------
 
 
@@ -138,11 +121,6 @@ def _check_lb_cell(q: int, n: int, t: int) -> Optional[str]:
         if not verify_strength(d, tau).ok:
             return f"fails at strength {tau}"
     return None
-
-
-def _rows_lb_designs(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    cells = [(q, n, t) for q in (2, 3, 4) for n in range(1, 6) for t in range(n)]
-    return _ok_rows(keep, 3, "lower-bound-design q{} n{} t{}", cells, _check_lb_cell)
 
 
 # -- criterion 4: k-uniform construction, default and random chains ----------
@@ -167,54 +145,29 @@ def _check_uniform_cell(q: int, n: int, t: int, k: int) -> Optional[str]:
     return None
 
 
-def _rows_uniform_designs(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    cells = [(q, n, t, k) for q in (2, 3, 4) for n in range(2, 6)
-             for k in range(1, n) for t in range(k)]
-    return _ok_rows(keep, 4, "uniform-design q{} n{} t{} k{}", cells, _check_uniform_cell)
-
-
 # -- criterion 5: exact GF(2) minima -----------------------------------------
 
 
-def _rows_gf2_minima(
-    keep: Callable[[str], bool], budget: Optional[int]
-) -> Iterable[CheckRow]:
-    cells = [
-        (1, 2, 3, 4, "kernel"),
-        (1, 2, 4, 4, "support"),
-        (1, 3, 4, 4, "kernel"),
-        (1, 3, 5, 4, "support"),
-        (2, 3, 4, 8, "kernel"),
-        (2, 3, 5, 8, "support"),
-    ]
-    for t, k, n, want, mode in cells:
-        label = f"gf2-min-weight q2 n{n} t{t} k{k} {mode}"
-        if not keep(label):
-            continue
-        m = GfpMatrix.from_incidence(wilson_matrix(2, n, t, k), 2)
-        rep = min_weight_kernel_gfp(m, cap=want, mode=mode, budget=budget)
-        computed = f"{rep.weight_text()} exhaustive={rep.exhaustive}"
-        yield _row(5, label, f"{want} exhaustive=True", computed)
+def _gf2_min_weight(
+    n: int, t: int, k: int, mode: str, want: int, budget: Optional[int]
+) -> tuple[str, str]:
+    m = GfpMatrix.from_incidence(wilson_matrix(2, n, t, k), 2)
+    rep = min_weight_kernel_gfp(m, cap=want, mode=mode, budget=budget)
+    computed = f"{rep.weight_text()} exhaustive={rep.exhaustive}"
+    return f"{want} exhaustive=True", computed
 
 
 # -- criterion 6: GF(2) ranks ------------------------------------------------
 
 
-def _rows_gf2_ranks(
-    keep: Callable[[str], bool], inject_corruption: bool
-) -> Iterable[CheckRow]:
-    cells = [(4, 1, 2, 11), (5, 1, 2, 16), (5, 1, 3, 26)]
-    for n, t, k, want in cells:
-        label = f"gf2-rank q2 n{n} t{t} k{k}"
-        if not keep(label):
-            continue
-        m = GfpMatrix.from_incidence(wilson_matrix(2, n, t, k), 2)
-        if inject_corruption:
-            rows = [list(r) for r in m.entries]
-            rows[0][0] ^= 1
-            m = GfpMatrix.from_rows(2, rows)
-        _, rank, _ = rref_gfp(m)
-        yield _row(6, label, want, rank)
+def _gf2_rank(n: int, t: int, k: int, want: int, corrupt: bool) -> tuple[int, int]:
+    m = GfpMatrix.from_incidence(wilson_matrix(2, n, t, k), 2)
+    if corrupt:
+        rows = [list(r) for r in m.entries]
+        rows[0][0] ^= 1
+        m = GfpMatrix.from_rows(2, rows)
+    _, rank, _ = rref_gfp(m)
+    return want, rank
 
 
 # -- criterion 7: full rational rank -----------------------------------------
@@ -230,37 +183,24 @@ def _check_rational_rank_cell(q: int, n: int) -> Optional[str]:
     return None
 
 
-def _rows_rational_rank(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    cells = [(q, n) for q in (2, 3) for n in range(1, 5)]
-    return _ok_rows(keep, 7, "rational-rank q{} n{}", cells, _check_rational_rank_cell)
-
-
 # -- criterion 8: rational minimum support for k = t+1 ------------------------
 
 
-def _rows_rational_support(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    cells = [(2, 4, 6, 6), (3, 3, 8, 8)]
-    for q, n, cap, want in cells:
-        label = f"rational-min-support q{q} n{n} t1 k2 cap{cap}"
-        if not keep(label):
-            continue
-        m = wilson_matrix(q, n, 1, 2)
-        rep = min_support_kernel_rational(m.dense(), cap=cap)
-        yield _row(8, label, want, rep.weight_text())
+def _rational_min_support(
+    q: int, n: int, cap: int, want: int, budget: Optional[int]
+) -> tuple[int, str]:
+    m = wilson_matrix(q, n, 1, 2)
+    rep = min_support_kernel_rational(m.dense(), cap=cap, budget=budget)
+    return want, rep.weight_text()
 
 
 # -- criterion 9: GF(3) minimum bracketed, both modes agree -------------------
 
 
-def _rows_gf3_bracket(
-    keep: Callable[[str], bool], budget: Optional[int]
-) -> Iterable[CheckRow]:
-    label = "gf3-min-weight q3 n3 t1 k2 both-modes"
-    if not keep(label):
-        return
+def _gf3_bracket(budget: Optional[int]) -> tuple[str, str, bool]:
     m = GfpMatrix.from_incidence(wilson_matrix(3, 3, 1, 2), 3)
     rep_k = min_weight_kernel_gfp(m, cap=9, mode="kernel", budget=budget)
-    rep_s = min_weight_kernel_gfp(m, cap=9, mode="support")
+    rep_s = min_weight_kernel_gfp(m, cap=9, mode="support", budget=budget)
     agree = (
         rep_k.weight == rep_s.weight
         and rep_k.witness_support == rep_s.witness_support
@@ -276,13 +216,7 @@ def _rows_gf3_bracket(
         f"weight={rep_k.weight_text()} "
         f"{'modes agree' if agree else 'modes disagree'}"
     )
-    yield CheckRow(
-        9,
-        label,
-        "weight in [5,9], modes agree",
-        computed,
-        agree and in_bracket,
-    )
+    return "weight in [5,9], modes agree", computed, agree and in_bracket
 
 
 # -- criterion 10: dual-route oracle equivalence ------------------------------
@@ -320,11 +254,6 @@ def _check_oracle_cell(q: int, n: int) -> Optional[str]:
     return None
 
 
-def _rows_oracle_equivalence(keep: Callable[[str], bool]) -> Iterable[CheckRow]:
-    cells = [(q, n) for q in (2, 3, 4) for n in range(2, 5)]
-    return _ok_rows(keep, 10, "oracle-equivalence q{} n{}", cells, _check_oracle_cell)
-
-
 # -- grid driver ---------------------------------------------------------------
 
 
@@ -336,29 +265,58 @@ def run_grid(
 ) -> list[CheckRow]:
     """All reproduction rows, optionally filtered by a label substring.
 
-    Filtered-out rows are skipped before any computation, and every row's
-    random draws are seeded per row, so a row's content never depends on
-    which other rows ran.  threads is accepted for interface stability;
-    every row is deterministic and the output never depends on it.
+    budget reaches every search in the grid (criteria 5, 8 and 9), and
+    inject_corruption flips one entry of each criterion 6 matrix.  threads is
+    accepted for interface stability; every row is deterministic and the
+    output never depends on it.
     """
     del threads
-
-    def keep(label: str) -> bool:
-        return only is None or only in label
-
-    sources: list[Callable[[], Iterable[CheckRow]]] = [
-        lambda: _rows_counts(keep),
-        lambda: _rows_interval_congruence(keep),
-        lambda: _rows_lb_designs(keep),
-        lambda: _rows_uniform_designs(keep),
-        lambda: _rows_gf2_minima(keep, budget),
-        lambda: _rows_gf2_ranks(keep, inject_corruption),
-        lambda: _rows_rational_rank(keep),
-        lambda: _rows_rational_support(keep),
-        lambda: _rows_gf3_bracket(keep, budget),
-        lambda: _rows_oracle_equivalence(keep),
+    grid = [
+        (1, "counts q{} n{} all-k",
+         [(q, n) for q in (2, 3, 4) for n in range(1, 6)], _counts),
+        (2, "interval-count q{} n{}",
+         [(q, n) for q in (2, 3, 4) for n in range(1, 5)],
+         _passes(_check_interval_cell)),
+        (3, "lower-bound-design q{} n{} t{}",
+         [(q, n, t) for q in (2, 3, 4) for n in range(1, 6) for t in range(n)],
+         _passes(_check_lb_cell)),
+        (4, "uniform-design q{} n{} t{} k{}",
+         [(q, n, t, k) for q in (2, 3, 4) for n in range(2, 6)
+          for k in range(1, n) for t in range(k)],
+         _passes(_check_uniform_cell)),
+        # cells (n, t, k, mode, want)
+        (5, "gf2-min-weight q2 n{} t{} k{} {}",
+         [(3, 1, 2, "kernel", 4), (4, 1, 2, "support", 4),
+          (4, 1, 3, "kernel", 4), (5, 1, 3, "support", 4),
+          (4, 2, 3, "kernel", 8), (5, 2, 3, "support", 8)],
+         partial(_gf2_min_weight, budget=budget)),
+        # cells (n, t, k, want)
+        (6, "gf2-rank q2 n{} t{} k{}",
+         [(4, 1, 2, 11), (5, 1, 2, 16), (5, 1, 3, 26)],
+         partial(_gf2_rank, corrupt=inject_corruption)),
+        (7, "rational-rank q{} n{}",
+         [(q, n) for q in (2, 3) for n in range(1, 5)],
+         _passes(_check_rational_rank_cell)),
+        # cells (q, n, cap, want)
+        (8, "rational-min-support q{} n{} t1 k2 cap{}",
+         [(2, 4, 6, 6), (3, 3, 8, 8)],
+         partial(_rational_min_support, budget=budget)),
+        (9, "gf3-min-weight q3 n3 t1 k2 both-modes", [()],
+         partial(_gf3_bracket, budget=budget)),
+        (10, "oracle-equivalence q{} n{}",
+         [(q, n) for q in (2, 3, 4) for n in range(2, 5)],
+         _passes(_check_oracle_cell)),
     ]
-    return [row for source in sources for row in source()]
+    rows = []
+    for criterion, label_format, cells, compute in grid:
+        for cell in cells:
+            label = label_format.format(*cell)
+            if only is not None and only not in label:
+                continue
+            expected, computed, *ok = compute(*cell)
+            e, c = str(expected), str(computed)
+            rows.append(CheckRow(criterion, label, e, c, ok[0] if ok else e == c))
+    return rows
 
 
 def format_rows(rows: list[CheckRow]) -> str:

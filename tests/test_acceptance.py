@@ -27,6 +27,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,13 @@ def _rational_min_support(q: int, n: int, t: int, k: int) -> str:
 
 
 CLOSED_FORMS = {6: _gf2_rank, 8: _rational_min_support}
+
+# The seed program's own `qnull reproduce --json` stdout, which the benchmark
+# also checks every row against: labels, order, values and the documented
+# FAIL rows.
+GRID_REFERENCE = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "grid_stdout.json"
+)
 
 
 @pytest.fixture(scope="session")
@@ -158,7 +166,8 @@ def test_criterion(grid, criterion):
 
 
 def test_criterion_11_byte_identical_across_thread_counts():
-    """Machine-readable reproduce output never depends on the thread count."""
+    """Machine-readable reproduce output never depends on the thread count,
+    and is the reference grid byte for byte."""
     outs = []
     for threads in ("1", "8"):
         proc = subprocess.run(
@@ -177,5 +186,7 @@ def test_criterion_11_byte_identical_across_thread_counts():
         assert proc.returncode in (0, 1), proc.stderr.decode()
         outs.append(proc.stdout)
     ok = outs[0] == outs[1] and len(outs[0]) > 0
-    print(f"criterion 11: {'PASS' if ok else 'FAIL'}")
+    same_as_reference = outs[0] == GRID_REFERENCE.read_bytes()
+    print(f"criterion 11: {'PASS' if ok and same_as_reference else 'FAIL'}")
     assert ok, "reproduce --json differs between --threads 1 and --threads 8"
+    assert same_as_reference, f"reproduce --json differs from {GRID_REFERENCE.name}"

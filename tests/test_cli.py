@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnull.cli import EXIT_PIPE_CLOSED, main
 from qnull.designs import read_design, sum_over_superspaces
@@ -78,6 +84,40 @@ def test_wilson_json_embeds_matrix_without_out(capsys):
     assert (payload["rows"], payload["cols"]) == (13, 13)
     m = read_matrix(payload["matrix"])
     assert m.q == 3 and m.cols == 13
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["wilson", "--q", "2", "--n", "3", "--t", "1", "--k", "2"], "matrix"),
+        (["construct", "--kind", "lb", "--q", "2", "--n", "3", "--t", "1"], "design"),
+    ],
+)
+def test_json_with_out_names_the_file_instead_of_embedding_it(
+    tmp_path, capsys, argv, key
+):
+    code, embedded, _ = run_json(capsys, *argv)
+    assert code == 0 and embedded["out"] is None
+    path = tmp_path / "x.txt"
+    code, payload, _ = run_json(capsys, *argv, "--out", str(path))
+    assert code == 0 and key not in payload and payload["out"] == str(path)
+    assert path.read_text() == embedded.pop(key)
+    assert {**payload, "out": None} == embedded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wilson", "--q", "2", "--n", "3", "--t", "1", "--k", "2"],
+        ["construct", "--kind", "lb", "--q", "2", "--n", "3", "--t", "1"],
+    ],
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, as_json):
+    for out in (str(tmp_path / "no" / "such" / "x.txt"), str(tmp_path)):
+        code, stdout, err = run(capsys, *argv, "--out", out, *["--json"] * as_json)
+        _assert_refused(code, stdout, err)
+        assert err.startswith(f"error: cannot write {out}: "), err
 
 
 # -- construct / verify / strength ------------------------------------------------
@@ -191,6 +231,102 @@ def test_verify_missing_file_is_usage_error(capsys):
     assert code == 2 and "cannot read" in err
 
 
+# -- refused parameters -----------------------------------------------------------
+
+
+def _assert_refused(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # n < 0
+        "enumerate --q 2 --n -1 --k 0",
+        "wilson --q 2 --n -1 --t 0 --k 0",
+        "construct --kind lb --q 2 --n -1 --t 0",
+        "construct --kind uniform --q 2 --n -1 --t 0 --k 0",
+        # k outside [0, n]; lb builds no k-spaces, but a given --k is checked
+        "enumerate --q 2 --n 2 --k 3",
+        "enumerate --q 2 --n 2 --k -1",
+        "wilson --q 2 --n 3 --t 1 --k 4",
+        "wilson --q 2 --n 3 --t 0 --k -1",
+        "construct --kind uniform --q 2 --n 3 --t 1 --k 4",
+        "construct --kind uniform --q 2 --n 3 --t 0 --k -1",
+        "construct --kind lb --q 2 --n 3 --t 1 --k 4",
+        "construct --kind lb --q 2 --n 3 --t 0 --k -1",
+        # t outside [0, n], or t > k
+        "wilson --q 2 --n 3 --t -1 --k 1",
+        "wilson --q 2 --n 3 --t 4 --k 4",
+        "wilson --q 2 --n 3 --t 2 --k 1",
+        "construct --kind lb --q 2 --n 3 --t -1",
+        "construct --kind lb --q 2 --n 3 --t 4",
+        "construct --kind lb --q 2 --n 3 --t 2 --k 1",
+        "construct --kind uniform --q 2 --n 4 --t 2 --k 1",
+        # r not a power of p, or outside [2, q]
+        "construct --kind lb --q 4 --n 2 --t 0 --r 3",
+        "construct --kind uniform --q 9 --n 3 --t 0 --k 1 --r 2",
+        "construct --kind lb --q 2 --n 3 --t 1 --r 4",
+        "construct --kind uniform --q 3 --n 3 --t 0 --k 1 --r 9",
+        "construct --kind lb --q 2 --n 3 --t 1 --r 1",
+        "construct --kind lb --q 2 --n 3 --t 1 --r 0",
+        "construct --kind uniform --q 2 --n 3 --t 0 --k 1 --r -2",
+        # q not a prime power
+        "enumerate --q 6 --n 2 --k 1",
+        "enumerate --q 0 --n 2 --k 1",
+        "wilson --q 1 --n 2 --t 0 --k 1",
+        "construct --kind lb --q 6 --n 2 --t 0",
+        "construct --kind uniform --q 0 --n 3 --t 0 --k 1",
+        # uniform needs k
+        "construct --kind uniform --q 2 --n 4 --t 1",
+    ],
+)
+def test_bad_parameters_are_refused_with_one_line(capsys, argv):
+    _assert_refused(*run(capsys, *argv.split()))
+
+
+SMALL = st.integers(min_value=-2, max_value=5)
+
+
+@given(
+    st.sampled_from(["enumerate", "wilson", "construct", "strength"]),
+    st.sampled_from([0, 1, 2, 3, 4, 6, 37]),
+    st.tuples(SMALL, SMALL, SMALL, SMALL),
+    st.sampled_from(["lb", "uniform"]),
+    st.sampled_from([(), ("k",), ("r",), ("k", "r")]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_small_and_bad_arguments_end_in_an_exit_code(
+    command, q, ntkr, kind, given_args, as_json
+):
+    """Any small numbers, valid or not, end in exit 0, 1 or 2, and 2 comes
+    with one error line.  strength reads a design file with no support whose
+    header is `q n r t`, and takes k as --t-max."""
+    n, t, k, r = (str(v) for v in ntkr)
+    argv = {
+        "enumerate": ["enumerate", "--q", str(q), "--n", n, "--k", k],
+        "wilson": ["wilson", "--q", str(q), "--n", n, "--t", t, "--k", k],
+        "construct": ["construct", "--kind", kind, "--q", str(q), "--n", n, "--t", t]
+        + ["--k", k] * ("k" in given_args) + ["--r", r] * ("r" in given_args),
+        "strength": ["strength", "--t-max", k] * ("k" in given_args) or ["strength"],
+    }[command] + ["--json"] * as_json
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.txt"
+        path.write_text(f"{q} {n} {r} {t}\n", encoding="ascii")
+        if command == "strength":
+            argv += ["--design", str(path)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        _assert_refused(code, out.getvalue(), err.getvalue())
+    else:
+        assert err.getvalue() == ""
+
+
 # -- rank -------------------------------------------------------------------------
 
 
@@ -271,6 +407,23 @@ def test_matrix_header_and_lines_are_checked_before_any_work(
         assert err.startswith("error: bad matrix file ") and err.count("\n") == 1
         assert message in err
         assert "unpack" not in err
+
+
+@pytest.mark.parametrize("head", ["2 1000000 1 2 3 3", "2 1000000 0 0 1 1"])
+@pytest.mark.parametrize(
+    "argv", [["minweight", "--p", "2", "--cap", "1"], ["minsupport", "--cap", "1"]]
+)
+def test_matrix_of_a_huge_dimension_is_refused(tmp_path, capsys, head, argv):
+    # every column is 0, so each search finds a witness at once, and naming
+    # its subspaces would take the packed layout of GF(2)^1000000 and, at
+    # k = 2, its C(1000000, 2) pivot sets
+    path = tmp_path / "m.txt"
+    path.write_text(head + "\n")
+    code, out, err = run(capsys, *argv, "--matrix", str(path))
+    _assert_refused(code, out, err)
+    assert err == (
+        f"error: bad matrix file {path}: dimension 1000000 is above the limit 256\n"
+    )
 
 
 # -- minweight ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnull.fields import field
+from qnull.fields import Field, field
 from qnull.grassmann import (
     Subspace,
     _lanes,
@@ -94,6 +94,27 @@ def test_index_round_trip(q, n, k):
         from_index(f, n, k, total)
     with pytest.raises(ValueError):
         from_index(f, n, k, -1)
+
+
+def test_from_index_walks_only_to_the_ordinal_and_refuses_huge_n():
+    # C(200, 100) pivot sets could never be laid out, but ordinal 1 lies in
+    # the first: the coordinate span with a 1 at its last free entry
+    f = field(2)
+    x = from_index(f, 200, 100, 1)
+    assert x.pivots == tuple(range(100))
+    assert x.rows[:99] == coordinate_span(f, 200, 100).rows[:99]
+    assert x.rows[99] == (0,) * 99 + (1,) + (0,) * 99 + (1,)
+    assert from_index(f, 200, 100, 0) == coordinate_span(f, 200, 100)
+    with pytest.raises(ValueError, match="out of range"):
+        from_index(f, 200, 100, gaussian_binomial(200, 100, 2))
+    assert Field.MAX_DIMENSION == 256
+    for make in (
+        lambda: from_index(f, 10**6, 0, 0),
+        lambda: coordinate_span(f, 257, 1),
+        lambda: list(enumerate_subspaces(f, 10**6, 10**6)),
+    ):
+        with pytest.raises(ValueError, match="above the limit 256"):
+            make()
 
 
 @st.composite

@@ -138,11 +138,13 @@ def test_read_matrix_rejects_malformed_input():
         ("2 3 -1 2 1 1", "need 0 <= t <= k <= n"),
         ("2 3 1 4 1 1", "need 0 <= t <= k <= n"),
         # [n,0] = 1 however large n is, and it is not built from q^n
-        ("2 1000000000000 0 1 2 1", "2 rows exceed the 1 0-subspaces"),
+        ("2 256 0 1 2 1", "2 rows exceed the 1 0-subspaces"),
+        # reading the subspaces back would build the layout of GF(2)^n
+        ("2 1000000000000 1 2 3 3", "dimension 1000000000000 is above the limit 256"),
     ):
         with pytest.raises(ValueError, match=message):
             read_matrix(head + "\n0 0\n")
-    assert read_matrix("2 1000000000000 1 2 3 3\n").rows == 3
+    assert read_matrix("2 256 1 2 3 3\n").rows == 3
     for line in ("1", "0 1 2", "x 0"):
         with pytest.raises(ValueError, match=f"^bad matrix line '{line}'$"):
             read_matrix(f"2 3 1 2 1 1\n{line}\n")

@@ -580,6 +580,15 @@ def test_rational_cap_limits_the_scan():
     assert not rep.found and rep.exhaustive and rep.cap == 1
 
 
+def test_rational_search_defaults_to_the_gf2_budget(monkeypatch):
+    import qnull.linalg
+
+    monkeypatch.setattr(qnull.linalg, "default_budget", lambda p: 1)
+    # stage 1 visits one node per column, so the second is past a budget of 1
+    with pytest.raises(BudgetExceededError, match="budget is 1$"):
+        min_support_kernel_rational([[1, 1]], 2)
+
+
 def test_rational_min_support_eight_at_q3_n4():
     # W_{1,2} at q=3 is 13x13 and of full rank for n=3; at n=4 (40x130) the
     # kernel is nonzero and the minimum support is (1+1)(1+3) = 8
