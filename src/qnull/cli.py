@@ -113,19 +113,18 @@ def _cmd_enumerate(args) -> int:
     # enumerate_subspaces yields nothing outside this range
     if not 0 <= args.k <= args.n:
         raise ValueError(f"need 0 <= k <= n, got k={args.k}, n={args.n}")
-    texts = [subspace_to_text(x) for x in enumerate_subspaces(f, args.n, args.k)]
+    texts = map(subspace_to_text, enumerate_subspaces(f, args.n, args.k))
     want = gaussian_binomial(args.n, args.k, args.q)
-    payload = {
-        "q": args.q,
-        "n": args.n,
-        "k": args.k,
-        "count": len(texts),
-        "gaussian_binomial": want,
-        "subspaces": texts,
-    }
-    human = "\n".join(texts + [f"count={len(texts)} gaussian_binomial={want}"])
-    _emit(args, payload, human)
-    return 0 if len(texts) == want else 1
+    if args.json:
+        texts = list(texts)
+        record = {"q": args.q, "n": args.n, "k": args.k, "count": len(texts)}
+        _emit(args, {**record, "gaussian_binomial": want, "subspaces": texts}, "")
+        return 0 if len(texts) == want else 1
+    count = 0  # streamed, so `qnull enumerate ... | head` ends at once
+    for count, text in enumerate(texts, 1):
+        print(text)
+    print(f"count={count} gaussian_binomial={want}")
+    return 0 if count == want else 1
 
 
 def _cmd_wilson(args) -> int:

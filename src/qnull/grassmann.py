@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+#: the most vectors enumerate_subspaces lists for one row at a time
+_STREAM_CAP = 1 << 16
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -297,9 +300,28 @@ def enumerate_subspaces(f: Field, n: int, k: int) -> Iterator[Subspace]:
     if not 0 <= k <= n:
         return
     lanes = _lanes(f.q, n)
-    for pivots, choices in _packed_subspaces_of(lanes.whole, k):
-        for vecs in itertools.product(*choices):
-            yield Subspace(lanes, vecs, pivots)
+    units, mults = lanes.whole.vecs, _multiples(lanes.whole)
+    for pivots, (free, _) in _pivot_layout(f.q, n, k)[0].items():
+        for choices in _choice_blocks([[units[p]] for p in pivots], free, mults):
+            for vecs in itertools.product(*choices):
+                yield Subspace(lanes, vecs, pivots)
+
+
+def _choice_blocks(choices: list, free, mults):
+    """The ambient rows' lists of choices, as _packed_subspaces_of builds
+    them, in blocks that hold each list to _STREAM_CAP vectors: while a list
+    would be longer, the leading free entry takes each multiple in turn.  The
+    blocks' products follow one another in order, so a huge layer streams."""
+    longest = max(Counter(r for r, _ in free).values(), default=0)
+    if longest and len(mults[0]) ** longest > _STREAM_CAP:
+        (r, c), free = free[0], free[1:]
+        for m in mults[c]:
+            head = choices[:r] + [[choices[r][0] | m]] + choices[r + 1:]
+            yield from _choice_blocks(head, free, mults)
+        return
+    for r, c in free:
+        choices[r] = [v | m for v in choices[r] for m in mults[c]]
+    yield choices
 
 
 def index_of(x: Subspace) -> int:

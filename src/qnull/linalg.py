@@ -1,10 +1,12 @@
 """Exact rank/kernel computations over GF(p) and Q, with minimum searches.
 
-There are two elimination cores, and rref_gfp (so also the kernels and
-witnesses) reaches both.  Over GF(2) a row is one int with column j at bit
-nc-1-j; _xor_basis, also used by the all-ones test and the rational
-prefilter, is the forward pass to an echelon basis keyed by leading bit.
-Over odd p a row is one int with column j at w-bit lane nc-1-j, added
+A GfpMatrix stores each row packed, as one int with column j at bit nc-1-j
+over GF(2) and at w-bit lane nc-1-j over odd p; from_incidence writes these
+ints from the columns, and the tuple entries is decoded only when read.  The
+two elimination cores take and give packed rows, so rref_gfp (so also the
+kernels and witnesses) neither packs nor decodes.  Over GF(2) _xor_basis,
+also used by the all-ones test and the rational prefilter, is the forward
+pass to an echelon basis keyed by leading bit.  Over odd p rows are added
 lane-wise by fields.lane_adder, and the forward pass _lane_basis keys its
 basis by leading lane.  Both back-substitute in descending column order to
 the unique RREF.
@@ -44,6 +46,7 @@ only subsets that are GF(2)-deficient get the exact rank test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -83,40 +86,65 @@ def default_budget(p: int) -> int:
     return int(2**22 / math.log2(p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class GfpMatrix:
-    """A dense matrix over GF(p), entries reduced mod p."""
+    """A matrix over GF(p), stored as the packed rows the elimination cores use:
+    row i is one int with column j at lane cols-1-j of w = _lane_width(p) bits.
+    entries, the rows as tuples, is decoded when first read and then cached.
+    GfpMatrix(p, entries) refuses an entry outside [0, p); from_rows reduces.
+    """
 
     p: int
-    entries: tuple[tuple[int, ...], ...]
+    cols: int
+    _packed: tuple[int, ...]
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
+    def __init__(self, p: int, entries: Sequence[Sequence[int]]):
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        if len({len(r) for r in entries}) > 1:
             raise ValueError("ragged matrix")
+        for i, row in enumerate(entries):
+            if row and not 0 <= min(row) <= max(row) < p:
+                j = next(j for j, v in enumerate(row) if not 0 <= v < p)
+                raise ValueError(f"entry {row[j]!r} at ({i}, {j}) is not in [0, {p})")
+        entries = tuple(map(tuple, entries))
+        self._set(p, len(entries[0]) if entries else 0, _pack(entries, _lane_width(p)))
+        self.__dict__["entries"] = entries
+
+    def _set(self, p: int, cols: int, packed: Iterable[int]) -> "GfpMatrix":
+        self.__dict__.update(p=p, cols=cols, _packed=tuple(packed))  # frozen
+        return self
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        w = _lane_width(self.p)
+        return tuple(_unpack(v, self.cols, w) for v in self._packed)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self._packed)
 
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    def __repr__(self) -> str:
+        return f"GfpMatrix(p={self.p!r}, entries={self.entries!r})"
 
     @classmethod
     def from_rows(cls, p: int, rows: Sequence[Sequence[int]]) -> "GfpMatrix":
-        return cls(p, tuple(tuple(v % p for v in row) for row in rows))
+        return cls(p, [[v % p for v in row] for row in rows])
 
     @classmethod
     def from_incidence(cls, m, p: int) -> "GfpMatrix":
-        """Reduce an IncidenceMatrix (0/1 entries) mod p."""
-        rows = [bytearray(m.cols) for _ in range(m.rows)]
+        """Reduce an IncidenceMatrix (0/1 entries) mod p, packed from col_rows."""
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        # each row as the binary (p = 2) or hex digits of its int, d per lane,
+        # after a 0 so that an empty row parses
+        d = -(-_lane_width(p) // 4)
+        rows = [bytearray(b"0" * (m.cols * d + 1)) for _ in range(m.rows)]
         for j, col in enumerate(m.col_rows):
             for i in col:
-                rows[i][j] = 1
-        return cls(p, tuple(map(tuple, rows)))
+                rows[i][(j + 1) * d] = 49  # "1", the last digit of lane j
+        base = 2 if p == 2 else 16
+        return object.__new__(cls)._set(p, m.cols, [int(r, base) for r in rows])
 
 
 @dataclass(frozen=True)
@@ -165,11 +193,13 @@ def _pack(entries: Iterable[Sequence[int]], w: int) -> list[int]:
         return [int(b"0" + bytes(row).translate(_TO_DIGIT), 1 << w) for row in entries]
     if w == 8:
         return [int.from_bytes(bytes(row), "big") for row in entries]
-    return [int("0" + "".join(f"{v:0{w // 4}x}" for v in row), 16) for row in entries]
+    lane = f"%0{w // 4}x"
+    return [int("0" + "".join(map(lane.__mod__, row)), 16) for row in entries]
 
 
 def _unpack(v: int, nc: int, w: int) -> tuple[int, ...]:
-    text = format(v, f"0{nc}b" if w == 1 else f"0{nc * w // 4}x")
+    # a marker bit above the top lane keeps the leading zeros, and nc = 0
+    text = format(v | 1 << nc * w, "b" if w == 1 else "x")[1:]
     if w <= 4:
         return tuple(text.encode().translate(_FROM_DIGIT))
     d = w // 4
@@ -198,7 +228,7 @@ def _xor_basis(vectors: Iterable[int]) -> dict[int, int]:
 
 def _rref_gf2(m: GfpMatrix) -> dict[int, int]:
     """p = 2: the RREF rows as bit-vectors, keyed by leading bit."""
-    basis = _xor_basis(_pack(m.entries, 1))
+    basis = _xor_basis(m._packed)
     # last pivot column first: each done row is zero at the other pivot
     # bits, so one XOR per pivot bit set in v clears v there
     done: dict[int, int] = {}
@@ -254,7 +284,7 @@ def _rref_lanes(m: GfpMatrix, w: int) -> dict[int, int]:
     """Odd p: the RREF rows as ints of w-bit lanes, keyed by leading lane."""
     p, nc = m.p, m.cols
     add, lane = lane_adder(p, w, nc), (1 << w) - 1
-    basis = _lane_basis(_pack(m.entries, w), p, w, nc)
+    basis = _lane_basis(m._packed, p, w, nc)
     # last pivot column first, as over GF(2): one multiple of a done row per
     # nonzero pivot lane of v
     done: dict[int, list[int]] = {}
@@ -271,26 +301,27 @@ def _rref_lanes(m: GfpMatrix, w: int) -> dict[int, int]:
 def rref_gfp(m: GfpMatrix) -> tuple[GfpMatrix, int, tuple[int, ...]]:
     """Reduced row echelon form over GF(p): (rref, rank, pivot columns).
 
-    Odd p packs w-bit lanes, w the least multiple of 4 with 2^(w-1) >= p.
+    Works on the packed rows of m and returns the RREF packed the same way.
     """
     p, nc, w = m.p, m.cols, _lane_width(m.p)
     done = _rref_gf2(m) if p == 2 else _rref_lanes(m, w)
     order = sorted(done, reverse=True)
-    rows = [_unpack(done[h], nc, w) for h in order]
-    rows += [(0,) * nc] * (m.rows - len(rows))
+    rows = [done[h] for h in order] + [0] * (m.rows - len(order))
     pivots = tuple(nc - 1 - h for h in order)
-    return GfpMatrix(p, tuple(rows)), len(pivots), pivots
+    return object.__new__(GfpMatrix)._set(p, nc, rows), len(pivots), pivots
 
 
 def kernel_basis_gfp(m: GfpMatrix) -> list[tuple[int, ...]]:
     """Basis of {x : Mx = 0 mod p}, one vector per free column, ascending."""
     red, _, pivots = rref_gfp(m)
+    p, nc, w = m.p, m.cols, _lane_width(m.p)
     basis = []
-    for f in sorted(set(range(m.cols)) - set(pivots)):
-        v = [0] * m.cols
+    for f in sorted(set(range(nc)) - set(pivots)):
+        v = [0] * nc
         v[f] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.entries[r][f] % m.p
+        shift = (nc - 1 - f) * w  # column f's lane in each RREF row
+        for row, pc in zip(red._packed, pivots):
+            v[pc] = -(row >> shift & (1 << w) - 1) % p
         basis.append(tuple(v))
     return basis
 
@@ -424,7 +455,7 @@ def _kernel_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
 
 def _all_ones_in_row_space(m: GfpMatrix) -> bool:
     """p=2: is the all-ones row a GF(2) combination of the rows?"""
-    return not _reduce(_xor_basis(_pack(m.entries, 1)), (1 << m.cols) - 1)
+    return not _reduce(_xor_basis(m._packed), (1 << m.cols) - 1)
 
 
 def _column_masks(entries: Sequence[Sequence[int]]) -> list[int]:

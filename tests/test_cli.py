@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 import tempfile
@@ -678,6 +679,34 @@ def test_reproduce_empty_filter_matches_nothing(capsys):
 
 
 # -- output ---------------------------------------------------------------------
+
+
+def test_enumerate_streams_until_the_reader_goes_away():
+    """2^40 - 1 lines: the reader takes 3 and closes, and the next write ends it.
+
+    Under a 400 MB address-space limit, so a command that lists every
+    subspace before it prints fails here instead of filling the host.
+    """
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qnull.cli", "enumerate", "--q", "2", "--n", "40"]
+        + ["--k", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        preexec_fn=limit_memory,
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE_CLOSED
+    assert head == [b"1" + b"0" * 38 + tail + b"\n" for tail in (b"0", b"1")] + [
+        b"1" + b"0" * 37 + b"10\n"
+    ]
+    assert err == b""
 
 
 def test_closed_stdout_pipe_ends_quietly():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnull import grassmann
 from qnull.fields import Field, field
 from qnull.grassmann import (
     Subspace,
@@ -295,6 +296,19 @@ def test_enumerate_subspaces_order_matches_the_or_built_layer(q):
             ]
             got = [(x.vecs, x.pivots) for x in enumerate_subspaces(f, n, k)]
             assert got == want, (n, k)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5])
+def test_enumeration_in_capped_blocks_keeps_the_order(monkeypatch, cap):
+    # a row's list of choices is held to cap vectors by fixing the leading
+    # free entries in turn; the subspaces still come in index order
+    for q, n, k in ((2, 5, 1), (2, 5, 2), (3, 4, 2), (4, 3, 1), (5, 3, 2)):
+        want = [(x.vecs, x.pivots) for x in enumerate_subspaces(field(q), n, k)]
+        monkeypatch.setattr(grassmann, "_STREAM_CAP", cap)
+        got = list(enumerate_subspaces(field(q), n, k))
+        monkeypatch.undo()
+        assert [(x.vecs, x.pivots) for x in got] == want, (q, n, k)
+        assert [index_of(x) for x in got] == list(range(gaussian_binomial(n, k, q)))
 
 
 def test_text_round_trip():

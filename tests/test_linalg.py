@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from qnull.designs import NullDesign, verify_strength
 from qnull.fields import field
-from qnull.incidence import wilson_matrix
+from qnull.incidence import read_matrix, wilson_matrix
 from qnull.linalg import (
     MODE_KERNEL,
     MODE_SUPPORT,
@@ -60,6 +62,87 @@ def test_gfp_matrix_validation():
         GfpMatrix.from_rows(2, [[1, 0], [1]])  # ragged
     # the factory normalizes entries into [0, p)
     assert GfpMatrix.from_rows(3, [[3, -1]]).entries == ((0, 2),)
+
+
+def test_gfp_matrix_refuses_entries_outside_the_residues():
+    # each once went through: a rank mod 3 of 2 where it is 1, an
+    # InvariantError in the lane core, and a raw int() parse message
+    for p, rows, bad in (
+        (3, ((3, 0), (0, 1)), "entry 3 at (0, 0)"),
+        (5, ((7, 2), (2, 4)), "entry 7 at (0, 0)"),
+        (2, ((2, 1),), "entry 2 at (0, 0)"),
+        (7, ((1, 2), (3, -1)), "entry -1 at (1, 1)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{bad} is not in [0, {p})")):
+            GfpMatrix(p, rows)
+        reduced = GfpMatrix.from_rows(p, rows)
+        want = tuple(tuple(v % p for v in row) for row in rows)
+        assert reduced.entries == want and GfpMatrix(p, want) == reduced
+    assert rref_gfp(GfpMatrix.from_rows(3, ((3, 0), (0, 1))))[1] == 1
+
+
+def test_gfp_matrix_is_a_value():
+    a = _m(5, [[1, 2, 3], [4, 0, 1]])
+    b = GfpMatrix.from_incidence(read_matrix("5 2 1 1 2 3\n0 0\n1 2\n"), 5)
+    assert b.entries == ((1, 0, 0), (0, 0, 1))
+    assert a == GfpMatrix(5, a.entries) and hash(a) == hash(GfpMatrix(5, a.entries))
+    assert a != b and a != GfpMatrix(7, a.entries)
+    assert repr(a) == "GfpMatrix(p=5, entries=((1, 2, 3), (4, 0, 1)))"
+    assert (a.p, a.rows, a.cols) == (5, 2, 3)
+    with pytest.raises(AttributeError):
+        a.entries = ()
+
+
+def test_tracer_hooks_stay_in_place():
+    # perfbench/tracer.py wraps this classmethod and reads p, rows and cols
+    # off each rref_gfp argument and result
+    assert isinstance(vars(GfpMatrix)["from_incidence"], classmethod)
+    for p in (2, 3, 131):
+        m = GfpMatrix.from_incidence(wilson_matrix(2, 3, 1, 2), p)
+        red = rref_gfp(m)[0]
+        assert (red.p, red.rows, red.cols) == (m.p, m.rows, m.cols) == (p, 7, 7)
+
+
+def _has_field(q):
+    try:
+        field(q)
+    except ValueError:  # not a prime power, or no modulus on record
+        return False
+    return True
+
+
+@functools.cache
+def _storage_cases():
+    """Every Wilson cell with q^n <= 3^4 over a field qnull has, and a
+    hand-edited file (an empty row and column, a row that repeats another, a
+    column of ones), each with its dense rows."""
+    cells = [
+        wilson_matrix(q, n, t, k)
+        for q in filter(_has_field, range(2, 3**4 + 1))
+        for n in range(1, 7)
+        if q**n <= 3**4
+        for t in range(n + 1)
+        for k in range(t, n + 1)
+    ]
+    cells.append(read_matrix("2 3 1 2 4 5\n0 0\n0 3\n0 4\n1 4\n3 0\n3 3\n3 4\n"))
+    return [(m, tuple(map(tuple, m.dense()))) for m in cells]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 131])
+def test_packed_storage_keeps_the_dense_meaning(p):
+    # lane widths 1, 4, 4, 4, 8 and 12: from_incidence writes the packed
+    # rows itself, from_rows packs the dense rows as entries.  Past 2^16
+    # entries (eight GF(2)^6 cells) both eliminations would take seconds on
+    # what the equal rows already decide, so those check storage only.
+    for m, rows in _storage_cases():
+        packed, dense = GfpMatrix.from_incidence(m, p), GfpMatrix.from_rows(p, rows)
+        assert packed == dense, (m.q, m.n, m.t, m.k)
+        assert (packed.entries, packed.rows, packed.cols) == (rows, m.rows, m.cols)
+        if m.rows * m.cols > 1 << 16:
+            continue
+        (red, rank, pivots), (red2, rank2, pivots2) = rref_gfp(packed), rref_gfp(dense)
+        assert (red.entries, rank, pivots) == (red2.entries, rank2, pivots2)
+        assert kernel_basis_gfp(packed) == kernel_basis_gfp(dense)
 
 
 def test_kernel_basis_properties():
