@@ -5,7 +5,9 @@ readers and searches raise ValueError on what they cannot serve.  The checks
 here cover only what the library would take without complaint, such as
 `enumerate --k` outside [0, n], which would list nothing.  A search's budget
 is `--budget`, else QNULL_BUDGET, else the library default, default_budget(p)
-for `minweight` and default_budget(2) for `minsupport`.
+for `minweight` and default_budget(2) for `minsupport`.  `wilson` counts the
+nonzeros first and refuses a matrix with more than QNULL_BUDGET, else
+default_budget(2).
 
 Exit codes: 0 on success, 1 when a verification or reproduction check fails,
 2 on usage errors (bad parameters, unreadable, unwritable or malformed files,
@@ -33,7 +35,7 @@ from .designs import (
     verify_strength,
     write_design,
 )
-from .fields import field
+from .fields import Field, field
 from .grassmann import (
     enumerate_subspaces,
     from_index,
@@ -45,6 +47,7 @@ from .linalg import (
     GfpMatrix,
     InvariantError,
     SearchReport,
+    default_budget,
     min_support_kernel_rational,
     min_weight_kernel_gfp,
     rank_rational,
@@ -128,18 +131,19 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_wilson(args) -> int:
-    m = wilson_matrix(args.q, args.n, args.t, args.k)
+    q, n, t, k = args.q, args.n, args.t, args.k
+    field(q)  # a bad q is refused before it is counted
+    if 0 <= t <= k <= n <= Field.MAX_DIMENSION:  # else wilson_matrix refuses
+        nnz = gaussian_binomial(n, k, q) * gaussian_binomial(k, t, q)
+        budget = _budget_from(args) or default_budget(2)
+        if nnz > budget:
+            raise ValueError(
+                f"wilson matrix would have {nnz} nonzeros, budget is {budget}"
+            )
+    m = wilson_matrix(q, n, t, k)
     nnz = sum(len(col) for col in m.col_rows)
-    payload = {
-        "q": args.q,
-        "n": args.n,
-        "t": args.t,
-        "k": args.k,
-        "rows": m.rows,
-        "cols": m.cols,
-        "nonzeros": nnz,
-        "out": args.out,
-    }
+    payload = {"q": q, "n": n, "t": t, "k": k, "rows": m.rows, "cols": m.cols,
+               "nonzeros": nnz, "out": args.out}
     what = f"{m.rows}x{m.cols} matrix ({nnz} nonzeros)"
     _emit_file(args, write_matrix(m), payload, "matrix", what)
     return 0

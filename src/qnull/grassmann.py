@@ -24,6 +24,8 @@ with L ranging over the d x k RREF matrices, no re-reduction needed.  Row r
 of L.B is x's row at L's r-th pivot plus a multiple of x's row c for each
 free entry (r, c) of L, so it is built from x's cached row multiples and x is
 never spanned; the ambient layer is the same construction on the unit basis.
+That loop is _local_choices; incidence.wilson_matrix runs it on each column
+of the blocks of _layer_blocks, with row multiples computed once per block.
 """
 
 from __future__ import annotations
@@ -300,28 +302,35 @@ def enumerate_subspaces(f: Field, n: int, k: int) -> Iterator[Subspace]:
     if not 0 <= k <= n:
         return
     lanes = _lanes(f.q, n)
+    for pivots, choices in _layer_blocks(lanes, k):
+        for vecs in itertools.product(*choices):
+            yield Subspace(lanes, vecs, pivots)
+
+
+def _layer_blocks(lanes: _Lanes, k: int):
+    """The k-layer in blocks, in order: the pivots and the rows' lists of
+    choices, whose product is the block's packed bases (_choice_blocks)."""
     units, mults = lanes.whole.vecs, _multiples(lanes.whole)
-    for pivots, (free, _) in _pivot_layout(f.q, n, k)[0].items():
-        for choices in _choice_blocks([[units[p]] for p in pivots], free, mults):
-            for vecs in itertools.product(*choices):
-                yield Subspace(lanes, vecs, pivots)
+    for pivots, (free, _) in _pivot_layout(lanes.q, lanes.n, k)[0].items():
+        for choices in _choice_blocks([units[p] for p in pivots], free, mults):
+            yield pivots, choices
 
 
-def _choice_blocks(choices: list, free, mults):
-    """The ambient rows' lists of choices, as _packed_subspaces_of builds
-    them, in blocks that hold each list to _STREAM_CAP vectors: while a list
-    would be longer, the leading free entry takes each multiple in turn.  The
-    blocks' products follow one another in order, so a huge layer streams."""
+def _choice_blocks(rows: list[int], free, mults):
+    """The ambient rows' lists of choices, built by _local_choices from the
+    rows' start vectors, in blocks that hold each list to _STREAM_CAP vectors:
+    while a list would be longer, the leading free entry takes each multiple
+    in turn, added into its row's start.  The blocks' products follow one
+    another in order, so a huge layer streams."""
     longest = max(Counter(r for r, _ in free).values(), default=0)
     if longest and len(mults[0]) ** longest > _STREAM_CAP:
         (r, c), free = free[0], free[1:]
         for m in mults[c]:
-            head = choices[:r] + [[choices[r][0] | m]] + choices[r + 1:]
+            head = rows[:r] + [rows[r] | m] + rows[r + 1:]
             yield from _choice_blocks(head, free, mults)
         return
-    for r, c in free:
-        choices[r] = [v | m for v in choices[r] for m in mults[c]]
-    yield choices
+    # one pivot set, whose local pivots are all the rows
+    yield _local_choices(rows, mults, {range(len(rows)): (free, 0)}, operator.or_)[0]
 
 
 def index_of(x: Subspace) -> int:
@@ -372,27 +381,36 @@ def from_index(f: Field, n: int, k: int, ordinal: int) -> Subspace:
 def _packed_subspaces_of(x: Subspace, d: int):
     """Per pivot set of the d-dimensional subspaces of x (0 <= d <= x.k), in
     local order: the global pivots and, per basis row, the packed vectors the
-    row can take.  The rows choose independently: the bases are the product.
-
-    Row r's list starts at x's row at the r-th local pivot; each free entry
-    (r, c), read row-major, replaces it by every sum of a choice and a
-    multiple of x's row c, in code order.  So a basis's place in local order
-    is the mixed-radix value of its row indices over the list lengths.
+    row can take (_local_choices).  The rows choose independently: the bases
+    are the product.
     """
-    if d == x.k:  # x itself; neither end of the range needs x's multiples
-        yield x.pivots, [[v] for v in x.vecs]
-        return
-    if d == 0:
-        yield (), []
-        return
-    lanes, vecs, xp, mults = x._lanes, x.vecs, x.pivots, _multiples(x)
+    lanes, xp = x._lanes, x.pivots
+    layout = _pivot_layout(lanes.q, x.k, d)[0]
     # the unit rows share no lane, so in the ambient layer a sum is an OR
     add = operator.or_ if x is lanes.whole else lanes.add
-    for local, (free, _) in _pivot_layout(lanes.q, x.k, d)[0].items():
+    lists = _local_choices(x.vecs, _multiples(x), layout, add)
+    for local, choices in zip(layout, lists):
+        yield tuple(map(xp.__getitem__, local)), choices
+
+
+def _local_choices(vecs, mults, layout, add) -> list:
+    """Per pivot set of layout (local pivots -> (free entries, offset), as in
+    _pivot_layout(q, k, d)[0]), in its order: the lists of packed vectors that
+    the rows of a d-subspace of span(vecs) can take, given the RREF basis vecs
+    (k rows) and each row's multiples.
+
+    Row r's list starts at the basis row at the r-th local pivot; each free
+    entry (r, c), read row-major, replaces it by every sum of a choice and a
+    multiple of basis row c, in code order.  So a basis's place in local order
+    is the mixed-radix value of its row indices over the list lengths.
+    """
+    out = []
+    for local, (free, _) in layout.items():
         choices = [[vecs[p]] for p in local]
         for r, c in free:
             choices[r] = [add(v, m) for v in choices[r] for m in mults[c]]
-        yield tuple(map(xp.__getitem__, local)), choices
+        out.append(choices)
+    return out
 
 
 def _coordinates(x: Subspace, vec: int) -> tuple[int, ...]:

@@ -5,6 +5,11 @@ k-dimensional subspaces of GF(q)^n, both in enumeration order, with a 1
 exactly where the row subspace is contained in the column subspace.  Columns
 are stored as sorted tuples of row indices (each column has only
 gaussian_binomial(k,t,q) ones), which is what the kernel searches want.
+
+wilson_matrix builds no Subspace: it walks both layers in the packed blocks
+of grassmann._layer_blocks, computes the multiples of a block's listed rows
+once for all its columns, and lists each column's t-subspaces with
+_local_choices, the row loop of _packed_subspaces_of.
 """
 
 from __future__ import annotations
@@ -16,7 +21,10 @@ from typing import Sequence
 from .fields import Field, field
 from .grassmann import (
     Subspace,
-    _packed_subspaces_of,
+    _lanes,
+    _layer_blocks,
+    _local_choices,
+    _pivot_layout,
     enumerate_subspaces,
     gaussian_binomial,
 )
@@ -55,18 +63,23 @@ def wilson_matrix(q: int, n: int, t: int, k: int) -> IncidenceMatrix:
     """The 0/1 containment matrix between J_q(n,t) rows and J_q(n,k) columns."""
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
-    f = field(q)
-    ordinal = {y.vecs: i for i, y in enumerate(enumerate_subspaces(f, n, t))}
-    cols = tuple(
-        tuple(sorted([
-            ordinal[y]
-            for _, choices in _packed_subspaces_of(x, t)
-            for y in itertools.product(*choices)
-        ]))
-        for x in enumerate_subspaces(f, n, k)
-    )
+    lanes = _lanes(q, n)
+    ordinal = {}
+    for _, choices in _layer_blocks(lanes, t):
+        ordinal.update(zip(itertools.product(*choices), itertools.count(len(ordinal))))
+    rank, multiples, add = ordinal.__getitem__, lanes.multiples, lanes.add
+    layout, cols = _pivot_layout(q, k, t)[0], []
+    for _, choices in _layer_blocks(lanes, k):
+        # every column of the block takes its rows from these lists
+        mult = {v: multiples(v) for row in choices for v in row}
+        for vecs in itertools.product(*choices):
+            cols.append(tuple(sorted([
+                i
+                for rows in _local_choices(vecs, [mult[v] for v in vecs], layout, add)
+                for i in map(rank, itertools.product(*rows))
+            ])))
     return IncidenceMatrix(
-        q=q, n=n, t=t, k=k, rows=len(ordinal), cols=len(cols), col_rows=cols
+        q=q, n=n, t=t, k=k, rows=len(ordinal), cols=len(cols), col_rows=tuple(cols)
     )
 
 

@@ -198,6 +198,8 @@ def _pack(entries: Iterable[Sequence[int]], w: int) -> list[int]:
 
 
 def _unpack(v: int, nc: int, w: int) -> tuple[int, ...]:
+    if w == 8:
+        return tuple(v.to_bytes(nc, "big"))
     # a marker bit above the top lane keeps the leading zeros, and nc = 0
     text = format(v | 1 << nc * w, "b" if w == 1 else "x")[1:]
     if w <= 4:

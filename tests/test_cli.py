@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,27 @@ def test_wilson_json_embeds_matrix_without_out(capsys):
     assert (payload["rows"], payload["cols"]) == (13, 13)
     m = read_matrix(payload["matrix"])
     assert m.q == 3 and m.cols == 13
+
+
+def test_wilson_over_the_budget_is_refused_before_it_is_built(capsys, monkeypatch):
+    # [12,6]_2 [6,5]_2 = 14532486773805 nonzeros, against default_budget(2)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "wilson", "--q", "2", "--n", "12", "--t", "5", "--k", "6"
+    )
+    assert time.perf_counter() - start < 1.0
+    _assert_refused(code, out, err)
+    assert err == (
+        "error: wilson matrix would have 14532486773805 nonzeros, budget is 4194304\n"
+    )
+    # W_{1,2} of GF(2)^3 has 21 nonzeros
+    argv = ["wilson", "--q", "2", "--n", "3", "--t", "1", "--k", "2"]
+    monkeypatch.setenv("QNULL_BUDGET", "20")
+    code, out, err = run(capsys, *argv)
+    _assert_refused(code, out, err)
+    assert "21 nonzeros, budget is 20" in err
+    monkeypatch.setenv("QNULL_BUDGET", "21")
+    assert run(capsys, *argv)[0] == 0
 
 
 @pytest.mark.parametrize(

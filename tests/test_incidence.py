@@ -1,5 +1,6 @@
 import pytest
 
+from qnull import grassmann
 from qnull.fields import field
 from qnull.grassmann import (
     contains,
@@ -15,9 +16,21 @@ from qnull.incidence import (
 )
 
 
+# every lane layout (one bit, odd p, extension fields) at every layer pair of
+# the small spaces, so t = 0, t = k and k = n among them
+EVERY_LAYOUT = [
+    (q, n, t, k)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for n in range(5 if q <= 3 else 4)
+    for k in range(n + 1)
+    for t in range(k + 1)
+]
+
+
 @pytest.mark.parametrize(
     "q,n,t,k",
-    [(2, 4, 1, 2), (2, 5, 1, 3), (3, 3, 1, 2), (4, 3, 1, 2), (2, 4, 0, 2)],
+    [(2, 4, 1, 2), (2, 5, 1, 3), (3, 3, 1, 2), (4, 3, 1, 2), (2, 4, 0, 2)]
+    + EVERY_LAYOUT,
 )
 def test_shape_and_entries_match_containment(q, n, t, k):
     m = wilson_matrix(q, n, t, k)
@@ -31,6 +44,19 @@ def test_shape_and_entries_match_containment(q, n, t, k):
         assert m.col_rows[j] == tuple(
             i for i, y in enumerate(rows) if contains(x, y)
         )
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5])
+def test_matrix_is_the_same_in_capped_blocks(monkeypatch, cap):
+    # the row multiples are shared per block of the column layer, so smaller
+    # blocks must give the same columns
+    for q, n, t, k in ((2, 5, 1, 2), (2, 5, 2, 3), (3, 4, 1, 2), (4, 3, 1, 2),
+                       (5, 3, 0, 2), (2, 4, 2, 4)):
+        want = wilson_matrix(q, n, t, k)
+        monkeypatch.setattr(grassmann, "_STREAM_CAP", cap)
+        got = wilson_matrix(q, n, t, k)
+        monkeypatch.undo()
+        assert got == want, (q, n, t, k)
 
 
 def test_column_and_row_sums():
