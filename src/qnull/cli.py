@@ -5,9 +5,9 @@ readers and searches raise ValueError on what they cannot serve.  The checks
 here cover only what the library would take without complaint, such as
 `enumerate --k` outside [0, n], which would list nothing.  A search's budget
 is `--budget`, else QNULL_BUDGET, else the library default, default_budget(p)
-for `minweight` and default_budget(2) for `minsupport`.  `wilson` counts the
-nonzeros first and refuses a matrix with more than QNULL_BUDGET, else
-default_budget(2).
+for `minweight` and default_budget(2) for `minsupport`.  `wilson`,
+`construct`, `verify` and `strength` count their nonzeros or listed
+subspaces first and refuse more than QNULL_BUDGET, else default_budget(2).
 
 Exit codes: 0 on success, 1 when a verification or reproduction check fails,
 2 on usage errors (bad parameters, unreadable, unwritable or malformed files,
@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import Optional
 
 from .designs import (
@@ -108,6 +109,19 @@ def _budget_from(args) -> Optional[int]:
     return _at_least_one("budget", budget)
 
 
+def _within_budget(args, count: int, what: str) -> None:
+    """Refuse count units of work, `what` with {} for the count, above budget."""
+    budget = _budget_from(args) or default_budget(2)
+    if count > budget:
+        raise ValueError(f"{what.format(count)}, budget is {budget}")
+
+
+def _scatter_count(design: NullDesign, ts) -> int:
+    """The t-subspaces verify_strength lists, summed over its support and ts."""
+    dims, q = Counter(x.k for x in design.support), design.field.q
+    return sum(m * gaussian_binomial(k, t, q) for k, m in dims.items() for t in ts)
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -135,11 +149,7 @@ def _cmd_wilson(args) -> int:
     field(q)  # a bad q is refused before it is counted
     if 0 <= t <= k <= n <= Field.MAX_DIMENSION:  # else wilson_matrix refuses
         nnz = gaussian_binomial(n, k, q) * gaussian_binomial(k, t, q)
-        budget = _budget_from(args) or default_budget(2)
-        if nnz > budget:
-            raise ValueError(
-                f"wilson matrix would have {nnz} nonzeros, budget is {budget}"
-            )
+        _within_budget(args, nnz, "wilson matrix would have {} nonzeros")
     m = wilson_matrix(q, n, t, k)
     nnz = sum(len(col) for col in m.col_rows)
     payload = {"q": q, "n": n, "t": t, "k": k, "rows": m.rows, "cols": m.cols,
@@ -150,17 +160,22 @@ def _cmd_wilson(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    q, n, t, k = args.q, args.n, args.t, args.k
+    field(q)  # a bad q is refused before it is counted
+    what = f"{args.kind} design would have {{}} nonzeros"
     if args.kind == "lb":
         # the lb design has no k, but a k that is given must still fit
-        if args.k is not None and not 0 <= args.t <= args.k <= args.n:
-            raise ValueError(
-                f"need 0 <= t <= k <= n, got t={args.t}, k={args.k}, n={args.n}"
-            )
-        design = construct_lb_design(args.q, args.n, args.t, r=args.r)
+        if k is not None and not 0 <= t <= k <= n:
+            raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
+        if 0 <= t < n <= Field.MAX_DIMENSION:  # else the constructor refuses
+            _within_budget(args, 1 + gaussian_binomial(t + 1, t, q), what)
+        design = construct_lb_design(q, n, t, r=args.r)
     else:
-        if args.k is None:
+        if k is None:
             raise ValueError("--k is required for --kind uniform")
-        design = construct_uniform_design(args.q, args.n, args.k, args.t)
+        if 0 <= t < k < n <= Field.MAX_DIMENSION:
+            _within_budget(args, q ** (t + 1), what)
+        design = construct_uniform_design(q, n, k, t)
         if args.r is not None and args.r != design.r:
             design = as_modulus(design, args.r)
     payload = {
@@ -191,6 +206,8 @@ def _cmd_verify(args) -> int:
     t = args.t if args.t is not None else design.t_claimed
     if args.r is not None and args.r != design.r:
         design = as_modulus(design, args.r)
+    count = _scatter_count(design, [t])
+    _within_budget(args, count, f"verifying strength {t} would list {{}} subspaces")
     verdict = verify_strength(design, t)
     f, n = design.field, design.n
     violations = [
@@ -222,6 +239,10 @@ def _cmd_verify(args) -> int:
 def _cmd_strength(args) -> int:
     design = _load_design(args.design)
     t_max = args.t_max if args.t_max is not None else design.n
+    # strength_of tries t = 0, 1, ... up to t_max and the least support dimension
+    top = min([t_max, *(x.k for x in design.support)])
+    count = _scatter_count(design, range(top + 1))
+    _within_budget(args, count, "the strength scan would list {} subspaces")
     s = strength_of(design, t_max)
     payload = {
         "design": args.design,

@@ -9,11 +9,18 @@ Two verifiers are provided on purpose.  Within one pivot set of the t-layer
 each basis row of y ranges over its own list of packed row choices
 (grassmann._packed_subspaces_of).  verify_strength counts the products of
 the lists built from each support element's rows.  verify_strength_direct
-builds the lists of the whole space and tests each row choice once against
-each support element covering the pivots, so it never lists an element's
-subspaces; tests hold the two equal.  Both name a violation as a row of
-W_{t,k} c = 0 with its nonzero sum: the row is y's ordinal in its layer (see
-Verdict), so neither builds a Subspace.
+reads the cached lists of the whole space (grassmann._ambient_layer) and
+tests each row choice once against each support element covering the pivots,
+so it never lists an element's subspaces; tests hold the two equal.  Both
+name a violation as a row of W_{t,k} c = 0 with its nonzero sum: the row is
+y's ordinal in its layer (see Verdict), so neither builds a Subspace.
+
+A design keeps its last verify_strength counts, with their t, in a private
+slot, and as_modulus(design, r) hands the slot on when r divides design.r:
+counts keyed by coefficients mod design.r give every sum mod r, as
+sum c*m = sum (c mod r)*m (mod r).  So a design mod q is checked mod p with
+one pass over its counts.  The slot's tuple is replaced, never changed, so
+neither design sees the other's later counts.
 
 construct_uniform_design does not search: the support elements are the
 kernels of the functionals solved for in the chain's top space, read off its
@@ -23,7 +30,6 @@ basis (see the function).
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -33,12 +39,12 @@ from typing import Mapping, Optional
 from .fields import Field, field
 from .grassmann import (
     Subspace,
+    _ambient_layer,
     _coordinates,
     _hyperplanes,
     _lanes,
     _ordinal,
     _packed_subspaces_of,
-    _pivot_layout,
     _reducer,
     canonicalize,
     contains,
@@ -72,7 +78,7 @@ __all__ = [
 class NullDesign:
     """Immutable finitely-supported coefficient map on subspaces of dim >= t_claimed."""
 
-    __slots__ = ("field", "n", "r", "t_claimed", "support", "_sorted")
+    __slots__ = ("field", "n", "r", "t_claimed", "support", "_sorted", "_scatter")
 
     def __init__(
         self,
@@ -104,6 +110,7 @@ class NullDesign:
         self.t_claimed = t_claimed
         self.support = MappingProxyType(cleaned)
         self._sorted = None
+        self._scatter = (None, None)  # (t, counts) of the last verify_strength
 
     def items_sorted(self) -> list[tuple[Subspace, int]]:
         """Support items ordered by (dimension, enumeration ordinal)."""
@@ -180,12 +187,17 @@ def verify_strength(design: NullDesign, t: int) -> Verdict:
     Scatter formulation: only y below some support element can have a nonzero
     sum.  The packed bases of the elements' t-subspaces are counted per pivot
     set and coefficient, and only nonzero cells get an ordinal (see Verdict).
+    The counts stay on the design until it is verified at another t.
     """
     _check_domain(design, t)
-    groups = defaultdict(lambda: defaultdict(Counter))  # pivots -> c -> counts
-    for x, c in design.support.items():
-        for pivots, choices in _packed_subspaces_of(x, t):
-            groups[pivots][c].update(itertools.product(*choices))
+    if design._scatter[0] != t:
+        design._scatter = (None, None)  # free the old counts before counting anew
+        groups = defaultdict(lambda: defaultdict(Counter))  # pivots -> c -> counts
+        for x, c in design.support.items():
+            for pivots, choices in _packed_subspaces_of(x, t):
+                groups[pivots][c].update(itertools.product(*choices))
+        design._scatter = (t, groups)
+    groups = design._scatter[1]
     lanes, r = _lanes(design.field.q, design.n), design.r
     violations = tuple(sorted(
         (_ordinal(lanes, key, pivots), v)
@@ -208,15 +220,13 @@ def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
     _check_domain(design, t)
     lanes, r = _lanes(design.field.q, design.n), design.r
     add, mask = lanes.add, lanes.mask
-    layout = _pivot_layout(lanes.q, design.n, t)[0]
     above = [(set(x.pivots), _reducer(x), c) for x, c in design.support.items()]
     counts = defaultdict(Counter)  # c -> ordinals
-    for pivots, choices in _packed_subspaces_of(lanes.whole, t):
+    for pivots, choices, weights, offset in _ambient_layer(lanes.q, design.n, t):
         below = [(red, c) for xp, red, c in above if xp.issuperset(pivots)]
         if not below:
             continue
-        weights = [math.prod(map(len, choices[i + 1:])) for i in range(len(choices))]
-        offsets = itertools.repeat(layout[pivots][1])
+        offsets = itertools.repeat(offset)
         for red, c in below:
             hits = []
             for row, weight in zip(choices, weights):
@@ -373,10 +383,12 @@ def _functionals(
 
 
 def as_modulus(design: NullDesign, r: int) -> NullDesign:
-    """Reinterpret the coefficients mod a different power of p (zeros drop)."""
-    return NullDesign(
-        design.field, design.n, r, design.t_claimed, dict(design.support)
-    )
+    """Reinterpret the coefficients mod a different power of p (zeros drop);
+    a divisor r of design.r shares design's scatter counts (module docstring)."""
+    out = NullDesign(design.field, design.n, r, design.t_claimed, dict(design.support))
+    if design.r % r == 0:
+        out._scatter = design._scatter
+    return out
 
 
 def make_random_chain(

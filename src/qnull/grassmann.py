@@ -31,6 +31,7 @@ of the blocks of _layer_blocks, with row multiples computed once per block.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from collections import Counter
@@ -391,6 +392,17 @@ def _packed_subspaces_of(x: Subspace, d: int):
     lists = _local_choices(x.vecs, _multiples(x), layout, add)
     for local, choices in zip(layout, lists):
         yield tuple(map(xp.__getitem__, local)), choices
+
+
+@lru_cache(maxsize=16)
+def _ambient_layer(q: int, n: int, d: int) -> tuple:
+    """Per pivot set of the d-layer of GF(q)^n, in order: its pivots, the rows'
+    lists of choices, each row's mixed-radix weight and the set's offset."""
+    layout, out = _pivot_layout(q, n, d)[0], []
+    for pivots, rows in _packed_subspaces_of(_lanes(q, n).whole, d):
+        weights = [math.prod(map(len, rows[i + 1:])) for i in range(d)]
+        out.append((pivots, rows, weights, layout[pivots][1]))
+    return tuple(out)
 
 
 def _local_choices(vecs, mults, layout, add) -> list:

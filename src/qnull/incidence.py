@@ -94,11 +94,10 @@ def apply_check(m: IncidenceMatrix, c: Sequence[int], r: int) -> list[int]:
     if not f.is_modulus(r):
         raise ValueError(f"modulus {r} is not a power of {f.p} with r <= {m.q}")
     out = [0] * m.rows
-    for j, cj in enumerate(c):
-        if cj % r:
-            v = cj % r
-            for i in m.col_rows[j]:
-                out[i] = (out[i] + v) % r
+    for rows, cj in zip(itertools.compress(m.col_rows, c), filter(None, c)):
+        v = cj % r
+        for i in rows:
+            out[i] = (out[i] + v) % r
     return out
 
 
@@ -107,12 +106,13 @@ def apply_check(m: IncidenceMatrix, c: Sequence[int], r: int) -> list[int]:
 # sorted row-major.
 
 def write_matrix(m: IncidenceMatrix) -> str:
-    pairs = sorted(
-        (i, j) for j, col in enumerate(m.col_rows) for i in col
+    by_row = [[] for _ in range(m.rows)]  # each row's columns, ascending
+    for j, col in enumerate(m.col_rows):
+        for i in col:
+            by_row[i].append(j)
+    return f"{m.q} {m.n} {m.t} {m.k} {m.rows} {m.cols}\n" + "".join(
+        "".join(map(f"{i} {{}}\n".format, cols)) for i, cols in enumerate(by_row)
     )
-    lines = [f"{m.q} {m.n} {m.t} {m.k} {m.rows} {m.cols}"]
-    lines.extend(f"{i} {j}" for i, j in pairs)
-    return "\n".join(lines) + "\n"
 
 
 def read_matrix(text: str) -> IncidenceMatrix:

@@ -52,6 +52,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from struct import pack, unpack
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .fields import _is_prime, lane_adder
@@ -193,8 +194,15 @@ def _pack(entries: Iterable[Sequence[int]], w: int) -> list[int]:
         return [int(b"0" + bytes(row).translate(_TO_DIGIT), 1 << w) for row in entries]
     if w == 8:
         return [int.from_bytes(bytes(row), "big") for row in entries]
-    lane = f"%0{w // 4}x"
-    return [int("0" + "".join(map(lane.__mod__, row)), 16) for row in entries]
+    d = w // 4
+    if d > 16:  # wider than struct's 64-bit lanes
+        lane = f"%0{d}x"
+        return [int("0" + "".join(map(lane.__mod__, row)), 16) for row in entries]
+    # a row as struct's big-endian 64-bit lanes, 16 hex digits each
+    return [
+        int(b"0" + _regroup(pack(f">{len(row)}Q", *row).hex().encode(), 16, d), 16)
+        for row in entries
+    ]
 
 
 def _unpack(v: int, nc: int, w: int) -> tuple[int, ...]:
@@ -205,7 +213,17 @@ def _unpack(v: int, nc: int, w: int) -> tuple[int, ...]:
     if w <= 4:
         return tuple(text.encode().translate(_FROM_DIGIT))
     d = w // 4
-    return tuple(int(text[i : i + d], 16) for i in range(0, len(text), d))
+    if d > 16:
+        return tuple(int(text[i : i + d], 16) for i in range(0, len(text), d))
+    return unpack(f">{nc}Q", bytes.fromhex(_regroup(text.encode(), d, 16).decode()))
+
+
+def _regroup(digits: bytes, a: int, b: int) -> bytearray:
+    """Hex digits in groups of a as groups of b, cut or zero-filled on the left."""
+    out = bytearray(b"0" * (len(digits) // a * b))
+    for i in range(1, min(a, b) + 1):
+        out[b - i :: b] = digits[a - i :: a]
+    return out
 
 
 def _reduce(basis: dict[int, int], v: int) -> int:

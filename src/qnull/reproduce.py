@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress, count
 from typing import Callable, Optional
 
 from .designs import (
@@ -243,8 +244,10 @@ def _check_oracle_cell(q: int, n: int) -> Optional[str]:
             col_subs = m.col_subspaces()
             for _ in range(100):
                 c = _random_sparse_vector(m.cols, p, rng)
-                got = tuple((i, v) for i, v in enumerate(apply_check(m, c, p)) if v)
-                support = {col_subs[j]: v for j, v in enumerate(c) if v % p}
+                sums = apply_check(m, c, p)
+                got = tuple(zip(compress(count(), sums), filter(None, sums)))
+                # c's entries are drawn in [0, p)
+                support = dict(zip(compress(col_subs, c), filter(None, c)))
                 design = NullDesign(f, n, p, 0, support)
                 direct = verify_strength_direct(design, t)
                 if got != direct.violations:

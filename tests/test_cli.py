@@ -249,6 +249,72 @@ def test_strength_rejects_t_max_outside_0_to_n(tmp_path, capsys, design, t_max):
     assert code == 2 and out == "" and "t_max" in err
 
 
+def _whole_space_design(tmp_path, n):
+    """One element, GF(2)^n itself: a short file whose t-layers are huge."""
+    rows = ";".join("0" * i + "1" + "0" * (n - 1 - i) for i in range(n))
+    path = tmp_path / "whole.txt"
+    path.write_text(f"2 {n} 2 0\n{n}|{rows}|1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # q^(t+1) = 2^24
+        ("construct --kind uniform --q 2 --n 30 --t 23 --k 25",
+         "uniform design would have 16777216 nonzeros"),
+        # 1 + [23, 22]_2 = 2^23
+        ("construct --kind lb --q 2 --n 30 --t 22",
+         "lb design would have 8388608 nonzeros"),
+        # [24, 12]_2
+        ("verify --t 12 --design {}",
+         "verifying strength 12 would list "
+         "77184136346814161837268404381760884963259795 subspaces"),
+        # [24, 0]_2 + ... + [24, 24]_2
+        ("strength --design {}",
+         "the strength scan would list "
+         "164304968783681312159419977026505787771908319 subspaces"),
+    ],
+)
+def test_large_designs_are_refused_before_any_work(tmp_path, capsys, argv, err):
+    argv = argv.format(_whole_space_design(tmp_path, 24)).split()
+    start = time.perf_counter()
+    code, out, got = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    _assert_refused(code, out, got)
+    assert got == f"error: {err}, budget is 4194304\n"
+
+
+@pytest.mark.parametrize(
+    "argv, count, what",
+    [
+        # 1 + [2, 1]_2
+        ("construct --kind lb --q 2 --n 3 --t 1", 4,
+         "lb design would have {} nonzeros"),
+        # 2^2
+        ("construct --kind uniform --q 2 --n 3 --t 1 --k 2", 4,
+         "uniform design would have {} nonzeros"),
+        # [2, 1]_2 + 3 [1, 1]_2
+        ("verify --design {}", 6, "verifying strength 1 would list {} subspaces"),
+        # t = 0 adds 1 + 3
+        ("strength --design {}", 10, "the strength scan would list {} subspaces"),
+    ],
+)
+def test_design_budget_boundary_through_the_environment(
+    tmp_path, capsys, monkeypatch, argv, count, what
+):
+    path = tmp_path / "lb.txt"
+    run(capsys, "construct", "--kind", "lb", "--q", "2", "--n", "3", "--t", "1",
+        "--out", str(path))
+    argv = argv.format(path).split()
+    monkeypatch.setenv("QNULL_BUDGET", str(count - 1))
+    code, out, err = run(capsys, *argv)
+    _assert_refused(code, out, err)
+    assert err == f"error: {what.format(count)}, budget is {count - 1}\n"
+    monkeypatch.setenv("QNULL_BUDGET", str(count))
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_verify_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--design", "/nonexistent/d.txt")
     assert code == 2 and "cannot read" in err

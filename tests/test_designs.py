@@ -426,6 +426,104 @@ def test_as_modulus_reduction():
     assert as_modulus(even, 2).is_void()
 
 
+# -- scatter counts shared across moduli ------------------------------------
+
+
+def _mixed_design(q, n, seed):
+    """A design mod q over GF(q)^n with coefficients across [1, q), multiples
+    of p among them, on support dims 1 to n."""
+    rng, f = random.Random(seed), field(q)
+    support = {}
+    for _ in range(8):
+        d = rng.randint(1, n)
+        x = from_index(f, n, d, rng.randrange(gaussian_binomial(n, d, q)))
+        support[x] = rng.randrange(1, q)
+    support[from_index(f, n, 2, 0)] = f.p  # 0 mod p
+    return NullDesign(f, n, q, 0, support)
+
+
+def _fresh(design, r):
+    """The design mod r through the file format, so it shares no counts."""
+    return as_modulus(read_design(write_design(design)), r)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_coarser_modulus_reuses_the_counts_with_the_fresh_verdict(q, seed):
+    d = _mixed_design(q, 3, seed)
+    low = min(x.k for x in d.support)
+    divisors = [r for r in range(2, q) if q % r == 0 and field(q).is_modulus(r)]
+    failed = 0
+    for t in range(low + 1):
+        verify_strength(d, t)
+        for r in divisors:
+            child = as_modulus(d, r)
+            assert child._scatter is d._scatter
+            got = verify_strength(child, t)
+            assert got == verify_strength(_fresh(d, r), t)
+            failed += not got.ok
+    assert failed  # the shared counts carried real violations
+
+
+def test_counts_survive_the_order_traps():
+    d = _mixed_design(9, 3, 5)
+    # the child verified at t before the parent, then the parent
+    child = as_modulus(d, 3)
+    assert verify_strength(child, 1) == verify_strength(_fresh(d, 3), 1)
+    assert verify_strength(d, 1) == verify_strength(_fresh(d, 9), 1)
+    # the parent at t, then the child at t' != t, then the parent at t'
+    for t, t2 in ((0, 1), (1, 0)):
+        verify_strength(d, t)
+        child = as_modulus(d, 3)
+        assert verify_strength(child, t2) == verify_strength(_fresh(d, 3), t2)
+        assert verify_strength(d, t2) == verify_strength(_fresh(d, 9), t2)
+        assert verify_strength(child, t) == verify_strength(_fresh(d, 3), t)
+    # a scan over t leaves the counts of its last t behind
+    u = construct_uniform_design(9, 4, 2, 1)
+    assert strength_of(u, 4) == 1
+    assert strength_of(as_modulus(u, 3), 4) == strength_of(_fresh(u, 3), 4) == 1
+    assert strength_of(d, 3) == strength_of(_fresh(d, 9), 3)
+    assert strength_of(as_modulus(d, 3), 3) == strength_of(_fresh(d, 3), 3)
+
+
+def test_a_finer_modulus_gets_no_counts():
+    d = as_modulus(_mixed_design(4, 3, 7), 2)
+    verify_strength(d, 1)
+    wide = as_modulus(d, 4)
+    assert d._scatter[0] == 1 and wide._scatter == (None, None)
+    assert verify_strength(wide, 1) == verify_strength(_fresh(d, 4), 1)
+
+
+def test_direct_verifier_with_ambient_keys_interleaved():
+    """More (q, n, t) keys than the ambient table cache holds, in a shuffled
+    order, twice: each verdict equals the scatter's and the per-y sums."""
+    designs._ambient_layer.cache_clear()
+    cases = [
+        (q, n, t) for q, n_max in ((2, 4), (3, 3), (4, 3)) for n in range(1, n_max + 1)
+        for t in range(n + 1)
+    ]
+    assert len(cases) > 16
+    rng = random.Random(15)
+    order = cases * 2
+    rng.shuffle(order)
+    for q, n, t in order:
+        f = field(q)
+        support = {}
+        for _ in range(3):
+            d = rng.randint(t, n)
+            support[from_index(f, n, d, rng.randrange(gaussian_binomial(n, d, q)))] = (
+                rng.randrange(1, q)
+            )
+        design = NullDesign(f, n, q, t, support)
+        want = tuple(
+            (i, v)
+            for i, y in enumerate(enumerate_subspaces(f, n, t))
+            if (v := sum_over_superspaces(design, y))
+        )
+        assert verify_strength_direct(design, t).violations == want
+        assert verify_strength(design, t).violations == want
+
+
 # -- file round trip ----------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qnull import grassmann
@@ -110,6 +112,28 @@ def test_apply_check_is_matrix_vector_product():
         assert got == want
 
 
+def _apply_check_every_column(m, c, r):
+    """W c mod r, visiting every column."""
+    out = [0] * m.rows
+    for j, cj in enumerate(c):
+        if cj % r:
+            for i in m.col_rows[j]:
+                out[i] = (out[i] + cj % r) % r
+    return out
+
+
+@pytest.mark.parametrize(
+    "q,n,t,k", [(2, 4, 1, 2), (4, 3, 1, 2), (8, 3, 0, 2), (9, 3, 1, 3)]
+)
+def test_apply_check_on_dense_vectors_with_negative_and_large_entries(q, n, t, k):
+    m = wilson_matrix(q, n, t, k)
+    rng = random.Random(q * 100 + n)
+    for r in (r for r in (2, 3, 4, 8, 9) if field(q).is_modulus(r)):
+        for _ in range(5):
+            c = [rng.randint(-3 * r, 3 * r) for _ in range(m.cols)]
+            assert apply_check(m, c, r) == _apply_check_every_column(m, c, r)
+
+
 def test_apply_check_validation():
     m = wilson_matrix(3, 3, 1, 2)
     ok = [1] * m.cols
@@ -134,6 +158,16 @@ def test_write_read_round_trip():
     assert back.dense() == m.dense()
     head = text.splitlines()[0].split()
     assert head == ["2", "4", "1", "2", "15", "35"]
+
+
+@pytest.mark.parametrize(
+    "q,n,t,k", [(2, 4, 0, 2), (3, 3, 2, 2), (2, 4, 1, 4), (4, 3, 0, 3)]
+)
+def test_write_matrix_lists_the_nonzeros_row_major(q, n, t, k):
+    m = wilson_matrix(q, n, t, k)
+    pairs = sorted((i, j) for j, col in enumerate(m.col_rows) for i in col)
+    lines = [f"{q} {n} {t} {k} {m.rows} {m.cols}"] + [f"{i} {j}" for i, j in pairs]
+    assert write_matrix(m) == "\n".join(lines) + "\n"
 
 
 def test_read_matrix_rejects_malformed_input():
