@@ -354,7 +354,7 @@ def _cmd_minsupport(args) -> int:
     m = _load_matrix(args.matrix)
     _at_least_one("cap", args.cap)
     budget = _budget_from(args)
-    rep = min_support_kernel_rational(m.dense(), cap=args.cap, budget=budget)
+    rep = min_support_kernel_rational(GfpMatrix.from_incidence(m, 2), args.cap, budget)
     payload = _report_payload(rep)
     payload["matrix"] = args.matrix
     human = _report_human(rep, None)

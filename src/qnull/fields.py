@@ -32,15 +32,32 @@ _MODULI: dict[int, tuple[int, ...]] = {
 }
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    """Exact primality of m, refused with ValueError at _MR_LIMIT and above."""
+    if m >= _MR_LIMIT:
+        raise ValueError(f"{m} is too large: primality is decided below {_MR_LIMIT}")
+    if m < 2 or any(m % a == 0 for a in _MR_BASES):
+        return m in _MR_BASES
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1:
+            continue
+        for _ in range(s):  # m passes if some x^(2^r) with r < s is -1
+            if x == m - 1:
+                break
+            x = x * x % m
+        else:  # a witnesses that m is composite
             return False
-        d += 1
     return True
 
 
@@ -48,19 +65,11 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, s) with q = p^s and p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    s = 0
-    m = q
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least factor is prime
+    s, m = 0, q
     while m % p == 0:
-        m //= p
-        s += 1
-    if m != 1 or not _is_prime(p):
+        m, s = m // p, s + 1
+    if m != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, s
 
@@ -201,20 +210,9 @@ class Field:
                 [_poly_mul_mod(a, b, p, s, self.modulus) for b in range(q)]
                 for a in range(q)
             ]
-        self._neg = [0] * q
-        for a in range(q):
-            for b in range(q):
-                if self._add[a][b] == 0:
-                    self._neg[a] = b
-                    break
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-            else:
-                raise ValueError(f"element {a} has no inverse in GF({q})")
+        # q is prime or its modulus irreducible: each nonzero has an inverse
+        self._neg = [row.index(0) for row in self._add]
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     # -- arithmetic on int codes ------------------------------------------
 

@@ -3,10 +3,10 @@
 A GfpMatrix stores each row packed, as one int with column j at bit nc-1-j
 over GF(2) and at w-bit lane nc-1-j over odd p; from_incidence writes these
 ints from the columns, and the tuple entries is decoded only when read.  The
-two elimination cores take and give packed rows, so rref_gfp (so also the
-kernels and witnesses) neither packs nor decodes.  Over GF(2) _xor_basis,
-also used by the all-ones test and the rational prefilter, is the forward
-pass to an echelon basis keyed by leading bit.  Over odd p rows are added
+two elimination cores take and give packed rows, so rref_gfp and the kernels
+neither pack nor decode.  Over GF(2) _xor_basis, also used by the all-ones
+test and the rational prefilter, is the forward pass to an echelon basis
+keyed by leading bit.  Over odd p rows are added
 lane-wise by fields.lane_adder, and the forward pass _lane_basis keys its
 basis by leading lane.  Both back-substitute in descending column order to
 the unique RREF.
@@ -39,9 +39,11 @@ GF(p):
   skipped; over other primes a leaf gets a mod-p rank test.  The search
   counts its nodes against the same budget and refuses past it.
 
-Minimum rational support runs the same search with a GF(2) prefilter at the
-leaves: a rational dependency among 0/1 columns survives reduction mod 2, so
-only subsets that are GF(2)-deficient get the exact rank test.
+Minimum rational support runs the same search on a 0/1 matrix held over
+GF(2), with a GF(2) prefilter at the leaves: a rational dependency among 0/1
+columns survives reduction mod 2, so only subsets that are GF(2)-deficient
+get the exact rank test.  Both searches read the column view _columns and
+never decode entries; leaf tests and witnesses read only the chosen columns.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class GfpMatrix:
     """A matrix over GF(p), stored as the packed rows the elimination cores use:
     row i is one int with column j at lane cols-1-j of w = _lane_width(p) bits.
     entries, the rows as tuples, is decoded when first read and then cached.
-    GfpMatrix(p, entries) refuses an entry outside [0, p); from_rows reduces.
+    GfpMatrix(p, entries) refuses an entry outside [0, p).
     """
 
     p: int
@@ -127,10 +129,6 @@ class GfpMatrix:
 
     def __repr__(self) -> str:
         return f"GfpMatrix(p={self.p!r}, entries={self.entries!r})"
-
-    @classmethod
-    def from_rows(cls, p: int, rows: Sequence[Sequence[int]]) -> "GfpMatrix":
-        return cls(p, [[v % p for v in row] for row in rows])
 
     @classmethod
     def from_incidence(cls, m, p: int) -> "GfpMatrix":
@@ -386,34 +384,62 @@ def rank_rational(entries: Sequence[Sequence[int]]) -> int:
             return rank
 
 
-# -- witness helpers --------------------------------------------------------
+# -- the column view and witnesses -----------------------------------------
+
+
+def _columns(m: GfpMatrix) -> tuple[list[int], list[int], list[int], Callable]:
+    """(masks, row_cols, lanes, on_support) of m, in one walk over the nonzero
+    lanes of its rows: where m[i][j] != 0, masks[j] has bit i, row_cols[i] bit
+    j and lanes[j] m[i][j] at lane i; on_support(S) gives S's columns over the
+    rows they touch, as row tuples (other rows are 0 there: no kernel change)."""
+    p, nc, w = m.p, m.cols, _lane_width(m.p)
+    masks, row_cols = [0] * nc, []
+    lanes = masks if p == 2 else [0] * nc
+    for i, v in enumerate(m._packed):
+        row_cols.append(0)
+        while v:
+            h = (v.bit_length() - 1) // w
+            c = v >> h * w
+            v ^= c << h * w
+            masks[nc - 1 - h] |= 1 << i
+            row_cols[i] |= 1 << nc - 1 - h
+            if p != 2:
+                lanes[nc - 1 - h] |= c << i * w
+
+    def on_support(support: Sequence[int]) -> list[tuple[int, ...]]:
+        touched = functools.reduce(operator.or_, (masks[j] for j in support), 0)
+        return [
+            tuple(lanes[j] >> i * w & (1 << w) - 1 for j in support)
+            for i in range(touched.bit_length())
+            if touched >> i & 1
+        ]
+
+    return masks, row_cols, lanes, on_support
 
 
 def _verify_kernel_vector(
-    m: GfpMatrix, support: tuple[int, ...], values: tuple[int, ...]
+    on_support: Callable, p: int, support: tuple[int, ...], values: tuple[int, ...]
 ) -> None:
-    if len(support) != len(values) or any(v % m.p == 0 for v in values):
+    """Check that values, none 0, kill the columns in support mod p (Q at p = 0)."""
+    if len(support) != len(values) or not all(v % p if p else v for v in values):
         raise InvariantError("malformed witness")
-    for row in m.entries:
-        if sum(row[j] * v for j, v in zip(support, values)) % m.p:
+    for row in on_support(support):
+        dot = sum(a * v for a, v in zip(row, values))
+        if dot % p if p else dot:
             raise InvariantError("witness is not in the kernel")
 
 
-def _witness_on_support(m: GfpMatrix, support: tuple[int, ...]) -> tuple[int, ...]:
-    """Least full-support kernel coefficient tuple on a minimal dependent set."""
-    p = m.p
-    sub = GfpMatrix(p, tuple(tuple(row[j] for j in support) for row in m.entries))
-    basis = kernel_basis_gfp(sub)
-    if not basis:
-        raise InvariantError("support set is not dependent")
-    best = None
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        vec = tuple(sum(c * x for c, x in zip(coeffs, col)) % p for col in zip(*basis))
-        if all(vec) and (best is None or vec < best):
-            best = vec
-    if best is None:
-        raise InvariantError("no full-support kernel vector on the set")
-    return best
+def _witness_on_support(
+    on_support: Callable, p: int, support: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Least full-support kernel coefficient tuple on a minimal dependent set:
+    the kernel there is one line, and its least such point leads with 1."""
+    # a set of zero columns touches no row; one zero row keeps the width
+    rows = on_support(support) or [(0,) * len(support)]
+    basis = kernel_basis_gfp(GfpMatrix(p, rows))
+    if len(basis) != 1:
+        raise InvariantError("support set is not minimally dependent")
+    return tuple(x * pow(basis[0][0], p - 2, p) % p for x in basis[0])
 
 
 # -- kernel-enumeration mode ------------------------------------------------
@@ -466,7 +492,7 @@ def _kernel_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
     if best_w is None or best_w > cap:
         return SearchReport(None, None, None, MODE_KERNEL, True, cap)
     support, values = best_key
-    _verify_kernel_vector(m, support, values)
+    _verify_kernel_vector(_columns(m)[3], p, support, values)
     return SearchReport(best_w, support, values, MODE_KERNEL, True, cap)
 
 
@@ -478,41 +504,30 @@ def _all_ones_in_row_space(m: GfpMatrix) -> bool:
     return not _reduce(_xor_basis(m._packed), (1 << m.cols) - 1)
 
 
-def _column_masks(entries: Sequence[Sequence[int]]) -> list[int]:
-    """Per column, the bitmask of rows with a nonzero entry."""
-    return [sum(1 << i for i, v in enumerate(col) if v) for col in zip(*entries)]
-
-
 def _least_dependent_set(
     masks: Sequence[int],
+    row_cols: Sequence[int],
     stages: Iterable[int],
-    parity: bool,
     dependent: Optional[Callable[[list[int]], bool]],
     budget: int,
 ) -> Optional[tuple[int, ...]]:
     """Lex-least column set of the first stage size w that has one, or None.
 
-    masks[j] is the set of rows where column j is nonzero.  At stage w every
-    smaller set is independent, so a dependent w-set S is minimal and carries
-    a kernel vector with full support on S: every row S touches is touched at
-    least twice, and over GF(2) (parity=True) an even number of times.  The
+    masks[j] is the set of rows where column j is nonzero, row_cols[i] the
+    set of columns where row i is.  At stage w every smaller set is
+    independent, so a dependent w-set S is minimal and carries a kernel
+    vector with full support on S: every row S touches is touched at least
+    twice, and over GF(2) (dependent None) an even number of times.  The
     depth-first search keeps the "open" rows that break this (touched once,
-    or an odd number of times under parity), always branches on the lowest
+    or an odd number of times over GF(2)), always branches on the lowest
     open row over the columns that cover it, and bans the columns tried in
     earlier sibling branches, so each set is reached once.  A node is pruned
     when its open rows outnumber what the columns still to come can cover.
-    A leaf with no open row is a hit under parity; otherwise dependent(set)
+    A leaf with no open row is a hit over GF(2); otherwise dependent(set)
     decides.  The least column a runs in ascending order and the search
     returns the least hit of the first a that has one.  More than budget
     nodes raise BudgetExceededError.
     """
-    nrows = max((mk.bit_length() for mk in masks), default=0)
-    row_cols = [0] * nrows
-    for j, mk in enumerate(masks):
-        while mk:
-            low = mk & -mk
-            row_cols[low.bit_length() - 1] |= 1 << j
-            mk ^= low
     maxdeg = max((mk.bit_count() for mk in masks), default=0)
     every = (1 << len(masks)) - 1
     chosen: list[int] = []
@@ -530,7 +545,7 @@ def _least_dependent_set(
             )
         chosen.append(c)
         mk = masks[c]
-        if parity:
+        if dependent is None:
             once ^= mk
         else:
             once, multi = (once ^ mk) & ~multi, multi | (once & mk)
@@ -558,29 +573,24 @@ def _least_dependent_set(
 
 def _support_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
     p = m.p
-    top = min(cap, m.cols)
-    if p == 2:
-        # <all-ones, x> = weight of x mod 2, so if the all-ones row is in the
-        # row space every kernel word has even weight
-        even = _all_ones_in_row_space(m)
-        stages = [w for w in range(1, top + 1) if not (even and w % 2)]
-        dependent = None
-    else:
-        stages = range(1, top + 1)
+    masks, row_cols, lanes, on_support = _columns(m)
+    # <all-ones, x> = weight of x mod 2, so if the all-ones row is in the row
+    # space every kernel word has even weight
+    step = 2 if p == 2 and _all_ones_in_row_space(m) else 1
+    stages = range(step, min(cap, m.cols) + 1, step)
+    dependent = None
+    if p != 2:
         lw = _lane_width(p)
-        cols = _pack(zip(*m.entries), lw)  # column j over the rows as one int
 
         def dependent(chosen: list[int]) -> bool:
-            vecs = [cols[j] for j in chosen]
+            vecs = [lanes[j] for j in chosen]  # the columns, as rows
             return len(_lane_basis(vecs, p, lw, m.rows)) < len(chosen)
 
-    hit = _least_dependent_set(
-        _column_masks(m.entries), stages, p == 2, dependent, budget
-    )
+    hit = _least_dependent_set(masks, row_cols, stages, dependent, budget)
     if hit is None:
         return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
-    values = _witness_on_support(m, hit)
-    _verify_kernel_vector(m, hit, values)
+    values = _witness_on_support(on_support, p, hit)
+    _verify_kernel_vector(on_support, p, hit, values)
     return SearchReport(len(hit), hit, values, MODE_SUPPORT, True, cap)
 
 
@@ -618,14 +628,11 @@ def min_weight_kernel_gfp(
 # -- rational minimum support ------------------------------------------------
 
 
-def _rational_nullvector(
-    entries: Sequence[Sequence[int]], support: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Primitive integer kernel vector of the chosen columns (first nonzero > 0)."""
-    w = len(support)
+def _rational_nullvector(rows: list[tuple[int, ...]], w: int) -> tuple[int, ...]:
+    """Primitive integer kernel vector of w columns' rows (first nonzero > 0)."""
     done: dict[int, list[Fraction]] = {}  # the RREF rows, keyed by pivot column
-    for row in entries:
-        v = [Fraction(row[j]) for j in support]
+    for row in rows:
+        v = [Fraction(x) for x in row]
         for c, r in done.items():
             f = v[c]
             v = [a - f * b for a, b in zip(v, r)]
@@ -645,40 +652,36 @@ def _rational_nullvector(
 
 
 def min_support_kernel_rational(
-    entries: Sequence[Sequence[int]], cap: int, budget: Optional[int] = None
+    m: GfpMatrix, cap: int, budget: Optional[int] = None
 ) -> SearchReport:
     """Smallest column subset dependent over Q, first in lexicographic order.
 
-    entries must be a 0/1 integer matrix.  The witness is the primitive
-    integer kernel vector on that subset with positive leading entry.  A
-    search past budget nodes raises BudgetExceededError; budget defaults to
-    default_budget(2), the support search's default over GF(2).
+    m is held over GF(2) and its entries are read as the integers 0 and 1.
+    The witness is the primitive integer kernel vector on that subset with
+    positive leading entry.  A search past budget nodes raises
+    BudgetExceededError; budget defaults to default_budget(2), the support
+    search's default over GF(2).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if any(v not in (0, 1) for row in entries for v in row):
-        raise ValueError("expected a 0/1 integer matrix")
-    masks = _column_masks(entries)
-    cols = list(zip(*entries))
+    if m.p != 2:
+        raise ValueError(f"expected a 0/1 matrix over GF(2), got one over GF({m.p})")
+    masks, row_cols, _, on_support = _columns(m)
 
     def dependent(chosen: list[int]) -> bool:
         # a rational dependency among 0/1 columns survives reduction mod 2,
         # so only GF(2)-deficient sets get the exact rank test
         w = len(chosen)
         return len(_xor_basis(masks[j] for j in chosen)) < w and (
-            rank_rational([cols[j] for j in chosen]) < w
+            rank_rational(on_support(chosen)) < w
         )
 
-    stages = range(1, min(cap, len(masks)) + 1)
+    stages = range(1, min(cap, m.cols) + 1)
     if budget is None:
         budget = default_budget(2)
-    hit = _least_dependent_set(masks, stages, False, dependent, budget)
+    hit = _least_dependent_set(masks, row_cols, stages, dependent, budget)
     if hit is None:
         return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
-    vec = _rational_nullvector(entries, hit)
-    if any(v == 0 for v in vec):
-        raise InvariantError("witness support is smaller than the found set")
-    for row in entries:
-        if sum(row[j] * v for j, v in zip(hit, vec)):
-            raise InvariantError("witness is not in the rational kernel")
+    vec = _rational_nullvector(on_support(hit), len(hit))
+    _verify_kernel_vector(on_support, 0, hit, vec)
     return SearchReport(len(hit), hit, vec, MODE_SUPPORT, True, cap)

@@ -18,7 +18,7 @@ so the CLI table and the test results cannot drift apart.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import compress, count
 from typing import Callable, Optional
@@ -162,13 +162,11 @@ def _gf2_min_weight(
 
 
 def _gf2_rank(n: int, t: int, k: int, want: int, corrupt: bool) -> tuple[int, int]:
-    m = GfpMatrix.from_incidence(wilson_matrix(2, n, t, k), 2)
-    if corrupt:
-        rows = [list(r) for r in m.entries]
-        rows[0][0] ^= 1
-        m = GfpMatrix.from_rows(2, rows)
-    _, rank, _ = rref_gfp(m)
-    return want, rank
+    m = wilson_matrix(2, n, t, k)
+    if corrupt:  # toggle the entry in row 0 of column 0
+        col = tuple(sorted(set(m.col_rows[0]) ^ {0}))
+        m = replace(m, col_rows=(col,) + m.col_rows[1:])
+    return want, rref_gfp(GfpMatrix.from_incidence(m, 2))[1]
 
 
 # -- criterion 7: full rational rank -----------------------------------------
@@ -190,8 +188,8 @@ def _check_rational_rank_cell(q: int, n: int) -> Optional[str]:
 def _rational_min_support(
     q: int, n: int, cap: int, want: int, budget: Optional[int]
 ) -> tuple[int, str]:
-    m = wilson_matrix(q, n, 1, 2)
-    rep = min_support_kernel_rational(m.dense(), cap=cap, budget=budget)
+    m = GfpMatrix.from_incidence(wilson_matrix(q, n, 1, 2), 2)
+    rep = min_support_kernel_rational(m, cap=cap, budget=budget)
     return want, rep.weight_text()
 
 

@@ -439,6 +439,22 @@ def test_rank_over_gf_and_q(wilson_file, capsys):
     assert "rank over GF(2): 11" in out
 
 
+def test_rank_over_a_large_prime_answers_and_past_the_primality_bound_refuses(
+    wilson_file, capsys
+):
+    # 2^61 - 1 takes 64-bit lanes; trial division would take 1.5e9 steps
+    code, out, err = run(
+        capsys, "rank", "--matrix", wilson_file, "--over", "gf", "--p", str(2**61 - 1)
+    )
+    assert (code, err) == (0, "")
+    assert out == f"rank over GF({2**61 - 1}): 15  (15x35)\n"
+    code, out, err = run(
+        capsys, "rank", "--matrix", wilson_file, "--over", "gf", "--p", str(2**89 - 1)
+    )
+    _assert_refused(code, out, err)
+    assert "primality is decided below 3317044064679887385961981" in err
+
+
 def test_rank_rejects_duplicate_matrix_entry(tmp_path, capsys):
     path = tmp_path / "dup.txt"
     path.write_text("2 2 1 1 1 1\n0 0\n0 0\n")
@@ -657,7 +673,9 @@ def test_minweight_broken_witness_is_an_internal_error(wilson_file, capsys, monk
     import qnull.linalg
 
     monkeypatch.setattr(
-        qnull.linalg, "_witness_on_support", lambda m, support: (1,) * len(support)
+        qnull.linalg,
+        "_witness_on_support",
+        lambda on_support, p, support: (1,) * len(support),
     )
     code, out, err = run(
         capsys,

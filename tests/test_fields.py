@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from qnull.fields import Field, field
+from qnull.fields import Field, _is_prime, field
 
 
 @pytest.mark.parametrize("q", Field.REQUIRED_ORDERS)
@@ -95,3 +97,25 @@ def test_every_order_up_to_37_with_tables_on_record_is_accepted():
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     for q in primes + (4, 8, 9, 16, 25, 27):
         assert field(q).q == q
+
+
+def _trial_division(m):
+    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+def test_primality_matches_trial_division_and_refuses_past_its_bound():
+    # the uncached function, so that 10^5 answers do not stay in the cache
+    is_prime = _is_prime.__wrapped__
+    assert [m for m in range(10**5) if is_prime(m) != _trial_division(m)] == []
+    assert is_prime(2**61 - 1) and is_prime(3317044064679887385961813)
+    # 561 is a Carmichael number; 3215031751 passes the bases 2, 3, 5 and 7,
+    # and 399165290221 * 798330580441 every base below 41
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    for m in (561, 3215031751, 318665857834031151167461, 2**61 + 1):
+        assert not is_prime(m), m
+    # 1287836182261 * 2575672364521 passes all 13 bases: the first number refused
+    limit = 1287836182261 * 2575672364521
+    for m in (limit, 2**89 - 1):
+        message = f"^{m} is too large: primality is decided below {limit}$"
+        with pytest.raises(ValueError, match=message):
+            is_prime(m)

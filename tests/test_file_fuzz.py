@@ -6,12 +6,15 @@ Every such text must end in a ValueError or in an object that writes and
 reads back to an equal object, and through `qnull verify` / `qnull rank` in
 exit 0, 1 or 2 with at most one `error:` line, never in a traceback.  The
 tokens are small, so no header asks a reader or a command for a large size.
+The search flags of `minweight` and `minsupport` are fuzzed the same way on
+a small Wilson file.
 """
 
 import contextlib
 import io
 import re
 import tempfile
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -122,3 +125,48 @@ def test_verify_on_a_near_valid_design_file_ends_in_an_exit_code(text, as_json):
 @settings(max_examples=40, deadline=None)
 def test_rank_on_a_near_valid_matrix_file_ends_in_an_exit_code(text, over):
     _check_exit(*_run_on_file(text, ["rank", "--over", over, "--matrix"]))
+
+
+FANO = write_matrix(wilson_matrix(2, 3, 1, 2))
+# small numbers, the default budget, primes of 20, 61 and 82 bits, the
+# primality bound and two numbers past it
+SEARCH_INTS = st.one_of(
+    st.integers(min_value=-3, max_value=12),
+    st.sampled_from([
+        2**22, 10**6 + 3, 2**61 - 1, 3317044064679887385961813,
+        3317044064679887385961981, 2**89 - 1, 10**40,
+    ]),
+)
+
+
+@st.composite
+def int_text(draw):
+    """An integer as argparse reads it: a sign, leading zeros, digit groups or
+    spaces.  Text that is no integer never reaches qnull: argparse refuses it
+    with its own usage message."""
+    v = draw(SEARCH_INTS)
+    forms = ["{}", "00{}"] + ["+{}", "{:_}"] * (v >= 0)
+    text = draw(st.sampled_from(forms)).format(abs(v))
+    return draw(st.sampled_from(["{}", " {} "])).format("-" * (v < 0) + text)
+
+
+def _check_search(argv):
+    start = time.perf_counter()
+    code, err = _run_on_file(FANO, argv + ["--matrix"])
+    assert time.perf_counter() - start < 10, argv
+    assert code in (0, 2), argv
+    _check_exit(code, err)
+
+
+@given(int_text(), int_text(), int_text(), st.sampled_from(["kernel", "support"]))
+@settings(max_examples=150, deadline=None)
+def test_minweight_search_flags_end_in_an_exit_code(cap, p, budget, mode):
+    _check_search(
+        ["minweight", "--cap", cap, "--p", p, "--budget", budget, "--mode", mode]
+    )
+
+
+@given(int_text(), int_text())
+@settings(max_examples=60, deadline=None)
+def test_minsupport_search_flags_end_in_an_exit_code(cap, budget):
+    _check_search(["minsupport", "--cap", cap, "--budget", budget])

@@ -28,7 +28,7 @@ from qnull.linalg import (
 
 
 def _m(p, rows):
-    return GfpMatrix.from_rows(p, rows)
+    return GfpMatrix(p, [[v % p for v in r] for r in rows])
 
 
 # -- RREF ---------------------------------------------------------------------
@@ -57,11 +57,9 @@ def test_rref_is_idempotent_and_normalized():
 
 def test_gfp_matrix_validation():
     with pytest.raises(ValueError):
-        GfpMatrix.from_rows(4, [[1]])  # 4 is not prime
+        GfpMatrix(4, [[1]])  # 4 is not prime
     with pytest.raises(ValueError):
-        GfpMatrix.from_rows(2, [[1, 0], [1]])  # ragged
-    # the factory normalizes entries into [0, p)
-    assert GfpMatrix.from_rows(3, [[3, -1]]).entries == ((0, 2),)
+        GfpMatrix(2, [[1, 0], [1]])  # ragged
 
 
 def test_gfp_matrix_refuses_entries_outside_the_residues():
@@ -75,10 +73,10 @@ def test_gfp_matrix_refuses_entries_outside_the_residues():
     ):
         with pytest.raises(ValueError, match=re.escape(f"{bad} is not in [0, {p})")):
             GfpMatrix(p, rows)
-        reduced = GfpMatrix.from_rows(p, rows)
+        reduced = _m(p, rows)
         want = tuple(tuple(v % p for v in row) for row in rows)
         assert reduced.entries == want and GfpMatrix(p, want) == reduced
-    assert rref_gfp(GfpMatrix.from_rows(3, ((3, 0), (0, 1))))[1] == 1
+    assert rref_gfp(_m(3, ((3, 0), (0, 1))))[1] == 1
 
 
 def test_gfp_matrix_is_a_value():
@@ -131,11 +129,11 @@ def _storage_cases():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 131])
 def test_packed_storage_keeps_the_dense_meaning(p):
     # lane widths 1, 4, 4, 4, 8 and 12: from_incidence writes the packed
-    # rows itself, from_rows packs the dense rows as entries.  Past 2^16
+    # rows itself, the constructor packs the dense rows as entries.  Past 2^16
     # entries (eight GF(2)^6 cells) both eliminations would take seconds on
     # what the equal rows already decide, so those check storage only.
     for m, rows in _storage_cases():
-        packed, dense = GfpMatrix.from_incidence(m, p), GfpMatrix.from_rows(p, rows)
+        packed, dense = GfpMatrix.from_incidence(m, p), GfpMatrix(p, rows)
         assert packed == dense, (m.q, m.n, m.t, m.k)
         assert (packed.entries, packed.rows, packed.cols) == (rows, m.rows, m.cols)
         if m.rows * m.cols > 1 << 16:
@@ -608,11 +606,74 @@ def test_all_ones_in_row_space_detects_even_weight_kernels():
                 assert sum(vec) % 2 == 0
 
 
+def _parity_cells():
+    """Wilson cells of GF(q)^n, q^n <= 16, each with the primes p in {2, 3,
+    char q} whose p^(kernel dim) kernel mode walks in at most 2^12 steps."""
+    cells = []
+    for q, n in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)):
+        for t in range(n + 1):
+            for k in range(t, n + 1):
+                m = wilson_matrix(q, n, t, k)
+                for p in sorted({2, 3, field(q).p}):
+                    g = GfpMatrix.from_incidence(m, p)
+                    if p ** (g.cols - rref_gfp(g)[1]) <= 2**12:
+                        cells.append((m, g))
+    return cells
+
+
+def test_support_and_kernel_modes_agree_on_small_wilson_cells():
+    cells = _parity_cells()
+    assert len(cells) == 96
+    found = 0
+    for m, g in cells:
+        cap = min(g.cols, 8)
+        modes = (MODE_KERNEL, MODE_SUPPORT)
+        reps = [min_weight_kernel_gfp(g, cap, mode=mode) for mode in modes]
+        got = {(r.weight, r.witness_support, r.witness_values) for r in reps}
+        assert len(got) == 1, (m.q, m.n, m.t, m.k, g.p, got)
+        found += reps[0].found
+    assert found == 14
+
+
+def test_rational_search_matches_brute_force_on_small_wilson_cells():
+    # the brute force walks every column subset: cells of at most 7 columns
+    seen = 0
+    for m, g in _parity_cells():
+        if g.p != 2 or m.cols > 7:
+            continue
+        rep = min_support_kernel_rational(g, m.cols)
+        want = _brute_min_support_rational(m.dense(), m.cols)
+        assert (rep.weight, rep.witness_support) == (want or (None, None))
+        seen += 1
+    assert seen == 43
+
+
+def test_the_searches_never_decode_entries(monkeypatch):
+    # Wilson cells with kernels over GF(2) and GF(3), and a hand-edited file
+    # with an empty row and an empty column, whose minimum weight is 1
+    hand = read_matrix("2 3 1 2 4 5\n0 0\n0 3\n0 4\n1 4\n3 0\n3 3\n3 4\n")
+    cells = [wilson_matrix(2, 3, 1, 2), wilson_matrix(3, 3, 1, 2), hand]
+    mats = {p: [GfpMatrix.from_incidence(m, p) for m in cells] for p in (2, 3)}
+
+    def decode(self):
+        raise AssertionError("a search decoded entries")
+
+    monkeypatch.setattr(GfpMatrix, "entries", property(decode))
+    weights = []
+    for p, gs in mats.items():
+        for g in gs:
+            for mode in (MODE_KERNEL, MODE_SUPPORT):
+                weights.append(min_weight_kernel_gfp(g, g.cols, mode=mode).weight)
+    for g in mats[2]:
+        weights.append(min_support_kernel_rational(g, g.cols).weight)
+    assert weights == [4, 4, 13, 13, 1, 1, 7, 7, 6, 6, 1, 1, None, None, 1]
+
+
 # -- rational minimum support ---------------------------------------------------
 
 
 def test_rational_identity_has_no_dependence():
-    ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    ident = GfpMatrix(2, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
     rep = min_support_kernel_rational(ident, 4)
     assert not rep.found and rep.exhaustive
 
@@ -620,11 +681,11 @@ def test_rational_identity_has_no_dependence():
 def test_rational_gf2_prefilter_is_not_trusted():
     # columns 0,1,2 are dependent mod 2 but independent over Q; the true
     # minimum needs all four columns: c0 + c1 - c2 - 2*c3 = 0
-    entries = [
+    entries = GfpMatrix(2, [
         [1, 1, 0, 1],
         [1, 0, 1, 0],
         [0, 1, 1, 0],
-    ]
+    ])
     rep = min_support_kernel_rational(entries, 4)
     assert rep.found
     assert rep.weight == 4
@@ -633,15 +694,15 @@ def test_rational_gf2_prefilter_is_not_trusted():
 
 
 def test_rational_zero_and_duplicate_columns():
-    rep = min_support_kernel_rational([[0, 1], [0, 1]], 2)
+    rep = min_support_kernel_rational(GfpMatrix(2, [[0, 1], [0, 1]]), 2)
     assert rep.weight == 1 and rep.witness_support == (0,)
     assert rep.witness_values == (1,)
-    rep2 = min_support_kernel_rational([[1, 1], [1, 1]], 2)
+    rep2 = min_support_kernel_rational(GfpMatrix(2, [[1, 1], [1, 1]]), 2)
     assert rep2.weight == 2 and rep2.witness_values == (1, -1)
 
 
 def test_rational_witness_is_primitive_with_positive_lead():
-    entries = [[1, 1, 1, 1], [1, 1, 0, 0]]
+    entries = GfpMatrix(2, [[1, 1, 1, 1], [1, 1, 0, 0]])
     rep = min_support_kernel_rational(entries, 4)
     assert rep.found and rep.weight == 2
     assert rep.witness_support == (0, 1)
@@ -649,16 +710,20 @@ def test_rational_witness_is_primitive_with_positive_lead():
 
 
 def test_rational_rejects_non_01_matrices():
-    with pytest.raises(ValueError):
-        min_support_kernel_rational([[0, 2]], 2)
-    with pytest.raises(ValueError):
-        min_support_kernel_rational([[-1, 0]], 2)
-    with pytest.raises(ValueError):
-        min_support_kernel_rational([[1, 0]], 0)
+    # a 0/1 matrix is one over GF(2): other entries are refused there, and a
+    # matrix over another field is refused by the search
+    with pytest.raises(ValueError, match=re.escape("entry 2 at (0, 1) is not in")):
+        min_support_kernel_rational(GfpMatrix(2, [[0, 2]]), 2)
+    with pytest.raises(ValueError, match=re.escape("entry -1 at (0, 0)")):
+        min_support_kernel_rational(GfpMatrix(2, [[-1, 0]]), 2)
+    with pytest.raises(ValueError, match="over GF\\(2\\), got one over GF\\(3\\)"):
+        min_support_kernel_rational(GfpMatrix(3, [[0, 2]]), 2)
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        min_support_kernel_rational(GfpMatrix(2, [[1, 0]]), 0)
 
 
 def test_rational_cap_limits_the_scan():
-    entries = [[1, 1, 1], [1, 1, 0]]  # only dependence uses columns beyond cap
+    entries = GfpMatrix(2, [[1, 1, 1], [1, 1, 0]])  # only dependence is beyond cap
     rep = min_support_kernel_rational(entries, 1)
     assert not rep.found and rep.exhaustive and rep.cap == 1
 
@@ -669,13 +734,14 @@ def test_rational_search_defaults_to_the_gf2_budget(monkeypatch):
     monkeypatch.setattr(qnull.linalg, "default_budget", lambda p: 1)
     # stage 1 visits one node per column, so the second is past a budget of 1
     with pytest.raises(BudgetExceededError, match="budget is 1$"):
-        min_support_kernel_rational([[1, 1]], 2)
+        min_support_kernel_rational(GfpMatrix(2, [[1, 1]]), 2)
 
 
 def test_rational_min_support_eight_at_q3_n4():
     # W_{1,2} at q=3 is 13x13 and of full rank for n=3; at n=4 (40x130) the
     # kernel is nonzero and the minimum support is (1+1)(1+3) = 8
-    rep = min_support_kernel_rational(wilson_matrix(3, 4, 1, 2).dense(), 8)
+    m = GfpMatrix.from_incidence(wilson_matrix(3, 4, 1, 2), 2)
+    rep = min_support_kernel_rational(m, 8)
     assert rep.weight == 8
     assert rep.witness_support == (0, 1, 27, 28, 68, 71, 77, 80)
     assert rep.witness_values == (1, -1, -1, 1, -1, 1, 1, -1)
@@ -702,7 +768,7 @@ def _brute_min_support_rational(entries, cap):
 def test_rational_search_matches_brute_force(rows):
     cap = len(rows[0])
     want = _brute_min_support_rational(rows, cap)
-    rep = min_support_kernel_rational(rows, cap)
+    rep = min_support_kernel_rational(GfpMatrix(2, rows), cap)
     if want is None:
         assert not rep.found
     else:
