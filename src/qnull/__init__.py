@@ -35,6 +35,7 @@ from .linalg import (
     kernel_basis_gfp,
     min_support_kernel_rational,
     min_weight_kernel_gfp,
+    rank_gfp,
     rank_rational,
     rref_gfp,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "BudgetExceededError",
     "InvariantError",
     "default_budget",
+    "rank_gfp",
     "rref_gfp",
     "kernel_basis_gfp",
     "rank_rational",

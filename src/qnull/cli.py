@@ -7,7 +7,9 @@ here cover only what the library would take without complaint, such as
 is `--budget`, else QNULL_BUDGET, else the library default, default_budget(p)
 for `minweight` and default_budget(2) for `minsupport`.  `wilson`,
 `construct`, `verify` and `strength` count their nonzeros or listed
-subspaces first and refuse more than QNULL_BUDGET, else default_budget(2).
+subspaces first, and `rank`, `minweight` and `minsupport` the 64-bit words of
+their matrix at one bit per entry; each refuses more than QNULL_BUDGET, else
+default_budget(2), whatever `--budget` says.
 
 Exit codes: 0 on success, 1 when a verification or reproduction check fails,
 2 on usage errors (bad parameters, unreadable, unwritable or malformed files,
@@ -51,8 +53,8 @@ from .linalg import (
     default_budget,
     min_support_kernel_rational,
     min_weight_kernel_gfp,
+    rank_gfp,
     rank_rational,
-    rref_gfp,
 )
 from .reproduce import format_rows, rows_to_records, run_grid
 
@@ -98,8 +100,7 @@ def _at_least_one(name: str, value: Optional[int]) -> Optional[int]:
     return value
 
 
-def _budget_from(args) -> Optional[int]:
-    budget = getattr(args, "budget", None)
+def _budget_from(budget: Optional[int] = None) -> Optional[int]:
     env = os.environ.get("QNULL_BUDGET")
     if budget is None and env is not None:
         try:
@@ -109,9 +110,9 @@ def _budget_from(args) -> Optional[int]:
     return _at_least_one("budget", budget)
 
 
-def _within_budget(args, count: int, what: str) -> None:
+def _within_budget(count: int, what: str) -> None:
     """Refuse count units of work, `what` with {} for the count, above budget."""
-    budget = _budget_from(args) or default_budget(2)
+    budget = _budget_from() or default_budget(2)
     if count > budget:
         raise ValueError(f"{what.format(count)}, budget is {budget}")
 
@@ -149,7 +150,7 @@ def _cmd_wilson(args) -> int:
     field(q)  # a bad q is refused before it is counted
     if 0 <= t <= k <= n <= Field.MAX_DIMENSION:  # else wilson_matrix refuses
         nnz = gaussian_binomial(n, k, q) * gaussian_binomial(k, t, q)
-        _within_budget(args, nnz, "wilson matrix would have {} nonzeros")
+        _within_budget(nnz, "wilson matrix would have {} nonzeros")
     m = wilson_matrix(q, n, t, k)
     nnz = sum(len(col) for col in m.col_rows)
     payload = {"q": q, "n": n, "t": t, "k": k, "rows": m.rows, "cols": m.cols,
@@ -168,13 +169,13 @@ def _cmd_construct(args) -> int:
         if k is not None and not 0 <= t <= k <= n:
             raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
         if 0 <= t < n <= Field.MAX_DIMENSION:  # else the constructor refuses
-            _within_budget(args, 1 + gaussian_binomial(t + 1, t, q), what)
+            _within_budget(1 + gaussian_binomial(t + 1, t, q), what)
         design = construct_lb_design(q, n, t, r=args.r)
     else:
         if k is None:
             raise ValueError("--k is required for --kind uniform")
         if 0 <= t < k < n <= Field.MAX_DIMENSION:
-            _within_budget(args, q ** (t + 1), what)
+            _within_budget(q ** (t + 1), what)
         design = construct_uniform_design(q, n, k, t)
         if args.r is not None and args.r != design.r:
             design = as_modulus(design, args.r)
@@ -207,7 +208,7 @@ def _cmd_verify(args) -> int:
     if args.r is not None and args.r != design.r:
         design = as_modulus(design, args.r)
     count = _scatter_count(design, [t])
-    _within_budget(args, count, f"verifying strength {t} would list {{}} subspaces")
+    _within_budget(count, f"verifying strength {t} would list {{}} subspaces")
     verdict = verify_strength(design, t)
     f, n = design.field, design.n
     violations = [
@@ -242,7 +243,7 @@ def _cmd_strength(args) -> int:
     # strength_of tries t = 0, 1, ... up to t_max and the least support dimension
     top = min([t_max, *(x.k for x in design.support)])
     count = _scatter_count(design, range(top + 1))
-    _within_budget(args, count, "the strength scan would list {} subspaces")
+    _within_budget(count, "the strength scan would list {} subspaces")
     s = strength_of(design, t_max)
     payload = {
         "design": args.design,
@@ -257,9 +258,15 @@ def _cmd_strength(args) -> int:
 def _load_matrix(path: str):
     text = _read_file(path)
     try:
-        return read_matrix(text)
+        m = read_matrix(text)
     except ValueError as e:
         raise ValueError(f"bad matrix file {path}: {e}") from None
+    # every command that reads a matrix builds it whole, dense over Q and
+    # packed over GF(p): count its words before that allocates them
+    words = m.rows * -(-m.cols // 64)
+    what = f"a {m.rows}x{m.cols} matrix takes {{}} 64-bit words at one bit per entry"
+    _within_budget(words, what)
+    return m
 
 
 def _cmd_rank(args) -> int:
@@ -269,7 +276,7 @@ def _cmd_rank(args) -> int:
         p = None
     else:
         p = args.p if args.p is not None else field(m.q).p
-        _, rank, _ = rref_gfp(GfpMatrix.from_incidence(m, p))
+        rank = rank_gfp(GfpMatrix.from_incidence(m, p))
     payload = {
         "matrix": args.matrix,
         "over": args.over,
@@ -335,7 +342,7 @@ def _report_human(rep: SearchReport, witness_design: Optional[str]) -> str:
 def _cmd_minweight(args) -> int:
     m = _load_matrix(args.matrix)
     _at_least_one("cap", args.cap)
-    budget = _budget_from(args)
+    budget = _budget_from(args.budget)
     g = GfpMatrix.from_incidence(m, args.p)
     rep = min_weight_kernel_gfp(
         g, cap=args.cap, mode=args.mode, budget=budget, threads=args.threads
@@ -353,7 +360,7 @@ def _cmd_minweight(args) -> int:
 def _cmd_minsupport(args) -> int:
     m = _load_matrix(args.matrix)
     _at_least_one("cap", args.cap)
-    budget = _budget_from(args)
+    budget = _budget_from(args.budget)
     rep = min_support_kernel_rational(GfpMatrix.from_incidence(m, 2), args.cap, budget)
     payload = _report_payload(rep)
     payload["matrix"] = args.matrix
@@ -373,7 +380,7 @@ def _cmd_reproduce(args) -> int:
     rows = run_grid(
         only=args.only,
         inject_corruption=args.inject_corruption,
-        budget=_budget_from(args),
+        budget=_budget_from(args.budget),
         threads=args.threads,
     )
     failures = sum(1 for r in rows if not r.ok)

@@ -3,9 +3,9 @@
 Elements are integer codes in [0, q).  The code's base-p digits c_0..c_{s-1}
 are the coefficients of the polynomial sum(c_i x^i), so code 0 is the zero
 element, code 1 the one element, and code p the class of x.  For s > 1 the
-quotient modulus comes from a fixed table so that encodings are reproducible;
-the table entry is re-verified (irreducible and primitive) at construction
-instead of being trusted.
+quotient modulus comes from a fixed table so that encodings are reproducible.
+The table entry is not trusted: it is certified by the order of x, whose
+powers, walked once at construction, must reach every nonzero element.
 
 Arithmetic is table-driven: a Field instance precomputes full add/mul/inv
 tables at construction, which keeps inner loops at list-indexing cost; they
@@ -89,23 +89,29 @@ def _poly_code(digits: list[int], p: int) -> int:
     return c
 
 
-def _poly_mul_mod(a: int, b: int, p: int, s: int, modulus: tuple[int, ...]) -> int:
-    """Multiply element codes a, b as polynomials, reduce by the monic modulus."""
-    da = _poly_digits(a, p, s)
-    db = _poly_digits(b, p, s)
-    prod = [0] * (2 * s - 1)
-    for i, ai in enumerate(da):
-        if ai:
-            for j, bj in enumerate(db):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: x^s = -(modulus[0] + modulus[1] x + ... + modulus[s-1] x^{s-1})
-    for deg in range(2 * s - 2, s - 1, -1):
-        c = prod[deg]
-        if c:
-            prod[deg] = 0
-            for i in range(s):
-                prod[deg - s + i] = (prod[deg - s + i] - c * modulus[i]) % p
-    return _poly_code(prod[:s], p)
+def _powers_of_x(q: int, p: int, s: int, mod: tuple[int, ...]) -> list[int]:
+    """The codes of x^0, ..., x^(q-2) modulo the monic modulus of degree s,
+    refused unless x first returns to 1 after exactly q-1 steps: then they are
+    q-1 distinct units of a ring of q elements, so the ring is a field and the
+    modulus is irreducible and primitive."""
+    if len(mod) != s + 1 or mod[s] != 1:
+        raise ValueError(f"modulus for GF({q}) must be monic of degree {s}")
+    one = [1] + [0] * (s - 1)
+    digits, powers = one, []
+    for _ in range(q - 1):
+        powers.append(_poly_code(digits, p))
+        # times x: each digit moves up one place, and the top digit d comes
+        # back as -d (mod[0] + ... + mod[s-1] x^(s-1))
+        d = digits[-1]
+        digits = [(c - d * f) % p for c, f in zip([0] + digits[:-1], mod)]
+        if digits == one:
+            break
+    if digits != one or len(powers) != q - 1:
+        raise ValueError(
+            f"modulus for GF({q}) is reducible or not primitive: "
+            f"x does not have order {q - 1}"
+        )
+    return powers
 
 
 class Field:
@@ -139,51 +145,7 @@ class Field:
             if q not in _MODULI:
                 raise ValueError(f"no modulus polynomial on record for GF({q})")
             self.modulus = _MODULI[q]
-            self._check_modulus()
         self._build_tables()
-
-    def _check_modulus(self) -> None:
-        """Re-verify the tabled modulus: monic, irreducible, primitive."""
-        p, s, mod = self.p, self.s, self.modulus
-        if len(mod) != s + 1 or mod[s] != 1:
-            raise ValueError(
-                f"modulus for GF({self.q}) must be monic of degree {s}"
-            )
-        full = mod  # all s+1 coefficients, low degree first
-
-        def poly_mod(dividend: list[int], divisor: list[int]) -> list[int]:
-            rem = dividend[:]
-            dd = len(divisor) - 1
-            lead_inv = pow(divisor[-1], p - 2, p)
-            for i in range(len(rem) - 1, dd - 1, -1):
-                if rem[i]:
-                    f = rem[i] * lead_inv % p
-                    for j in range(dd + 1):
-                        rem[i - dd + j] = (rem[i - dd + j] - f * divisor[j]) % p
-            return rem[:dd]
-
-        # irreducible: no monic divisor of degree 1..s-1 (brute force; the
-        # search space is at most p^(s-1) * (s-1) polynomials for q <= 27)
-        for deg in range(1, s):
-            for tail in range(p**deg):
-                divisor = _poly_digits(tail, p, deg) + [1]
-                if not any(poly_mod(list(full), divisor)):
-                    raise ValueError(
-                        f"modulus for GF({self.q}) is reducible: "
-                        f"divisible by degree-{deg} polynomial {divisor}"
-                    )
-        # primitive: the class of x (code p) has multiplicative order q-1
-        order = 1
-        acc = p % self.q
-        while acc != 1:
-            acc = _poly_mul_mod(acc, p, p, s, mod)
-            order += 1
-            if order > self.q:
-                raise ValueError(f"modulus for GF({self.q}): x is not invertible")
-        if order != self.q - 1:
-            raise ValueError(
-                f"modulus for GF({self.q}) is not primitive: x has order {order}"
-            )
 
     def _build_tables(self) -> None:
         p, s, q = self.p, self.s, self.q
@@ -206,11 +168,13 @@ class Field:
                 ]
                 for a in range(q)
             ]
+            exp = _powers_of_x(q, p, s, self.modulus)
+            log = {e: i for i, e in enumerate(exp)}
             self._mul = [
-                [_poly_mul_mod(a, b, p, s, self.modulus) for b in range(q)]
+                [exp[(log[a] + log[b]) % (q - 1)] if a and b else 0 for b in range(q)]
                 for a in range(q)
             ]
-        # q is prime or its modulus irreducible: each nonzero has an inverse
+        # q is prime or x generates the nonzero elements: each has an inverse
         self._neg = [row.index(0) for row in self._add]
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 

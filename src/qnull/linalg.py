@@ -8,8 +8,9 @@ neither pack nor decode.  Over GF(2) _xor_basis, also used by the all-ones
 test and the rational prefilter, is the forward pass to an echelon basis
 keyed by leading bit.  Over odd p rows are added
 lane-wise by fields.lane_adder, and the forward pass _lane_basis keys its
-basis by leading lane.  Both back-substitute in descending column order to
-the unique RREF.
+basis by leading lane.  rank_gfp stops there; rref_gfp back-substitutes in
+descending column order to the unique RREF, reducing each row only at the
+done pivots where it is nonzero.
 
 Over Q, rank_rational has no elimination of its own.  It turns the matrix
 so that rows <= columns and takes its rank mod p on _lane_basis for the odd
@@ -64,6 +65,7 @@ __all__ = [
     "SearchReport",
     "BudgetExceededError",
     "InvariantError",
+    "rank_gfp",
     "rref_gfp",
     "kernel_basis_gfp",
     "rank_rational",
@@ -248,15 +250,19 @@ def _rref_gf2(m: GfpMatrix) -> dict[int, int]:
     """p = 2: the RREF rows as bit-vectors, keyed by leading bit."""
     basis = _xor_basis(m._packed)
     # last pivot column first: each done row is zero at the other pivot
-    # bits, so one XOR per pivot bit set in v clears v there
+    # bits, so one XOR per done pivot bit set in v clears v there
     done: dict[int, int] = {}
+    seen = 0  # the done pivot bits
     for h in sorted(basis):
         v = basis[h]
-        for bit, row in done.items():
-            if v & bit:
-                v ^= row
-        done[1 << h] = v
-    return {bit.bit_length() - 1: v for bit, v in done.items()}
+        hits = v & seen
+        while hits:
+            g = hits.bit_length() - 1
+            hits ^= 1 << g
+            v ^= done[g]
+        done[h] = v
+        seen |= 1 << h
+    return done
 
 
 def _doublings(b: int, add: Callable[[int, int], int], p: int) -> list[int]:
@@ -304,16 +310,27 @@ def _rref_lanes(m: GfpMatrix, w: int) -> dict[int, int]:
     add, lane = lane_adder(p, w, nc), (1 << w) - 1
     basis = _lane_basis(m._packed, p, w, nc)
     # last pivot column first, as over GF(2): one multiple of a done row per
-    # nonzero pivot lane of v
+    # nonzero done pivot lane of v, which no other done row changes
     done: dict[int, list[int]] = {}
+    seen = 0  # all ones at the done pivot lanes
     for h in sorted(basis):
         v = basis[h][0]
-        for g, dbl in done.items():
-            c = (v >> (g * w)) & lane
-            if c:
-                v = _axpy(v, p - c, dbl, add)
+        hits = v & seen
+        while hits:
+            g = (hits.bit_length() - 1) // w
+            c = hits >> (g * w)
+            hits ^= c << (g * w)
+            v = _axpy(v, p - c, done[g], add)
         done[h] = _doublings(v, add, p)
+        seen |= lane << (h * w)
     return {h: dbl[0] for h, dbl in done.items()}
+
+
+def rank_gfp(m: GfpMatrix) -> int:
+    """Rank over GF(p), from the forward pass alone."""
+    if m.p == 2:
+        return len(_xor_basis(m._packed))
+    return len(_lane_basis(m._packed, m.p, _lane_width(m.p), m.cols))
 
 
 def rref_gfp(m: GfpMatrix) -> tuple[GfpMatrix, int, tuple[int, ...]]:

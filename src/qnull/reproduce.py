@@ -47,8 +47,8 @@ from .linalg import (
     GfpMatrix,
     min_support_kernel_rational,
     min_weight_kernel_gfp,
+    rank_gfp,
     rank_rational,
-    rref_gfp,
 )
 
 __all__ = ["CheckRow", "run_grid", "format_rows", "rows_to_records"]
@@ -166,7 +166,7 @@ def _gf2_rank(n: int, t: int, k: int, want: int, corrupt: bool) -> tuple[int, in
     if corrupt:  # toggle the entry in row 0 of column 0
         col = tuple(sorted(set(m.col_rows[0]) ^ {0}))
         m = replace(m, col_rows=(col,) + m.col_rows[1:])
-    return want, rref_gfp(GfpMatrix.from_incidence(m, 2))[1]
+    return want, rank_gfp(GfpMatrix.from_incidence(m, 2))
 
 
 # -- criterion 7: full rational rank -----------------------------------------

@@ -815,6 +815,42 @@ def test_enumerate_streams_until_the_reader_goes_away():
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--over", "q"],
+        ["rank", "--over", "gf"],
+        ["minweight", "--p", "2", "--cap", "1", "--mode", "support"],
+        ["minsupport", "--cap", "1"],
+    ],
+)
+def test_a_matrix_too_large_to_hold_is_refused_before_it_is_built(tmp_path, argv):
+    """200000 x 200000 entries take 625000000 64-bit words at one bit each.
+
+    Under a 400 MB address-space limit, so a command that builds the matrix
+    before it counts ends in a MemoryError here instead of filling the host.
+    """
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    path = tmp_path / "big.txt"
+    path.write_text("2 40 20 20 200000 200000\n0 0\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qnull.cli", *argv, "--matrix", str(path)],
+        capture_output=True,
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (
+        b"error: a 200000x200000 matrix takes 625000000 64-bit words at one bit"
+        b" per entry, budget is 4194304\n"
+    )
+
+
 def test_closed_stdout_pipe_ends_quietly():
     """A reader that goes away early, as in `qnull ... | head`, gets no traceback."""
     proc = subprocess.Popen(

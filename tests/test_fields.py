@@ -57,6 +57,10 @@ def test_bad_modulus_rejected(monkeypatch):
     monkeypatch.setitem(fm._MODULI, 4, (1, 0, 1))
     with pytest.raises(ValueError, match="reducible"):
         Field(4)
+    # x^2 + x over GF(2): x is a zero divisor and never returns to 1
+    monkeypatch.setitem(fm._MODULI, 4, (0, 1, 1))
+    with pytest.raises(ValueError, match="reducible or not primitive"):
+        Field(4)
     # x^2 + 1 over GF(3) is irreducible but x has order 4, not 8
     monkeypatch.setitem(fm._MODULI, 9, (1, 0, 1))
     with pytest.raises(ValueError, match="not primitive"):
@@ -65,6 +69,35 @@ def test_bad_modulus_rejected(monkeypatch):
     monkeypatch.setitem(fm._MODULI, 4, (1, 1))
     with pytest.raises(ValueError, match="monic"):
         Field(4)
+
+
+def _schoolbook_mul(a, b, p, mod):
+    """a * b as polynomials in base-p digit codes, then long division by mod."""
+    s = len(mod) - 1
+    da, db = ([c // p**i % p for i in range(s)] for c in (a, b))
+    prod = [0] * (2 * s - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for top in range(2 * s - 2, s - 1, -1):  # mod is monic: subtract c x^(top-s) mod
+        c = prod[top]
+        for i, f in enumerate(mod):
+            prod[top - s + i] -= c * f
+    return sum(prod[i] % p * p**i for i in range(s))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_mul_is_the_product_mod_the_tabled_modulus(q):
+    # subspace texts and design files store these codes, so the encoding
+    # itself is pinned, not only some field of order q
+    import qnull.fields as fm
+
+    f = field(q)
+    mod = fm._MODULI[q]
+    assert f.modulus == mod
+    for a in range(q):
+        for b in range(q):
+            assert f.mul(a, b) == _schoolbook_mul(a, b, f.p, mod), (a, b)
 
 
 def test_frobenius_in_characteristic_p():

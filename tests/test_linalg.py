@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qnull.designs import NullDesign, verify_strength
 from qnull.fields import field
+from qnull.grassmann import gaussian_binomial
 from qnull.incidence import read_matrix, wilson_matrix
 from qnull.linalg import (
     MODE_KERNEL,
@@ -22,6 +23,7 @@ from qnull.linalg import (
     kernel_basis_gfp,
     min_support_kernel_rational,
     min_weight_kernel_gfp,
+    rank_gfp,
     rank_rational,
     rref_gfp,
 )
@@ -222,6 +224,7 @@ def _check_rref_and_kernel(p, ncols, rows):
     m = _m(p, rows)
     red, rank, pivots = rref_gfp(m)
     assert (red.entries, rank, pivots) == _rref_mod_p(rows, ncols, p)
+    assert rank_gfp(m) == rank
     basis = kernel_basis_gfp(m)
     free = [j for j in range(m.cols) if j not in pivots]
     assert len(basis) == len(free) == m.cols - rank
@@ -283,6 +286,52 @@ def test_hamada_p_rank_of_points_against_hyperplanes():
         assert want == math.comb(n + p - 2, n - 1) + 1
         m = GfpMatrix.from_incidence(wilson_matrix(p, n, 1, n - 1), p)
         assert rref_gfp(m)[1] == want, (p, n)
+
+
+@pytest.mark.parametrize(
+    "q, n, t, k, p",
+    # the elimination benchmark's GF(p) cells, and one of full rank over GF(13)
+    [(2, 6, 2, 3, 2), (2, 7, 1, 3, 2), (2, 5, 1, 2, 2), (2, 5, 1, 3, 2),
+     (3, 7, 1, 6, 3), (5, 5, 1, 4, 5), (7, 4, 1, 3, 7), (3, 4, 1, 1, 13)],
+)
+def test_rank_from_the_forward_pass_is_the_rref_rank(q, n, t, k, p):
+    m = GfpMatrix.from_incidence(wilson_matrix(q, n, t, k), p)
+    assert rank_gfp(m) == rref_gfp(m)[1]
+
+
+def test_cross_characteristic_rank_is_the_frumkin_yakir_closed_form():
+    # Frumkin and Yakir (Israel J. Math. 71, 1990): for a prime l that does
+    # not divide q and t <= min(k, n-k), the rank over GF(l) of W_{t,k}(q)
+    # is the sum of [n,i]_q - [n,i-1]_q over the i <= t with l not dividing
+    # [k-i, t-i]_q
+    def closed_form(q, n, t, k, l):
+        gb = gaussian_binomial
+        return sum(
+            gb(n, i, q) - (gb(n, i - 1, q) if i else 0)
+            for i in range(t + 1)
+            if gb(k - i, t - i, q) % l
+        )
+
+    cells = [
+        (q, n, t, k)
+        for q in (2, 3, 4, 5)
+        for n in range(1, 8)
+        for t in range(n + 1)
+        for k in range(t, n - t + 1)
+        if gaussian_binomial(n, k, q) * gaussian_binomial(k, t, q) <= 5000
+    ]
+    pairs = deficient = 0
+    for q, n, t, k in cells:
+        m = wilson_matrix(q, n, t, k)
+        for l in (2, 3, 5, 7, 13):
+            if q % l:
+                want = closed_form(q, n, t, k, l)
+                assert rank_gfp(GfpMatrix.from_incidence(m, l)) == want, (q, n, t, k, l)
+                pairs, deficient = pairs + 1, deficient + (want < m.rows)
+    assert (pairs, deficient) == (640, 24)
+    # past the size cut: q2 n6 t2 k3 (9765 nonzeros) has rank 589 of 651
+    m = GfpMatrix.from_incidence(wilson_matrix(2, 6, 2, 3), 3)
+    assert rank_gfp(m) == closed_form(2, 6, 2, 3, 3) == 589
 
 
 def test_minimum_weight_of_the_dual_plane_code_is_a_closed_form():
