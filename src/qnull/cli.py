@@ -50,6 +50,7 @@ from .linalg import (
     GfpMatrix,
     InvariantError,
     SearchReport,
+    _lane_width,
     default_budget,
     min_support_kernel_rational,
     min_weight_kernel_gfp,
@@ -255,22 +256,24 @@ def _cmd_strength(args) -> int:
     return 0
 
 
-def _load_matrix(path: str):
+def _load_matrix(path: str, p: Optional[int], dense: bool = False):
     text = _read_file(path)
     try:
         m = read_matrix(text)
     except ValueError as e:
         raise ValueError(f"bad matrix file {path}: {e}") from None
-    # every command that reads a matrix builds it whole, dense over Q and
-    # packed over GF(p): count its words before that allocates them
-    words = m.rows * -(-m.cols // 64)
-    what = f"a {m.rows}x{m.cols} matrix takes {{}} 64-bit words at one bit per entry"
-    _within_budget(words, what)
+    # every command that reads a matrix builds it whole, dense over Q at one
+    # 64-bit slot per entry or packed over GF(p) (p defaults to the field's)
+    # at _lane_width(p) bits: count its words before that allocates them
+    bits = 64 if dense else _lane_width(p if p is not None else field(m.q).p)
+    per = "one bit" if bits == 1 else f"{bits} bits"
+    what = f"a {m.rows}x{m.cols} matrix takes {{}} 64-bit words at {per} per entry"
+    _within_budget(m.rows * -(-m.cols * bits // 64), what)
     return m
 
 
 def _cmd_rank(args) -> int:
-    m = _load_matrix(args.matrix)
+    m = _load_matrix(args.matrix, args.p, dense=args.over == "q")
     if args.over == "q":
         rank = rank_rational(m.dense())
         p = None
@@ -340,7 +343,7 @@ def _report_human(rep: SearchReport, witness_design: Optional[str]) -> str:
 
 
 def _cmd_minweight(args) -> int:
-    m = _load_matrix(args.matrix)
+    m = _load_matrix(args.matrix, args.p)
     _at_least_one("cap", args.cap)
     budget = _budget_from(args.budget)
     g = GfpMatrix.from_incidence(m, args.p)
@@ -358,7 +361,7 @@ def _cmd_minweight(args) -> int:
 
 
 def _cmd_minsupport(args) -> int:
-    m = _load_matrix(args.matrix)
+    m = _load_matrix(args.matrix, 2)
     _at_least_one("cap", args.cap)
     budget = _budget_from(args.budget)
     rep = min_support_kernel_rational(GfpMatrix.from_incidence(m, 2), args.cap, budget)

@@ -202,8 +202,10 @@ class Field:
         return f"Field(GF({self.q}))"
 
 
-def lane_adder(p: int, w: int, lanes: int) -> Callable[[int, int], int]:
-    """Lane-wise (a + b) mod p on ints of `lanes` w-bit lanes, 2^(w-1) >= p.
+def _lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable]:
+    """Lane-wise (a + b) mod p on ints of `lanes` w-bit lanes, 2^(w-1) >= p:
+    add(a, b), and sums(vs, ms), which lists add(a, b) for a in vs for b in ms
+    with the formula inline, in one call.
 
     Each lane of a and b holds a residue below p.  Adding 2^(w-1) - p sets a
     lane's high bit exactly when its sum reaches p, and no lane carries into
@@ -216,7 +218,14 @@ def lane_adder(p: int, w: int, lanes: int) -> Callable[[int, int], int]:
         t = a + b
         return t - (((t + fold) & high) >> sh) * p
 
-    return add
+    return add, lambda vs, ms: [
+        (t := a + b) - (((t + fold) & high) >> sh) * p for a in vs for b in ms
+    ]
+
+
+def lane_adder(p: int, w: int, lanes: int) -> Callable[[int, int], int]:
+    """Lane-wise (a + b) mod p, the add of _lane_ops."""
+    return _lane_ops(p, w, lanes)[0]
 
 
 @lru_cache(maxsize=None)

@@ -24,8 +24,9 @@ with L ranging over the d x k RREF matrices, no re-reduction needed.  Row r
 of L.B is x's row at L's r-th pivot plus a multiple of x's row c for each
 free entry (r, c) of L, so it is built from x's cached row multiples and x is
 never spanned; the ambient layer is the same construction on the unit basis.
-That loop is _local_choices; incidence.wilson_matrix runs it on each column
-of the blocks of _layer_blocks, with row multiples computed once per block.
+That loop is _local_choices, one _Lanes.sums call per free entry (no call per
+vector); incidence.wilson_matrix runs it on each column of the blocks of
+_layer_blocks, with row multiples computed once per block.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .fields import Field, field, lane_adder
+from .fields import Field, _lane_ops, field
 
 __all__ = [
     "Subspace",
@@ -84,7 +85,8 @@ class _Lanes:
         self.dec = {raw: c for c, raw in enumerate(self.enc)}
         # -c at the lane pattern of each code c; no other pattern occurs
         self._neg_at = [f.neg(self.dec.get(raw, 0)) for raw in range(max(self.enc) + 1)]
-        self.add = operator.xor if p == 2 else lane_adder(p, w, n * s)
+        ops = (operator.xor, _xor_sums) if p == 2 else _lane_ops(p, w, n * s)
+        self.add, self.sums = ops  # sums lists add(v, m) for v in vs for m in ms
         # x times a coordinate moves its digits up one lane and adds the top
         # digit d back in as d*x^s = d*(-modulus[0] - modulus[1] x - ...)
         self._top = sum(((1 << w) - 1) << (j * self.bw + (s - 1) * w) for j in range(n))
@@ -331,7 +333,7 @@ def _choice_blocks(rows: list[int], free, mults):
             yield from _choice_blocks(head, free, mults)
         return
     # one pivot set, whose local pivots are all the rows
-    yield _local_choices(rows, mults, {range(len(rows)): (free, 0)}, operator.or_)[0]
+    yield _local_choices(rows, mults, {range(len(rows)): (free, 0)}, _xor_sums)[0]
 
 
 def index_of(x: Subspace) -> int:
@@ -387,9 +389,9 @@ def _packed_subspaces_of(x: Subspace, d: int):
     """
     lanes, xp = x._lanes, x.pivots
     layout = _pivot_layout(lanes.q, x.k, d)[0]
-    # the unit rows share no lane, so in the ambient layer a sum is an OR
-    add = operator.or_ if x is lanes.whole else lanes.add
-    lists = _local_choices(x.vecs, _multiples(x), layout, add)
+    # the unit rows share no lane, so in the ambient layer a sum is an XOR
+    sums = _xor_sums if x is lanes.whole else lanes.sums
+    lists = _local_choices(x.vecs, _multiples(x), layout, sums)
     for local, choices in zip(layout, lists):
         yield tuple(map(xp.__getitem__, local)), choices
 
@@ -405,7 +407,12 @@ def _ambient_layer(q: int, n: int, d: int) -> tuple:
     return tuple(out)
 
 
-def _local_choices(vecs, mults, layout, add) -> list:
+def _xor_sums(vs: list[int], ms: list[int]) -> list[int]:
+    """_Lanes.sums over GF(2), or at any q where no lane is nonzero in both."""
+    return [v ^ m for v in vs for m in ms]
+
+
+def _local_choices(vecs, mults, layout, sums) -> list:
     """Per pivot set of layout (local pivots -> (free entries, offset), as in
     _pivot_layout(q, k, d)[0]), in its order: the lists of packed vectors that
     the rows of a d-subspace of span(vecs) can take, given the RREF basis vecs
@@ -413,14 +420,15 @@ def _local_choices(vecs, mults, layout, add) -> list:
 
     Row r's list starts at the basis row at the r-th local pivot; each free
     entry (r, c), read row-major, replaces it by every sum of a choice and a
-    multiple of basis row c, in code order.  So a basis's place in local order
-    is the mixed-radix value of its row indices over the list lengths.
+    multiple of basis row c, in code order: one call sums(list, multiples).
+    So a basis's place in local order is the mixed-radix value of its row
+    indices over the list lengths.
     """
     out = []
     for local, (free, _) in layout.items():
         choices = [[vecs[p]] for p in local]
         for r, c in free:
-            choices[r] = [add(v, m) for v in choices[r] for m in mults[c]]
+            choices[r] = sums(choices[r], mults[c])
         out.append(choices)
     return out
 

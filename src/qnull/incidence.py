@@ -9,7 +9,8 @@ gaussian_binomial(k,t,q) ones), which is what the kernel searches want.
 wilson_matrix builds no Subspace: it walks both layers in the packed blocks
 of grassmann._layer_blocks, computes the multiples of a block's listed rows
 once for all its columns, and lists each column's t-subspaces with
-_local_choices, the row loop of _packed_subspaces_of.
+_local_choices, the row loop of _packed_subspaces_of.  Row indices are
+keyed by packed basis, or at t = 1 by the one packed row, with no 1-tuples.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ def wilson_matrix(q: int, n: int, t: int, k: int) -> IncidenceMatrix:
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
     lanes = _lanes(q, n)
+    points = iter if t == 1 else itertools.product  # keys from the rows' lists
     ordinal = {}
     for _, choices in _layer_blocks(lanes, t):
-        ordinal.update(zip(itertools.product(*choices), itertools.count(len(ordinal))))
-    rank, multiples, add = ordinal.__getitem__, lanes.multiples, lanes.add
+        ordinal.update(zip(points(*choices), itertools.count(len(ordinal))))
+    rank, multiples, sums = ordinal.__getitem__, lanes.multiples, lanes.sums
     layout, cols = _pivot_layout(q, k, t)[0], []
     for _, choices in _layer_blocks(lanes, k):
         # every column of the block takes its rows from these lists
@@ -75,8 +77,8 @@ def wilson_matrix(q: int, n: int, t: int, k: int) -> IncidenceMatrix:
         for vecs in itertools.product(*choices):
             cols.append(tuple(sorted([
                 i
-                for rows in _local_choices(vecs, [mult[v] for v in vecs], layout, add)
-                for i in map(rank, itertools.product(*rows))
+                for rows in _local_choices(vecs, [mult[v] for v in vecs], layout, sums)
+                for i in map(rank, points(*rows))
             ])))
     return IncidenceMatrix(
         q=q, n=n, t=t, k=k, rows=len(ordinal), cols=len(cols), col_rows=tuple(cols)

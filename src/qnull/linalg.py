@@ -141,9 +141,10 @@ class GfpMatrix:
         # after a 0 so that an empty row parses
         d = -(-_lane_width(p) // 4)
         rows = [bytearray(b"0" * (m.cols * d + 1)) for _ in range(m.rows)]
-        for j, col in enumerate(m.col_rows):
+        for pos, col in enumerate(m.col_rows, 1):
+            pos *= d  # the last digit of lane pos - 1
             for i in col:
-                rows[i][(j + 1) * d] = 49  # "1", the last digit of lane j
+                rows[i][pos] = 49  # "1"
         base = 2 if p == 2 else 16
         return object.__new__(cls)._set(p, m.cols, [int(r, base) for r in rows])
 

@@ -845,8 +845,42 @@ def test_a_matrix_too_large_to_hold_is_refused_before_it_is_built(tmp_path, argv
     )
     assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout) == (2, b"")
+    # dense over Q, one 64-bit slot per entry; packed over GF(2), one bit
+    need = b"40000000000 64-bit words at 64 bits" if argv[-1] == "q" else (
+        b"625000000 64-bit words at one bit"
+    )
     assert proc.stderr == (
-        b"error: a 200000x200000 matrix takes 625000000 64-bit words at one bit"
+        b"error: a 200000x200000 matrix takes " + need + b" per entry, budget is 4194304\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rank", "--over", "q"], ["rank", "--over", "gf", "--p", str(2**61 - 1)]],
+)
+def test_the_matrix_budget_counts_the_words_each_ring_stores(tmp_path, argv):
+    """16000 x 16000 entries are 4000000 words at one bit, under the budget,
+    but 256000000 dense over Q or at the 64-bit lanes of GF(2^61 - 1).
+
+    Counted at one bit, both ended in a MemoryError under a 400 MB limit.
+    """
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    path = tmp_path / "wide.txt"
+    path.write_text("2 40 20 20 16000 16000\n0 0\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qnull.cli", *argv, "--matrix", str(path)],
+        capture_output=True,
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (
+        b"error: a 16000x16000 matrix takes 256000000 64-bit words at 64 bits"
         b" per entry, budget is 4194304\n"
     )
 

@@ -298,6 +298,55 @@ def test_enumerate_subspaces_order_matches_the_or_built_layer(q):
             assert got == want, (n, k)
 
 
+def local_choices_by_add(vecs, mults, layout, add):
+    """_local_choices as it was, with one add call per listed vector."""
+    out = []
+    for local, (free, _) in layout.items():
+        choices = [[vecs[p]] for p in local]
+        for r, c in free:
+            choices[r] = [add(v, m) for v in choices[r] for m in mults[c]]
+        out.append(choices)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_lane_sums_list_what_one_add_per_element_listed(q):
+    f, rng = field(q), random.Random(q)
+    for n in range(1, 5):
+        lanes = _lanes(q, n)
+
+        def vec(zero=None):
+            return sum(
+                lanes.enc[0 if j == zero else rng.randrange(q)] << (j * lanes.bw)
+                for j in range(n)
+            )
+
+        for _ in range(3):
+            c = rng.randrange(n)
+            vs, ms = [vec(zero=c) for _ in range(q + 1)], lanes.multiples(vec())
+            assert lanes.sums(vs, ms) == [lanes.add(v, m) for v in vs for m in ms]
+            # a multiple of unit row c adds into lane c only, where vs are 0,
+            # so there the sum is an XOR at any q
+            units = lanes.multiples(1 << (c * lanes.bw))
+            assert grassmann._xor_sums(vs, units) == [
+                lanes.add(v, m) for v in vs for m in units
+            ]
+        for k in range(n + 1):
+            for d in range(k + 1):
+                layout = grassmann._pivot_layout(q, k, d)[0]
+                x = random_subspace(f, n, k, rng)
+                mults = grassmann._multiples(x)
+                assert grassmann._local_choices(
+                    x.vecs, mults, layout, lanes.sums
+                ) == local_choices_by_add(x.vecs, mults, layout, lanes.add)
+                if k == n:  # the unit basis, in the ambient layer
+                    w = lanes.whole
+                    mults = grassmann._multiples(w)
+                    assert grassmann._local_choices(
+                        w.vecs, mults, layout, grassmann._xor_sums
+                    ) == local_choices_by_add(w.vecs, mults, layout, lanes.add)
+
+
 @pytest.mark.parametrize("cap", [1, 2, 5])
 def test_enumeration_in_capped_blocks_keeps_the_order(monkeypatch, cap):
     # a row's list of choices is held to cap vectors by fixing the leading

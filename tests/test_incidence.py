@@ -32,7 +32,9 @@ EVERY_LAYOUT = [
 @pytest.mark.parametrize(
     "q,n,t,k",
     [(2, 4, 1, 2), (2, 5, 1, 3), (3, 3, 1, 2), (4, 3, 1, 2), (2, 4, 0, 2)]
-    + EVERY_LAYOUT,
+    + EVERY_LAYOUT
+    # the odd-p points against planes, past EVERY_LAYOUT's n = 3 for q >= 4
+    + [(5, 4, 1, 3), (7, 4, 1, 3)],
 )
 def test_shape_and_entries_match_containment(q, n, t, k):
     m = wilson_matrix(q, n, t, k)
