@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
-__all__ = ["Field", "field", "lane_adder"]
+__all__ = ["Field", "field"]
 
 # Modulus polynomials for the non-prime orders, low degree first:
 # GF(4): x^2+x+1, GF(8): x^3+x+1, GF(9): x^2+2x+2, GF(16): x^4+x+1,
@@ -202,10 +202,11 @@ class Field:
         return f"Field(GF({self.q}))"
 
 
-def _lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable]:
+def _lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable, tuple]:
     """Lane-wise (a + b) mod p on ints of `lanes` w-bit lanes, 2^(w-1) >= p:
-    add(a, b), and sums(vs, ms), which lists add(a, b) for a in vs for b in ms
-    with the formula inline, in one call.
+    add(a, b); sums(vs, ms), which lists add(a, b) for a in vs for b in ms
+    with the formula inline, in one call; and the formula's constants
+    (fold, high, sh), for a caller that writes it inline itself.
 
     Each lane of a and b holds a residue below p.  Adding 2^(w-1) - p sets a
     lane's high bit exactly when its sum reaches p, and no lane carries into
@@ -218,14 +219,10 @@ def _lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable]:
         t = a + b
         return t - (((t + fold) & high) >> sh) * p
 
-    return add, lambda vs, ms: [
-        (t := a + b) - (((t + fold) & high) >> sh) * p for a in vs for b in ms
-    ]
+    def sums(vs: list[int], ms: list[int]) -> list[int]:
+        return [(t := a + b) - (((t + fold) & high) >> sh) * p for a in vs for b in ms]
 
-
-def lane_adder(p: int, w: int, lanes: int) -> Callable[[int, int], int]:
-    """Lane-wise (a + b) mod p, the add of _lane_ops."""
-    return _lane_ops(p, w, lanes)[0]
+    return add, sums, (fold, high, sh)
 
 
 @lru_cache(maxsize=None)

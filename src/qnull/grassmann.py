@@ -7,7 +7,7 @@ element code (fields.py: code = sum of digit_i p^i) sits w*i bits above that.
 Over p = 2 a lane is one bit and vector addition is XOR.  Over odd p a lane
 has w bits with 2^(w-1) >= p, room for the sum of two digits, so addition is
 one integer add followed by a lane-wise subtraction of p wherever the sum
-reached p (fields.lane_adder, which linalg's GF(p) elimination shares).  The
+reached p (fields._lane_ops, which linalg's GF(p) elimination shares).  The
 pivot columns are stored with the rows, and `Subspace.rows` decodes the
 packed rows back into tuples of element codes.
 
@@ -85,7 +85,7 @@ class _Lanes:
         self.dec = {raw: c for c, raw in enumerate(self.enc)}
         # -c at the lane pattern of each code c; no other pattern occurs
         self._neg_at = [f.neg(self.dec.get(raw, 0)) for raw in range(max(self.enc) + 1)]
-        ops = (operator.xor, _xor_sums) if p == 2 else _lane_ops(p, w, n * s)
+        ops = (operator.xor, _xor_sums) if p == 2 else _lane_ops(p, w, n * s)[:2]
         self.add, self.sums = ops  # sums lists add(v, m) for v in vs for m in ms
         # x times a coordinate moves its digits up one lane and adds the top
         # digit d back in as d*x^s = d*(-modulus[0] - modulus[1] x - ...)

@@ -6,11 +6,12 @@ ints from the columns, and the tuple entries is decoded only when read.  The
 two elimination cores take and give packed rows, so rref_gfp and the kernels
 neither pack nor decode.  Over GF(2) _xor_basis, also used by the all-ones
 test and the rational prefilter, is the forward pass to an echelon basis
-keyed by leading bit.  Over odd p rows are added
-lane-wise by fields.lane_adder, and the forward pass _lane_basis keys its
-basis by leading lane.  rank_gfp stops there; rref_gfp back-substitutes in
-descending column order to the unique RREF, reducing each row only at the
-done pivots where it is nonzero.
+keyed by leading bit.  Over odd p _lane_basis keys it by leading lane and
+keeps each row as found, with -1/lead and its multiples: all p for p < 16,
+so a reduction step is one lane add (fields._lane_ops), else the doublings,
+one add per set bit of the scalar.  rank_gfp stops there; rref_gfp
+back-substitutes in descending column order to the unique RREF, reducing
+each row only at the done pivots where it is nonzero.
 
 Over Q, rank_rational has no elimination of its own.  It turns the matrix
 so that rows <= columns and takes its rank mod p on _lane_basis for the odd
@@ -58,7 +59,7 @@ from fractions import Fraction
 from struct import pack, unpack
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .fields import _is_prime, lane_adder
+from .fields import _is_prime, _lane_ops
 
 __all__ = [
     "GfpMatrix",
@@ -266,40 +267,54 @@ def _rref_gf2(m: GfpMatrix) -> dict[int, int]:
     return done
 
 
-def _doublings(b: int, add: Callable[[int, int], int], p: int) -> list[int]:
-    """b, 2b, 4b, ... up to the top bit of p - 1."""
+def _multiples(b: int, add: Callable[[int, int], int], p: int) -> list[int]:
+    """The multiples of b that the lane cores add: every c*b, indexed by c, for
+    p < 16; above, the doublings b, 2b, 4b, ... up to the top bit of p - 1."""
+    if p < 16:
+        return list(itertools.accumulate([b] * (p - 1), add, initial=0))
     out = [b]
     for _ in range(p.bit_length() - 1):
         out.append(add(out[-1], out[-1]))
     return out
 
 
-def _axpy(v: int, c: int, dbl: list[int], add: Callable[[int, int], int]) -> int:
-    """v + c*b from the doublings of b: one lane add per set bit of c."""
-    for b in dbl:
+def _axpy(v: int, c: int, e: tuple, add: Callable[[int, int], int], p: int) -> int:
+    """v - (c/lead)*row for a basis entry e = (the row's _multiples, -1/lead),
+    clearing c at its leading lane: one lane add, or one per set scalar bit."""
+    tbl, k = e
+    c = c * k % p
+    if p < 16:
+        return add(v, tbl[c])
+    for b in tbl:
         if c & 1:
             v = add(v, b)
         c >>= 1
     return v
 
 
-def _lane_basis(rows: Iterable[int], p: int, w: int, nc: int) -> dict[int, list[int]]:
-    """Odd p: echelon basis of rows of nc w-bit lanes, keyed by leading lane,
-    each row leading 1 and stored with its doublings; its size is the rank."""
-    add = lane_adder(p, w, nc)
-    basis: dict[int, list[int]] = {}
+def _lane_basis(rows: Iterable[int], p: int, w: int, nc: int) -> dict[int, tuple]:
+    """Odd p: echelon basis of rows of nc w-bit lanes, keyed by leading lane;
+    each row is kept as found, in an entry (its _multiples, -1/lead mod p) that
+    _axpy reduces by, inline below p = 16.  Its size is the rank."""
+    add, _, (fold, high, sh) = _lane_ops(p, w, nc)
+    basis: dict[int, tuple] = {}
     for v in rows:
+        top = nc  # each step must lower the leading lane
         while v:
             h = (v.bit_length() - 1) // w
-            c = v >> (h * w)
-            if h not in basis:
-                if c != 1:
-                    v = _axpy(0, pow(c, p - 2, p), _doublings(v, add, p), add)
-                basis[h] = _doublings(v, add, p)
-                break
-            v = _axpy(v, p - c, basis[h], add)
-            if v.bit_length() > h * w:
+            if h >= top:
                 raise InvariantError("a lane add left a leading lane nonzero")
+            c = v >> h * w
+            e = basis.get(h)
+            if e is None:
+                basis[h] = _multiples(v, add, p), -pow(c, -1, p) % p
+                break
+            if p < 16:  # _axpy, with the lane add written out
+                t = v + e[0][c * e[1] % p]
+                v = t - (((t + fold) & high) >> sh) * p
+            else:
+                v = _axpy(v, c, e, add, p)
+            top = h
         if len(basis) == nc:
             break
     return basis
@@ -308,23 +323,26 @@ def _lane_basis(rows: Iterable[int], p: int, w: int, nc: int) -> dict[int, list[
 def _rref_lanes(m: GfpMatrix, w: int) -> dict[int, int]:
     """Odd p: the RREF rows as ints of w-bit lanes, keyed by leading lane."""
     p, nc = m.p, m.cols
-    add, lane = lane_adder(p, w, nc), (1 << w) - 1
+    add, lane = _lane_ops(p, w, nc)[0], (1 << w) - 1
     basis = _lane_basis(m._packed, p, w, nc)
     # last pivot column first, as over GF(2): one multiple of a done row per
-    # nonzero done pivot lane of v, which no other done row changes
-    done: dict[int, list[int]] = {}
+    # nonzero done pivot lane of v, which no other done row changes.  A done
+    # row keeps the lead of its basis row and is divided by it only in out.
+    out: dict[int, int] = {}
     seen = 0  # all ones at the done pivot lanes
-    for h in sorted(basis):
-        v = basis[h][0]
+    for h, e in sorted(basis.items()):
+        v = e[0][p < 16]  # the row: its multiple 1, or its first doubling
         hits = v & seen
-        while hits:
-            g = (hits.bit_length() - 1) // w
-            c = hits >> (g * w)
-            hits ^= c << (g * w)
-            v = _axpy(v, p - c, done[g], add)
-        done[h] = _doublings(v, add, p)
+        if hits:
+            while hits:
+                g = (hits.bit_length() - 1) // w
+                c = hits >> (g * w)
+                hits ^= c << (g * w)
+                v = _axpy(v, c, basis[g], add, p)
+            basis[h] = e = _multiples(v, add, p), e[1]
+        out[h] = _axpy(0, p - 1, e, add, p)  # v/lead
         seen |= lane << (h * w)
-    return {h: dbl[0] for h, dbl in done.items()}
+    return out
 
 
 def rank_gfp(m: GfpMatrix) -> int:

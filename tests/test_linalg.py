@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnull import linalg
 from qnull.designs import NullDesign, verify_strength
 from qnull.fields import field
 from qnull.grassmann import gaussian_binomial
@@ -18,6 +19,7 @@ from qnull.linalg import (
     MODE_SUPPORT,
     BudgetExceededError,
     GfpMatrix,
+    InvariantError,
     _all_ones_in_row_space,
     default_budget,
     kernel_basis_gfp,
@@ -241,14 +243,36 @@ def test_gf2_rref_matches_list_elimination(shape):
     _check_rref_and_kernel(*shape)
 
 
-@given(gfp_rows(primes=(3, 5, 7, 11, 127, 131, 2**31 - 1), max_cols=200, max_rows=10))
+@given(gfp_rows(primes=(3, 5, 7, 11, 13, 17, 127, 131, 2**31 - 1), max_cols=200, max_rows=10))
 @settings(max_examples=300, deadline=None)
 def test_gfp_rref_matches_list_elimination(shape):
-    # 4-bit lanes for p <= 7, 8 bits for 11 and 127 (the widest prime there,
+    # 4-bit lanes for p <= 7, 8 bits for 11 to 127 (the widest prime there,
     # whose sums reach the top bit of a lane), 12 for 131 and 32 for
-    # 2^31 - 1, so a scalar multiple takes up to 31 doublings; widths up to
-    # 200 cross the 64-bit words of the packed rows at every lane width
+    # 2^31 - 1; 13 is the widest prime that reduces from a table of all its
+    # multiples and 17 the first that reduces from doublings, so a scalar
+    # multiple takes up to 31 of them; widths up to 200 cross the 64-bit
+    # words of the packed rows at every lane width
     _check_rref_and_kernel(*shape)
+
+
+@pytest.mark.parametrize("p", [3, 131])
+def test_a_lane_add_that_leaves_a_leading_lane_is_an_invariant_error(monkeypatch, p):
+    # lane sums mod p + 1 never clear a leading lane mod p: the forward pass
+    # must stop at its first step, not loop or return a wrong rank.  p = 3
+    # reduces from tables and 131 from doublings; rank_rational reaches p
+    # because its entries are too large for the primes before p to settle a
+    # rank-1 matrix
+    real = linalg._lane_ops
+    monkeypatch.setattr(linalg, "_lane_ops", lambda r, w, n: real(r + (r == p), w, n))
+    big = 10**1000
+    calls = (
+        lambda: rank_gfp(_m(p, [[1, 2, 1], [2, 1, 1]])),
+        lambda: rref_gfp(_m(p, [[1, 2, 1], [2, 1, 1]])),
+        lambda: rank_rational([[big, big], [big, big]]),
+    )
+    for call in calls:
+        with pytest.raises(InvariantError, match="a lane add left a leading lane nonzero"):
+            call()
 
 
 @given(gfp_rows(primes=(2,), max_cols=12, max_rows=5))
@@ -277,10 +301,11 @@ def test_gf2_rank_of_points_against_k_spaces_is_a_reed_muller_dimension():
 def test_hamada_p_rank_of_points_against_hyperplanes():
     # Hamada: over GF(p) the p-rank of points against hyperplanes of GF(p)^n
     # is C(n+p-2, n-1) + 1
-    # (7, n) and (11, 3) run on 4- and 8-bit lanes; (11, 3) is 133x133
+    # (7, n) and (11, 3) run on 4- and 8-bit lanes; (11, 3) is 133x133 and
+    # (13, 3), the widest prime reduced from a table of multiples, 183x183
     cells = (
         (3, 3, 7), (3, 4, 11), (3, 5, 16), (5, 3, 16), (7, 3, 29), (7, 4, 85),
-        (11, 3, 67),
+        (11, 3, 67), (13, 3, 92),
     )
     for p, n, want in cells:
         assert want == math.comb(n + p - 2, n - 1) + 1
