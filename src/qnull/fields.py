@@ -202,11 +202,10 @@ class Field:
         return f"Field(GF({self.q}))"
 
 
-def _lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable, tuple]:
+def _lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable]:
     """Lane-wise (a + b) mod p on ints of `lanes` w-bit lanes, 2^(w-1) >= p:
-    add(a, b); sums(vs, ms), which lists add(a, b) for a in vs for b in ms
-    with the formula inline, in one call; and the formula's constants
-    (fold, high, sh), for a caller that writes it inline itself.
+    add(a, b), and sums(vs, ms), which lists add(a, b) for a in vs for b in ms
+    with the formula inline, in one call.
 
     Each lane of a and b holds a residue below p.  Adding 2^(w-1) - p sets a
     lane's high bit exactly when its sum reaches p, and no lane carries into
@@ -219,10 +218,9 @@ def _lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable, tuple]:
         t = a + b
         return t - (((t + fold) & high) >> sh) * p
 
-    def sums(vs: list[int], ms: list[int]) -> list[int]:
-        return [(t := a + b) - (((t + fold) & high) >> sh) * p for a in vs for b in ms]
-
-    return add, sums, (fold, high, sh)
+    return add, lambda vs, ms: [
+        (t := a + b) - (((t + fold) & high) >> sh) * p for a in vs for b in ms
+    ]
 
 
 @lru_cache(maxsize=None)

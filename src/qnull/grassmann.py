@@ -85,7 +85,7 @@ class _Lanes:
         self.dec = {raw: c for c, raw in enumerate(self.enc)}
         # -c at the lane pattern of each code c; no other pattern occurs
         self._neg_at = [f.neg(self.dec.get(raw, 0)) for raw in range(max(self.enc) + 1)]
-        ops = (operator.xor, _xor_sums) if p == 2 else _lane_ops(p, w, n * s)[:2]
+        ops = (operator.xor, _xor_sums) if p == 2 else _lane_ops(p, w, n * s)
         self.add, self.sums = ops  # sums lists add(v, m) for v in vs for m in ms
         # x times a coordinate moves its digits up one lane and adds the top
         # digit d back in as d*x^s = d*(-modulus[0] - modulus[1] x - ...)

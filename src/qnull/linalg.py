@@ -7,11 +7,11 @@ two elimination cores take and give packed rows, so rref_gfp and the kernels
 neither pack nor decode.  Over GF(2) _xor_basis, also used by the all-ones
 test and the rational prefilter, is the forward pass to an echelon basis
 keyed by leading bit.  Over odd p _lane_basis keys it by leading lane and
-keeps each row as found, with -1/lead and its multiples: all p for p < 16,
-so a reduction step is one lane add (fields._lane_ops), else the doublings,
+keeps each row as found, with -1/lead and, once used, its multiples: all p
+for p <= 7, so a step is one lane add (fields._lane_ops), else the doublings,
 one add per set bit of the scalar.  rank_gfp stops there; rref_gfp
 back-substitutes in descending column order to the unique RREF, reducing
-each row only at the done pivots where it is nonzero.
+each row only at the done pivots where it is nonzero, then divides by leads.
 
 Over Q, rank_rational has no elimination of its own.  It turns the matrix
 so that rows <= columns and takes its rank mod p on _lane_basis for the odd
@@ -267,10 +267,13 @@ def _rref_gf2(m: GfpMatrix) -> dict[int, int]:
     return done
 
 
+_TABLE_P = 8  # below it (4-bit lanes), _multiples lists all p multiples
+
+
 def _multiples(b: int, add: Callable[[int, int], int], p: int) -> list[int]:
-    """The multiples of b that the lane cores add: every c*b, indexed by c, for
-    p < 16; above, the doublings b, 2b, 4b, ... up to the top bit of p - 1."""
-    if p < 16:
+    """The multiples of b that _axpy adds: every c*b, indexed by c, below
+    _TABLE_P; else the doublings b, 2b, 4b, ... up to the top bit of p - 1."""
+    if p < _TABLE_P:
         return list(itertools.accumulate([b] * (p - 1), add, initial=0))
     out = [b]
     for _ in range(p.bit_length() - 1):
@@ -278,26 +281,28 @@ def _multiples(b: int, add: Callable[[int, int], int], p: int) -> list[int]:
     return out
 
 
-def _axpy(v: int, c: int, e: tuple, add: Callable[[int, int], int], p: int) -> int:
-    """v - (c/lead)*row for a basis entry e = (the row's _multiples, -1/lead),
-    clearing c at its leading lane: one lane add, or one per set scalar bit."""
-    tbl, k = e
+def _axpy(v: int, c: int, e: list, add: Callable[[int, int], int], p: int) -> int:
+    """v - (c/lead)*row for a basis entry e = [row, -1/lead mod p, its
+    _multiples or None until this first use], clearing c at the row's leading
+    lane: one lane add, or one per set bit of the scalar."""
+    row, k, mults = e
+    if mults is None:
+        mults = e[2] = _multiples(row, add, p)
     c = c * k % p
-    if p < 16:
-        return add(v, tbl[c])
-    for b in tbl:
+    if p < _TABLE_P:
+        return add(v, mults[c])
+    for b in mults:
         if c & 1:
             v = add(v, b)
         c >>= 1
     return v
 
 
-def _lane_basis(rows: Iterable[int], p: int, w: int, nc: int) -> dict[int, tuple]:
-    """Odd p: echelon basis of rows of nc w-bit lanes, keyed by leading lane;
-    each row is kept as found, in an entry (its _multiples, -1/lead mod p) that
-    _axpy reduces by, inline below p = 16.  Its size is the rank."""
-    add, _, (fold, high, sh) = _lane_ops(p, w, nc)
-    basis: dict[int, tuple] = {}
+def _lane_basis(rows: Iterable[int], p: int, w: int, nc: int) -> dict[int, list]:
+    """Odd p: echelon basis of rows of nc w-bit lanes, keyed by leading lane,
+    each row kept as found in the entry that _axpy reduces by; its size is the rank."""
+    add = _lane_ops(p, w, nc)[0]
+    basis: dict[int, list] = {}
     for v in rows:
         top = nc  # each step must lower the leading lane
         while v:
@@ -307,13 +312,9 @@ def _lane_basis(rows: Iterable[int], p: int, w: int, nc: int) -> dict[int, tuple
             c = v >> h * w
             e = basis.get(h)
             if e is None:
-                basis[h] = _multiples(v, add, p), -pow(c, -1, p) % p
+                basis[h] = [v, -pow(c, -1, p) % p, None]
                 break
-            if p < 16:  # _axpy, with the lane add written out
-                t = v + e[0][c * e[1] % p]
-                v = t - (((t + fold) & high) >> sh) * p
-            else:
-                v = _axpy(v, c, e, add, p)
+            v = _axpy(v, c, e, add, p)
             top = h
         if len(basis) == nc:
             break
@@ -331,15 +332,14 @@ def _rref_lanes(m: GfpMatrix, w: int) -> dict[int, int]:
     out: dict[int, int] = {}
     seen = 0  # all ones at the done pivot lanes
     for h, e in sorted(basis.items()):
-        v = e[0][p < 16]  # the row: its multiple 1, or its first doubling
+        v = e[0]
         hits = v & seen
-        if hits:
-            while hits:
-                g = (hits.bit_length() - 1) // w
-                c = hits >> (g * w)
-                hits ^= c << (g * w)
-                v = _axpy(v, c, basis[g], add, p)
-            basis[h] = e = _multiples(v, add, p), e[1]
+        while hits:
+            g = (hits.bit_length() - 1) // w
+            c = hits >> (g * w)
+            hits ^= c << (g * w)
+            v = _axpy(v, c, basis[g], add, p)
+        basis[h] = e = [v, e[1], None]
         out[h] = _axpy(0, p - 1, e, add, p)  # v/lead
         seen |= lane << (h * w)
     return out

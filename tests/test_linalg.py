@@ -248,8 +248,8 @@ def test_gf2_rref_matches_list_elimination(shape):
 def test_gfp_rref_matches_list_elimination(shape):
     # 4-bit lanes for p <= 7, 8 bits for 11 to 127 (the widest prime there,
     # whose sums reach the top bit of a lane), 12 for 131 and 32 for
-    # 2^31 - 1; 13 is the widest prime that reduces from a table of all its
-    # multiples and 17 the first that reduces from doublings, so a scalar
+    # 2^31 - 1; 7 is the widest prime that reduces from a table of all its
+    # multiples and 11 the first that reduces from doublings, so a scalar
     # multiple takes up to 31 of them; widths up to 200 cross the 64-bit
     # words of the packed rows at every lane width
     _check_rref_and_kernel(*shape)
@@ -273,6 +273,17 @@ def test_a_lane_add_that_leaves_a_leading_lane_is_an_invariant_error(monkeypatch
     for call in calls:
         with pytest.raises(InvariantError, match="a lane add left a leading lane nonzero"):
             call()
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_a_basis_row_builds_its_multiples_only_once_used(p):
+    # the identity needs no reduction step, so no basis row pays for a table
+    # or doublings; a repeated row uses the one basis row it repeats
+    w = linalg._lane_width(p)
+    basis = linalg._lane_basis([1 << w * j for j in range(50)], p, w, 50)
+    assert len(basis) == 50 and all(e[2] is None for e in basis.values())
+    basis = linalg._lane_basis([2, 2, 2 << w], p, w, 2)
+    assert basis[0][2] is not None and basis[1][2] is None
 
 
 @given(gfp_rows(primes=(2,), max_cols=12, max_rows=5))
@@ -301,8 +312,8 @@ def test_gf2_rank_of_points_against_k_spaces_is_a_reed_muller_dimension():
 def test_hamada_p_rank_of_points_against_hyperplanes():
     # Hamada: over GF(p) the p-rank of points against hyperplanes of GF(p)^n
     # is C(n+p-2, n-1) + 1
-    # (7, n) and (11, 3) run on 4- and 8-bit lanes; (11, 3) is 133x133 and
-    # (13, 3), the widest prime reduced from a table of multiples, 183x183
+    # (7, n) and (11, 3) run on 4- and 8-bit lanes, from tables of multiples
+    # and from doublings; (11, 3) is 133x133 and (13, 3) 183x183
     cells = (
         (3, 3, 7), (3, 4, 11), (3, 5, 16), (5, 3, 16), (7, 3, 29), (7, 4, 85),
         (11, 3, 67), (13, 3, 92),
