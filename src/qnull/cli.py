@@ -6,10 +6,11 @@ here cover only what the library would take without complaint, such as
 `enumerate --k` outside [0, n], which would list nothing.  A search's budget
 is `--budget`, else QNULL_BUDGET, else the library default, default_budget(p)
 for `minweight` and default_budget(2) for `minsupport`.  `wilson`,
-`construct`, `verify` and `strength` count their nonzeros or listed
-subspaces first, and `rank`, `minweight` and `minsupport` the 64-bit words of
-their matrix at one bit per entry; each refuses more than QNULL_BUDGET, else
-default_budget(2), whatever `--budget` says.
+`construct`, `verify`, `strength` and `enumerate --json` count their
+nonzeros or listed subspaces first (`enumerate` streams its text form), and
+`rank`, `minweight` and `minsupport` the 64-bit words of their matrix at one
+bit per entry; each refuses more than QNULL_BUDGET, else default_budget(2),
+whatever `--budget` says.
 
 Exit codes: 0 on success, 1 when a verification or reproduction check fails,
 2 on usage errors (bad parameters, unreadable, unwritable or malformed files,
@@ -133,8 +134,10 @@ def _cmd_enumerate(args) -> int:
     if not 0 <= args.k <= args.n:
         raise ValueError(f"need 0 <= k <= n, got k={args.k}, n={args.n}")
     texts = map(subspace_to_text, enumerate_subspaces(f, args.n, args.k))
-    want = gaussian_binomial(args.n, args.k, args.q)
     if args.json:
+        if args.n <= Field.MAX_DIMENSION:  # else list() below refuses it
+            want = gaussian_binomial(args.n, args.k, args.q)
+            _within_budget(want, "enumerate would list {} subspaces")
         texts = list(texts)
         record = {"q": args.q, "n": args.n, "k": args.k, "count": len(texts)}
         _emit(args, {**record, "gaussian_binomial": want, "subspaces": texts}, "")
@@ -142,6 +145,7 @@ def _cmd_enumerate(args) -> int:
     count = 0  # streamed, so `qnull enumerate ... | head` ends at once
     for count, text in enumerate(texts, 1):
         print(text)
+    want = gaussian_binomial(args.n, args.k, args.q)  # the stream refused a huge n
     print(f"count={count} gaussian_binomial={want}")
     return 0 if count == want else 1
 
@@ -347,9 +351,7 @@ def _cmd_minweight(args) -> int:
     _at_least_one("cap", args.cap)
     budget = _budget_from(args.budget)
     g = GfpMatrix.from_incidence(m, args.p)
-    rep = min_weight_kernel_gfp(
-        g, cap=args.cap, mode=args.mode, budget=budget, threads=args.threads
-    )
+    rep = min_weight_kernel_gfp(g, cap=args.cap, mode=args.mode, budget=budget)
     design_text = _witness_design_text(m, args.p, rep)
     payload = _report_payload(rep)
     payload["p"] = args.p
@@ -380,12 +382,7 @@ def _cmd_minsupport(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    rows = run_grid(
-        only=args.only,
-        inject_corruption=args.inject_corruption,
-        budget=_budget_from(args.budget),
-        threads=args.threads,
-    )
+    rows = run_grid(args.only, args.inject_corruption, _budget_from(args.budget))
     failures = sum(1 for r in rows if not r.ok)
     payload = {
         "checks": len(rows),

@@ -214,7 +214,7 @@ def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
     element covers is skipped whole.  y lies in x exactly when each of its
     rows reduces to zero against x, and each row picks from its own list, so
     each choice is reduced once per candidate x and c is counted at every
-    product of hits.  y's ordinal is its pivot set's offset plus the
+    product of hits.  y's ordinal is its block's offset plus the
     mixed-radix value of its row indices over the list lengths.
     """
     _check_domain(design, t)

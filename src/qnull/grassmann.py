@@ -14,7 +14,9 @@ packed rows back into tuples of element codes.
 The fixed enumeration order is: pivot column sets ascending lexicographically
 (as increasing tuples), then the free entries read row-major as a base-q
 integer, ascending.  Over GF(2) with n=2, k=1 that gives span{(1,0)},
-span{(1,1)}, span{(0,1)}.
+span{(1,1)}, span{(0,1)}.  index_of and from_index place a subspace by at
+most n - k block sizes (_block), never by listing its layer, whose walks take
+the pivot sets from itertools.combinations one at a time (_layer_blocks).
 
 One structural fact carries most of the module: if B is the k x n RREF basis
 of x and L is any d x k RREF matrix, then L.B is already in RREF form with
@@ -288,16 +290,28 @@ def _free_entries(n: int, pivots: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _pivot_layout(q: int, n: int, k: int):
-    """Per pivot set, in enumeration order: its row-major free coordinates
-    (r, c) and its ordinal offset; plus the total count."""
-    by_pivots = {}
-    total = 0
-    for pivots in itertools.combinations(range(n), k):
-        free = _free_entries(n, pivots)
-        by_pivots[pivots] = (free, total)
-        total += q ** len(free)
-    return by_pivots, total
+def _pivot_layout(k: int, d: int) -> dict:
+    """The d-subspaces of a k-dimensional space in local coordinates: per
+    pivot set, in order, its row-major free coordinates (r, c)."""
+    return {p: _free_entries(k, p) for p in itertools.combinations(range(k), d)}
+
+
+def _block(q: int, n: int, k: int, r: int, c: int) -> int:
+    """With the rows above row r fixed, the k-subspaces of GF(q)^n whose row r
+    has its pivot at c: row r's free entries, then the n-c-1 columns right of c."""
+    return q ** (n - k - c + r) * gaussian_binomial(n - c - 1, k - r - 1, q)
+
+
+@lru_cache(maxsize=256)
+def _place(q: int, n: int, pivots: tuple[int, ...]):
+    """The free coordinates of a pivot set, row-major, and the ordinal of its
+    first subspace: the sizes of the blocks it skips, at most n - k of them."""
+    k, offset, scale, start = len(pivots), 0, 1, 0
+    for r, p in enumerate(pivots):
+        offset += scale * sum(_block(q, n, k, r, c) for c in range(start, p))
+        scale *= q ** (n - k - p + r)
+        start = p + 1
+    return _free_entries(n, pivots), offset
 
 
 def enumerate_subspaces(f: Field, n: int, k: int) -> Iterator[Subspace]:
@@ -314,7 +328,8 @@ def _layer_blocks(lanes: _Lanes, k: int):
     """The k-layer in blocks, in order: the pivots and the rows' lists of
     choices, whose product is the block's packed bases (_choice_blocks)."""
     units, mults = lanes.whole.vecs, _multiples(lanes.whole)
-    for pivots, (free, _) in _pivot_layout(lanes.q, lanes.n, k)[0].items():
+    for pivots in itertools.combinations(range(lanes.n), k):
+        free = _free_entries(lanes.n, pivots)
         for choices in _choice_blocks([units[p] for p in pivots], free, mults):
             yield pivots, choices
 
@@ -333,20 +348,17 @@ def _choice_blocks(rows: list[int], free, mults):
             yield from _choice_blocks(head, free, mults)
         return
     # one pivot set, whose local pivots are all the rows
-    yield _local_choices(rows, mults, {range(len(rows)): (free, 0)}, _xor_sums)[0]
+    yield _local_choices(rows, mults, {range(len(rows)): free}, _xor_sums)[0]
 
 
 def index_of(x: Subspace) -> int:
     """Ordinal of x within enumerate_subspaces(field, n, k), the inverse of from_index."""
-    try:
-        return _ordinal(x._lanes, x.vecs, x.pivots)
-    except KeyError:
-        raise ValueError("pivot set not found (corrupt subspace?)") from None
+    return _ordinal(x._lanes, x.vecs, x.pivots)
 
 
 def _ordinal(lanes: _Lanes, vecs: tuple[int, ...], pivots: tuple[int, ...]) -> int:
     """Ordinal of a packed RREF basis, with its pivots, within its layer."""
-    free, offset = _pivot_layout(lanes.q, lanes.n, len(vecs))[0][pivots]
+    free, offset = _place(lanes.q, lanes.n, pivots)
     q, dec, bw, mask = lanes.q, lanes.dec, lanes.bw, lanes.mask
     val = 0
     for r, c in free:
@@ -362,16 +374,15 @@ def from_index(f: Field, n: int, k: int, ordinal: int) -> Subspace:
     total = gaussian_binomial(n, k, f.q)
     if not 0 <= ordinal < total:
         raise ValueError(f"ordinal {ordinal} out of range [0, {total})")
-    # Each pivot set holds q^(its free entries) subspaces, and row r's free
-    # entries are the n - k - (p_r - r) non-pivot columns right of its pivot
-    # p_r.  The walk stops at the set that holds the ordinal, so it takes at
-    # most ordinal + 1 steps, though there are C(n, k) sets.
-    val = ordinal
-    for pivots in itertools.combinations(range(n), k):
-        size = f.q ** sum(n - k - p + r for r, p in enumerate(pivots))
-        if val < size:
-            break
-        val -= size
+    # per row, skip the blocks before val's, times the choices of rows above
+    q, val, scale, pivots, c = f.q, ordinal, 1, (), 0
+    for r in range(k):
+        while val >= (size := scale * _block(q, n, k, r, c)):
+            val -= size
+            c += 1
+        pivots += (c,)
+        scale *= q ** (n - k - c + r)
+        c += 1
     rows = [1 << (p * lanes.bw) for p in pivots]
     for r, c in reversed(_free_entries(n, pivots)):
         val, digit = divmod(val, f.q)
@@ -387,23 +398,21 @@ def _packed_subspaces_of(x: Subspace, d: int):
     row can take (_local_choices).  The rows choose independently: the bases
     are the product.
     """
-    lanes, xp = x._lanes, x.pivots
-    layout = _pivot_layout(lanes.q, x.k, d)[0]
-    # the unit rows share no lane, so in the ambient layer a sum is an XOR
-    sums = _xor_sums if x is lanes.whole else lanes.sums
-    lists = _local_choices(x.vecs, _multiples(x), layout, sums)
+    layout, xp = _pivot_layout(x.k, d), x.pivots
+    lists = _local_choices(x.vecs, _multiples(x), layout, x._lanes.sums)
     for local, choices in zip(layout, lists):
         yield tuple(map(xp.__getitem__, local)), choices
 
 
 @lru_cache(maxsize=16)
 def _ambient_layer(q: int, n: int, d: int) -> tuple:
-    """Per pivot set of the d-layer of GF(q)^n, in order: its pivots, the rows'
-    lists of choices, each row's mixed-radix weight and the set's offset."""
-    layout, out = _pivot_layout(q, n, d)[0], []
-    for pivots, rows in _packed_subspaces_of(_lanes(q, n).whole, d):
+    """The blocks of the d-layer of GF(q)^n (_layer_blocks), in order: pivots,
+    the rows' lists of choices, each row's mixed-radix weight and the offset."""
+    out, offset = [], 0
+    for pivots, rows in _layer_blocks(_lanes(q, n), d):
         weights = [math.prod(map(len, rows[i + 1:])) for i in range(d)]
-        out.append((pivots, rows, weights, layout[pivots][1]))
+        out.append((pivots, rows, weights, offset))
+        offset += math.prod(map(len, rows))
     return tuple(out)
 
 
@@ -413,8 +422,8 @@ def _xor_sums(vs: list[int], ms: list[int]) -> list[int]:
 
 
 def _local_choices(vecs, mults, layout, sums) -> list:
-    """Per pivot set of layout (local pivots -> (free entries, offset), as in
-    _pivot_layout(q, k, d)[0]), in its order: the lists of packed vectors that
+    """Per pivot set of layout (local pivots -> free entries, as in
+    _pivot_layout(k, d)), in its order: the lists of packed vectors that
     the rows of a d-subspace of span(vecs) can take, given the RREF basis vecs
     (k rows) and each row's multiples.
 
@@ -425,7 +434,7 @@ def _local_choices(vecs, mults, layout, sums) -> list:
     indices over the list lengths.
     """
     out = []
-    for local, (free, _) in layout.items():
+    for local, free in layout.items():
         choices = [[vecs[p]] for p in local]
         for r, c in free:
             choices[r] = sums(choices[r], mults[c])

@@ -70,7 +70,7 @@ def wilson_matrix(q: int, n: int, t: int, k: int) -> IncidenceMatrix:
     for _, choices in _layer_blocks(lanes, t):
         ordinal.update(zip(points(*choices), itertools.count(len(ordinal))))
     rank, multiples, sums = ordinal.__getitem__, lanes.multiples, lanes.sums
-    layout, cols = _pivot_layout(q, k, t)[0], []
+    layout, cols = _pivot_layout(k, t), []
     for _, choices in _layer_blocks(lanes, k):
         # every column of the block takes its rows from these lists
         mult = {v: multiples(v) for row in choices for v in row}

@@ -635,7 +635,6 @@ def min_weight_kernel_gfp(
     cap: int,
     mode: str = MODE_KERNEL,
     budget: Optional[int] = None,
-    threads: int = 1,
 ) -> SearchReport:
     """Minimum Hamming weight of a nonzero kernel vector, with witness.
 
@@ -645,15 +644,12 @@ def min_weight_kernel_gfp(
     to default_budget(p) and refusals raise BudgetExceededError.  Both are
     exhaustive and agree wherever both run; ties are
     broken by lexicographically least support, then least coefficient tuple.
-    threads is accepted for interface stability; every search here is
-    deterministic and the result never depends on it.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     mode_norm = {"kernel": MODE_KERNEL, "support": MODE_SUPPORT}.get(mode, mode)
     if mode_norm not in (MODE_KERNEL, MODE_SUPPORT):
         raise ValueError(f"unknown mode {mode!r}")
-    del threads
     if budget is None:
         budget = default_budget(m.p)
     if mode_norm == MODE_KERNEL:

@@ -262,16 +262,12 @@ def run_grid(
     only: Optional[str] = None,
     inject_corruption: bool = False,
     budget: Optional[int] = None,
-    threads: int = 1,
 ) -> list[CheckRow]:
     """All reproduction rows, optionally filtered by a label substring.
 
     budget reaches every search in the grid (criteria 5, 8 and 9), and
-    inject_corruption flips one entry of each criterion 6 matrix.  threads is
-    accepted for interface stability; every row is deterministic and the
-    output never depends on it.
+    inject_corruption flips one entry of each criterion 6 matrix.
     """
-    del threads
     grid = [
         (1, "counts q{} n{} all-k",
          [(q, n) for q in (2, 3, 4) for n in range(1, 6)], _counts),

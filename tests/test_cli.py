@@ -49,6 +49,29 @@ def test_enumerate_json(capsys):
     assert payload["subspaces"][0] == "1000;0100"
 
 
+def test_enumerate_json_is_counted_before_it_is_listed(capsys, monkeypatch):
+    # [12, 6]_2 = 230674393235 subspaces; the streamed text form has no count
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "enumerate", "--q", "2", "--n", "12", "--k", "6", "--json"
+    )
+    assert time.perf_counter() - start < 1.0
+    _assert_refused(code, out, err)
+    assert err == (
+        "error: enumerate would list 230674393235 subspaces, budget is 4194304\n"
+    )
+    argv = ["enumerate", "--q", "2", "--n", "2", "--k", "1"]
+    monkeypatch.setenv("QNULL_BUDGET", "2")
+    code, out, err = run(capsys, *argv, "--json")
+    _assert_refused(code, out, err)
+    assert err == "error: enumerate would list 3 subspaces, budget is 2\n"
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.endswith("count=3 gaussian_binomial=3\n")
+    monkeypatch.setenv("QNULL_BUDGET", "3")
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0 and payload["count"] == 3
+
+
 def test_enumerate_rejects_bad_parameters(capsys):
     code, _, err = run(capsys, "enumerate", "--q", "2", "--n", "2", "--k", "3")
     assert code == 2 and "error:" in err
@@ -162,6 +185,17 @@ def test_construct_verify_strength_round_trip(tmp_path, capsys):
 
     code, payload, _ = run_json(capsys, "strength", "--design", str(path))
     assert code == 0 and payload["strength"] == 1
+
+
+def test_a_design_at_the_largest_n_is_written_and_verified(tmp_path, capsys):
+    # its ordinals come from block sizes, not from the C(256, 3) pivot sets
+    path = tmp_path / "d.txt"
+    argv = ["construct", "--kind", "lb", "--q", "2", "--n", "256", "--t", "2"]
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and err == ""
+    assert len(read_design(path.read_text()).support) == 8
+    code, out, err = run(capsys, "verify", "--design", str(path))
+    assert code == 0 and err == "" and out == "ok: strength 2 holds mod 2\n"
 
 
 def test_verify_flags_a_corrupted_design(tmp_path, capsys):
@@ -812,6 +846,32 @@ def test_enumerate_streams_until_the_reader_goes_away():
     assert head == [b"1" + b"0" * 38 + tail + b"\n" for tail in (b"0", b"1")] + [
         b"1" + b"0" * 37 + b"10\n"
     ]
+    assert err == b""
+
+
+def test_enumerate_prints_the_first_subspace_of_a_deep_layer_at_once():
+    """[40, 20]_2 has C(40, 20) pivot sets; the first line needs only the
+    first, under the same 400 MB address-space limit as above."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qnull.cli", "enumerate", "--q", "2", "--n", "40"]
+        + ["--k", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        preexec_fn=limit_memory,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE_CLOSED
+    assert time.perf_counter() - start < 10
+    units = ["0" * i + "1" + "0" * (39 - i) for i in range(20)]
+    assert first == (";".join(units) + "\n").encode()
     assert err == b""
 
 

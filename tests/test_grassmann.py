@@ -84,7 +84,15 @@ def test_enumeration_order_is_pinned():
     assert index_of(canonicalize(f, 2, [(0, 1)])) == 2
 
 
-@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (4, 3, 1), (2, 5, 3)])
+@pytest.mark.parametrize(
+    "q,n,k",
+    [
+        (q, n, k)
+        for q in (2, 3, 4, 5)
+        for n in range(7 if q == 2 else 6)
+        for k in range(n + 1)
+    ],
+)
 def test_index_round_trip(q, n, k):
     f = field(q)
     for i, x in enumerate(enumerate_subspaces(f, n, k)):
@@ -97,15 +105,33 @@ def test_index_round_trip(q, n, k):
         from_index(f, n, k, -1)
 
 
-def test_from_index_walks_only_to_the_ordinal_and_refuses_huge_n():
-    # C(200, 100) pivot sets could never be laid out, but ordinal 1 lies in
-    # the first: the coordinate span with a 1 at its last free entry
+def large_round_trips():
+    """from_index and index_of at the ends and the middle of layers whose
+    pivot sets (C(200, 100), C(256, 5)) could never be listed."""
     f = field(2)
-    x = from_index(f, 200, 100, 1)
+    for n, k in ((200, 100), (256, 5), (120, 4)):
+        total = gaussian_binomial(n, k, 2)
+        for o in (0, 1, total // 2, total - 1):
+            x = from_index(f, n, k, o)
+            assert index_of(x) == o, (n, k, o)
+            yield n, k, o, x
+
+
+def test_index_round_trips_at_large_n_and_refuses_huge_n():
+    f = field(2)
+    got = {(n, k, o): x for n, k, o, x in large_round_trips()}
+    # ordinal 1 lies in the first pivot set: the coordinate span with a 1 at
+    # its last free entry; the last ordinal is the span of the last k units,
+    # which has no free entry
+    x = got[200, 100, 1]
     assert x.pivots == tuple(range(100))
     assert x.rows[:99] == coordinate_span(f, 200, 100).rows[:99]
     assert x.rows[99] == (0,) * 99 + (1,) + (0,) * 99 + (1,)
-    assert from_index(f, 200, 100, 0) == coordinate_span(f, 200, 100)
+    assert got[200, 100, 0] == coordinate_span(f, 200, 100)
+    last = got[256, 5, gaussian_binomial(256, 5, 2) - 1]
+    assert last.pivots == tuple(range(251, 256))
+    assert last == canonicalize(f, 256, [[int(j == i) for j in range(256)]
+                                         for i in range(251, 256)])
     with pytest.raises(ValueError, match="out of range"):
         from_index(f, 200, 100, gaussian_binomial(200, 100, 2))
     assert Field.MAX_DIMENSION == 256
@@ -116,6 +142,38 @@ def test_from_index_walks_only_to_the_ordinal_and_refuses_huge_n():
     ):
         with pytest.raises(ValueError, match="above the limit 256"):
             make()
+
+
+def test_no_ambient_layer_is_laid_out_whole(monkeypatch):
+    # the ordinals come from block sizes and the layer walks from
+    # itertools.combinations: only the small local layouts of a subspace's
+    # own coordinates reach _pivot_layout, never the ambient dimension
+    from qnull import designs, incidence
+
+    calls = []
+    real = grassmann._pivot_layout
+
+    def spy(k, d):
+        calls.append((k, d))
+        return real(k, d)
+
+    monkeypatch.setattr(grassmann, "_pivot_layout", spy)
+    monkeypatch.setattr(incidence, "_pivot_layout", spy)
+    for n, k, o, x in large_round_trips():
+        assert not calls, (n, k, o)
+    f = field(2)
+    first = next(enumerate_subspaces(f, 40, 20))
+    assert first == coordinate_span(f, 40, 20) and not calls
+    design = designs.read_design(
+        designs.write_design(designs.construct_lb_design(2, 256, 2))
+    )
+    assert designs.verify_strength(design, 2).ok
+    assert calls and all(k <= 3 for k, _ in calls)
+    calls.clear()
+    design = designs.construct_lb_design(3, 4, 1)
+    assert designs.verify_strength_direct(design, 1).ok
+    assert wilson_matrix(3, 4, 1, 2).cols == gaussian_binomial(4, 2, 3)
+    assert calls and all(k <= 2 for k, _ in calls)
 
 
 @st.composite
@@ -301,7 +359,7 @@ def test_enumerate_subspaces_order_matches_the_or_built_layer(q):
 def local_choices_by_add(vecs, mults, layout, add):
     """_local_choices as it was, with one add call per listed vector."""
     out = []
-    for local, (free, _) in layout.items():
+    for local, free in layout.items():
         choices = [[vecs[p]] for p in local]
         for r, c in free:
             choices[r] = [add(v, m) for v in choices[r] for m in mults[c]]
@@ -333,7 +391,7 @@ def test_lane_sums_list_what_one_add_per_element_listed(q):
             ]
         for k in range(n + 1):
             for d in range(k + 1):
-                layout = grassmann._pivot_layout(q, k, d)[0]
+                layout = grassmann._pivot_layout(k, d)
                 x = random_subspace(f, n, k, rng)
                 mults = grassmann._multiples(x)
                 assert grassmann._local_choices(

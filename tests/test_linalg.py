@@ -599,13 +599,6 @@ def test_budget_refusal():
     assert default_budget(3) < default_budget(2)
 
 
-def test_threads_parameter_never_changes_results():
-    m = GfpMatrix.from_incidence(wilson_matrix(2, 4, 1, 2), 2)
-    a = min_weight_kernel_gfp(m, 8, mode=MODE_SUPPORT, threads=1)
-    b = min_weight_kernel_gfp(m, 8, mode=MODE_SUPPORT, threads=8)
-    assert a == b
-
-
 def test_tie_break_is_lex_least_support_then_values():
     # columns 0,1 equal and columns 2,3 equal: two weight-2 kernel vectors
     m = _m(3, [[1, 1, 2, 2]])
