@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-#: the most vectors enumerate_subspaces lists for one row at a time
+#: the most vectors listed for one row, or pivot sets laid out, at one time
 _STREAM_CAP = 1 << 16
 
 
@@ -289,7 +289,7 @@ def _free_entries(n: int, pivots: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(r, c) for r, p in enumerate(pivots) for c in rest if c > p]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _pivot_layout(k: int, d: int) -> dict:
     """The d-subspaces of a k-dimensional space in local coordinates: per
     pivot set, in order, its row-major free coordinates (r, c)."""
@@ -392,13 +392,18 @@ def from_index(f: Field, n: int, k: int, ordinal: int) -> Subspace:
 
 # -- local enumeration inside a subspace ---------------------------------
 
-def _packed_subspaces_of(x: Subspace, d: int):
+def _packed_subspaces_of(x: Subspace, d: int, layout=None):
     """Per pivot set of the d-dimensional subspaces of x (0 <= d <= x.k), in
     local order: the global pivots and, per basis row, the packed vectors the
     row can take (_local_choices).  The rows choose independently: the bases
-    are the product.
+    are the product.  layout defaults to _pivot_layout(x.k, d), or one pivot
+    set at a time past _STREAM_CAP of them.
     """
-    layout, xp = _pivot_layout(x.k, d), x.pivots
+    if layout is None and math.comb(x.k, d) > _STREAM_CAP:
+        for s in itertools.combinations(range(x.k), d):
+            yield from _packed_subspaces_of(x, d, {s: _free_entries(x.k, s)})
+        return
+    layout, xp = layout or _pivot_layout(x.k, d), x.pivots
     lists = _local_choices(x.vecs, _multiples(x), layout, x._lanes.sums)
     for local, choices in zip(layout, lists):
         yield tuple(map(xp.__getitem__, local)), choices

@@ -9,9 +9,12 @@ test and the rational prefilter, is the forward pass to an echelon basis
 keyed by leading bit.  Over odd p _lane_basis keys it by leading lane and
 keeps each row as found, with -1/lead and, once used, its multiples: all p
 for p <= 7, so a step is one lane add (fields._lane_ops), else the doublings,
-one add per set bit of the scalar.  rank_gfp stops there; rref_gfp
-back-substitutes in descending column order to the unique RREF, reducing
-each row only at the done pivots where it is nonzero, then divides by leads.
+one add per set bit of the scalar.  rank_gfp, rank_rational and the support
+search's leaf test stop there, cheaper on full-rank input than a reduced
+basis.  Over odd p rref_gfp runs Gauss-Jordan as the rows come: every basis
+row is zero at the other pivot lanes, so a row costs one lane add per pivot
+it touches, with no fill-in, and a new pivot clears its lane from the rows
+leading above it.  Over GF(2) rref_gfp back-substitutes the echelon basis.
 
 Over Q, rank_rational has no elimination of its own.  It turns the matrix
 so that rows <= columns and takes its rank mod p on _lane_basis for the odd
@@ -325,24 +328,31 @@ def _rref_lanes(m: GfpMatrix, w: int) -> dict[int, int]:
     """Odd p: the RREF rows as ints of w-bit lanes, keyed by leading lane."""
     p, nc = m.p, m.cols
     add, lane = _lane_ops(p, w, nc)[0], (1 << w) - 1
-    basis = _lane_basis(m._packed, p, w, nc)
-    # last pivot column first, as over GF(2): one multiple of a done row per
-    # nonzero done pivot lane of v, which no other done row changes.  A done
-    # row keeps the lead of its basis row and is divided by it only in out.
-    out: dict[int, int] = {}
-    seen = 0  # all ones at the done pivot lanes
-    for h, e in sorted(basis.items()):
-        v = e[0]
+    # each basis row is zero at the other pivot lanes, so one multiple per
+    # nonzero pivot lane clears v there; a row keeps its lead until the end
+    basis: dict[int, list] = {}
+    seen = 0  # all ones at the pivot lanes
+    for v in m._packed:
         hits = v & seen
         while hits:
             g = (hits.bit_length() - 1) // w
             c = hits >> (g * w)
             hits ^= c << (g * w)
             v = _axpy(v, c, basis[g], add, p)
-        basis[h] = e = [v, e[1], None]
-        out[h] = _axpy(0, p - 1, e, add, p)  # v/lead
+        if v & seen:
+            raise InvariantError("a lane add left a leading lane nonzero")
+        if not v:
+            continue
+        h = (v.bit_length() - 1) // w
+        e = basis[h] = [v, -pow(v >> (h * w), -1, p) % p, None]
         seen |= lane << (h * w)
-    return out
+        for f in basis.values():  # clear lane h from the rows leading above h
+            c = f[0] >> (h * w) & lane
+            if c and f is not e:  # its multiples are rebuilt on next use
+                f[0], f[2] = _axpy(f[0], c, e, add, p), None
+        if len(basis) == nc:
+            break
+    return {h: _axpy(0, p - 1, e, add, p) for h, e in basis.items()}  # v/lead
 
 
 def rank_gfp(m: GfpMatrix) -> int:
@@ -483,12 +493,17 @@ def _witness_on_support(
 
 def _kernel_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
     p = m.p
+
+    def refuse(kd: int, least: str = "") -> None:
+        if p ** min(kd, budget.bit_length()) > budget:  # never a huge p^kd
+            raise BudgetExceededError(
+                f"kernel enumeration needs {least}{p}^{kd} vectors, budget is {budget}"
+            )
+
+    refuse(max(m.cols - m.rows, 0), "at least ")  # dim ker >= cols - rows
     basis = kernel_basis_gfp(m)
     kd = len(basis)
-    if p**kd > budget:
-        raise BudgetExceededError(
-            f"kernel enumeration needs {p}^{kd} vectors, budget is {budget}"
-        )
+    refuse(kd)
     best_w: Optional[int] = None
     best_key = None  # (support tuple, values tuple)
     if p == 2:

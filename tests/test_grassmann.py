@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,23 @@ def test_no_ambient_layer_is_laid_out_whole(monkeypatch):
     assert designs.verify_strength_direct(design, 1).ok
     assert wilson_matrix(3, 4, 1, 2).cols == gaussian_binomial(4, 2, 3)
     assert calls and all(k <= 2 for k, _ in calls)
+
+
+def test_a_local_layer_past_the_stream_cap_is_walked_one_pivot_set_at_a_time(
+    monkeypatch,
+):
+    # C(30, 15) pivot sets are never laid out at once: the first subspace
+    # comes at once, and the walk keeps the order of the laid-out layer
+    f = field(2)
+    start = time.perf_counter()
+    first = next(subspaces_of(coordinate_span(f, 30, 30), 15))
+    assert time.perf_counter() - start < 2
+    assert first == coordinate_span(f, 30, 15)
+    rng = random.Random(5)
+    xs = [random_subspace(field(q), 6, 4, rng) for q in (2, 3, 4)]
+    want = [list(subspaces_of(x, d)) for x in xs for d in range(5)]
+    monkeypatch.setattr(grassmann, "_STREAM_CAP", 0)
+    assert [list(subspaces_of(x, d)) for x in xs for d in range(5)] == want
 
 
 @st.composite

@@ -255,6 +255,49 @@ def test_gfp_rref_matches_list_elimination(shape):
     _check_rref_and_kernel(*shape)
 
 
+@st.composite
+def spanned_rows(draw, primes, max_cols):
+    """Up to 30 rows mod p, each a combination of the same at most 4 base
+    rows: most rows lie in the span of the rows before them."""
+    p = draw(st.sampled_from(primes))
+    ncols = draw(st.integers(min_value=0, max_value=max_cols))
+    digit = st.integers(min_value=0, max_value=p - 1)
+    row = st.lists(digit, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, max_size=4))
+    coeffs = st.lists(digit, min_size=len(base), max_size=len(base))
+    rows = [
+        [sum(c * b[j] for c, b in zip(cs, base)) % p for j in range(ncols)]
+        for cs in draw(st.lists(coeffs, max_size=30))
+    ]
+    return p, ncols, rows
+
+
+@given(spanned_rows(primes=(3, 5, 7, 11, 131), max_cols=100))
+@settings(max_examples=200, deadline=None)
+def test_gfp_rref_of_rows_in_a_small_span_matches_list_elimination(shape):
+    # rows in the span are cleared at the pivots they touch, and each new
+    # pivot clears its lane from the basis rows that lead above it
+    _check_rref_and_kernel(*shape)
+
+
+def test_a_row_in_the_span_costs_one_lane_add_per_pivot_it_touches(monkeypatch):
+    # W_{1,4}(5,5) is 781 x 781 with 5-rank 71 (Hamada), so nearly every row
+    # is in the span.  The basis stays reduced, so a row costs one lane add
+    # per pivot lane where it is nonzero; an echelon pass followed by
+    # back-substitution took 24,325 lane adds here.
+    calls = 0
+    real = linalg._axpy
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_axpy", spy)
+    assert rref_gfp(GfpMatrix.from_incidence(wilson_matrix(5, 5, 1, 4), 5))[1] == 71
+    assert calls <= 12_000
+
+
 @pytest.mark.parametrize("p", [3, 131])
 def test_a_lane_add_that_leaves_a_leading_lane_is_an_invariant_error(monkeypatch, p):
     # lane sums mod p + 1 never clear a leading lane mod p: the forward pass
@@ -597,6 +640,26 @@ def test_budget_refusal():
     assert rep.weight == 1 and rep.witness_support == (0,)
     assert default_budget(2) == 2**22
     assert default_budget(3) < default_budget(2)
+
+
+def test_kernel_mode_refuses_a_wide_matrix_before_it_eliminates(monkeypatch):
+    # the kernel has dimension at least cols - rows, so a wide matrix is
+    # refused on its shape, with the count it would need at least
+    def spy(m):
+        raise AssertionError("rref_gfp ran before the refusal")
+
+    monkeypatch.setattr(linalg, "rref_gfp", spy)
+    for p, cols, budget in ((2, 26, 2**20), (3, 30, 3**29 - 1), (131, 20_000, 10**9)):
+        m = _m(p, [[1] * cols])
+        with pytest.raises(
+            BudgetExceededError,
+            match=rf"needs at least {p}\^{cols - 1} vectors, budget is {budget}$",
+        ):
+            min_weight_kernel_gfp(m, 1, mode=MODE_KERNEL, budget=budget)
+    # a square matrix passes the shape test and is refused on its kernel
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceededError, match=r"needs 3\^3 vectors, budget is 26$"):
+        min_weight_kernel_gfp(_m(3, [[0] * 3] * 3), 1, mode=MODE_KERNEL, budget=26)
 
 
 def test_tie_break_is_lex_least_support_then_values():
