@@ -346,12 +346,29 @@ def _report_human(rep: SearchReport, witness_design: Optional[str]) -> str:
     return "\n".join(lines)
 
 
+def _is_wilson(m) -> bool:
+    """Whether a matrix file holds W_{t,k} of its header, whose columns
+    GL(n, q) permutes in one orbit, so that a support search may root at
+    column 0.  The matrix is built only for a file of its shape and nonzero
+    count, so the build costs no more than reading the file did."""
+    q, n, t, k = m.q, m.n, m.t, m.k
+    per = gaussian_binomial(k, t, q)
+    return (
+        (m.rows, m.cols) == (gaussian_binomial(n, t, q), gaussian_binomial(n, k, q))
+        and all(len(col) == per for col in m.col_rows)
+        and m.col_rows == wilson_matrix(q, n, t, k).col_rows
+    )
+
+
 def _cmd_minweight(args) -> int:
     m = _load_matrix(args.matrix, args.p)
     _at_least_one("cap", args.cap)
     budget = _budget_from(args.budget)
     g = GfpMatrix.from_incidence(m, args.p)
-    rep = min_weight_kernel_gfp(g, cap=args.cap, mode=args.mode, budget=budget)
+    rooted = args.mode == "support" and _is_wilson(m)
+    rep = min_weight_kernel_gfp(
+        g, cap=args.cap, mode=args.mode, budget=budget, transitive=rooted
+    )
     design_text = _witness_design_text(m, args.p, rep)
     payload = _report_payload(rep)
     payload["p"] = args.p
@@ -366,7 +383,8 @@ def _cmd_minsupport(args) -> int:
     m = _load_matrix(args.matrix, 2)
     _at_least_one("cap", args.cap)
     budget = _budget_from(args.budget)
-    rep = min_support_kernel_rational(GfpMatrix.from_incidence(m, 2), args.cap, budget)
+    g = GfpMatrix.from_incidence(m, 2)
+    rep = min_support_kernel_rational(g, args.cap, budget, transitive=_is_wilson(m))
     payload = _report_payload(rep)
     payload["matrix"] = args.matrix
     human = _report_human(rep, None)

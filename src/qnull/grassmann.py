@@ -27,8 +27,10 @@ of L.B is x's row at L's r-th pivot plus a multiple of x's row c for each
 free entry (r, c) of L, so it is built from x's cached row multiples and x is
 never spanned; the ambient layer is the same construction on the unit basis.
 That loop is _local_choices, one _Lanes.sums call per free entry (no call per
-vector); incidence.wilson_matrix runs it on each column of the blocks of
-_layer_blocks, with row multiples computed once per block.
+vector).  It starts each row from a list: [row] for one subspace x, or, as
+incidence.wilson_matrix does for the blocks of _layer_blocks, a whole list for
+x's row 0, which no free entry adds, so one call lists the rows of the
+subspaces of every x in the block that shares rows 1..k-1.
 """
 
 from __future__ import annotations
@@ -348,7 +350,8 @@ def _choice_blocks(rows: list[int], free, mults):
             yield from _choice_blocks(head, free, mults)
         return
     # one pivot set, whose local pivots are all the rows
-    yield _local_choices(rows, mults, {range(len(rows)): free}, _xor_sums)[0]
+    starts = [[v] for v in rows]
+    yield _local_choices(starts, mults, {range(len(rows)): free}, _xor_sums)[0]
 
 
 def index_of(x: Subspace) -> int:
@@ -404,7 +407,8 @@ def _packed_subspaces_of(x: Subspace, d: int, layout=None):
             yield from _packed_subspaces_of(x, d, {s: _free_entries(x.k, s)})
         return
     layout, xp = layout or _pivot_layout(x.k, d), x.pivots
-    lists = _local_choices(x.vecs, _multiples(x), layout, x._lanes.sums)
+    starts = [[v] for v in x.vecs]
+    lists = _local_choices(starts, _multiples(x), layout, x._lanes.sums)
     for local, choices in zip(layout, lists):
         yield tuple(map(xp.__getitem__, local)), choices
 
@@ -426,21 +430,25 @@ def _xor_sums(vs: list[int], ms: list[int]) -> list[int]:
     return [v ^ m for v in vs for m in ms]
 
 
-def _local_choices(vecs, mults, layout, sums) -> list:
+def _local_choices(starts, mults, layout, sums) -> list:
     """Per pivot set of layout (local pivots -> free entries, as in
     _pivot_layout(k, d)), in its order: the lists of packed vectors that
-    the rows of a d-subspace of span(vecs) can take, given the RREF basis vecs
-    (k rows) and each row's multiples.
+    the rows of a d-subspace of span(basis) can take, given per RREF basis
+    row (k rows) its start list, [row] for one basis, and its multiples.
 
-    Row r's list starts at the basis row at the r-th local pivot; each free
-    entry (r, c), read row-major, replaces it by every sum of a choice and a
-    multiple of basis row c, in code order: one call sums(list, multiples).
-    So a basis's place in local order is the mixed-radix value of its row
-    indices over the list lengths.
+    Row r's list starts as the start list of the basis row at the r-th local
+    pivot; each free entry (r, c), read row-major, replaces it by every sum of
+    a choice and a multiple of basis row c, in code order: one call
+    sums(list, multiples).  So a basis's place in local order is the
+    mixed-radix value of its row indices over the list lengths.  A start list
+    of several vectors lists several bases' rows at once, each vector's
+    slice of the result after the one before: c > 0 in every free entry
+    (r, c), so basis row 0 may take a list and needs no multiples.  The
+    lists are fresh where a row has a free entry, else its start list.
     """
     out = []
     for local, free in layout.items():
-        choices = [[vecs[p]] for p in local]
+        choices = [starts[p] for p in local]
         for r, c in free:
             choices[r] = sums(choices[r], mults[c])
         out.append(choices)

@@ -7,15 +7,21 @@ are stored as sorted tuples of row indices (each column has only
 gaussian_binomial(k,t,q) ones), which is what the kernel searches want.
 
 wilson_matrix builds no Subspace: it walks both layers in the packed blocks
-of grassmann._layer_blocks, computes the multiples of a block's listed rows
-once for all its columns, and lists each column's t-subspaces with
-_local_choices, the row loop of _packed_subspaces_of.  Row indices are
+of grassmann._layer_blocks and lists the columns' t-subspaces with
+_local_choices, the row loop of _packed_subspaces_of.  A block's columns are
+the product of its rows' lists C_0 x ... x C_{k-1}, and it builds them
+together: one _local_choices call per suffix (v_1..v_{k-1}), with row 0
+started from all of C_0.  The t-subspaces of span(v_1..v_{k-1}) are ranked
+once for all |C_0| columns of the suffix; the rest come in one list per pivot
+set, slice i for the i-th choice of row 0.  Free entries (r, c) have c > 0,
+so only rows 1..k-1 need multiples, built once per block.  Row indices are
 keyed by packed basis, or at t = 1 by the one packed row, with no 1-tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,14 +78,28 @@ def wilson_matrix(q: int, n: int, t: int, k: int) -> IncidenceMatrix:
     rank, multiples, sums = ordinal.__getitem__, lanes.multiples, lanes.sums
     layout, cols = _pivot_layout(k, t), []
     for _, choices in _layer_blocks(lanes, k):
-        # every column of the block takes its rows from these lists
-        mult = {v: multiples(v) for row in choices for v in row}
-        for vecs in itertools.product(*choices):
-            cols.append(tuple(sorted([
-                i
-                for rows in _local_choices(vecs, [mult[v] for v in vecs], layout, sums)
-                for i in map(rank, points(*rows))
-            ])))
+        # the block's columns are head x product(rest); k = 0 has one column
+        head, *rest = choices or [[None]]
+        mult = {v: multiples(v) for row in rest for v in row}
+        stride = math.prod(map(len, rest))
+        block = [None] * (len(head) * stride)
+        for s, suffix in enumerate(itertools.product(*rest)):
+            starts = [head] + [[v] for v in suffix]
+            ms = [None, *map(mult.__getitem__, suffix)]
+            shared, own = [], []
+            for local, rows in zip(layout, _local_choices(starts, ms, layout, sums)):
+                ids = list(map(rank, points(*rows)))
+                if local and not local[0]:  # slice i of ids is head[i]'s
+                    own.append((ids, len(ids) // len(head)))
+                else:  # in span(suffix): every column of the batch has ids
+                    shared += ids
+            for i in range(len(head)):
+                col = shared.copy()
+                for ids, m in own:
+                    col += ids[i * m:(i + 1) * m]
+                col.sort()
+                block[i * stride + s] = tuple(col)
+        cols += block
     return IncidenceMatrix(
         q=q, n=n, t=t, k=k, rows=len(ordinal), cols=len(cols), col_rows=tuple(cols)
     )

@@ -42,7 +42,9 @@ GF(p):
   leaf with no open row is dependent, and when the all-ones vector lies in
   the row space every kernel word has even weight, so odd stages are
   skipped; over other primes a leaf gets a mod-p rank test.  The search
-  counts its nodes against the same budget and refuses past it.
+  counts its nodes against the same budget and refuses past it.  On a
+  column-transitive matrix, such as W_{t,k}, whose columns GL(n,q) permutes
+  in one orbit, transitive=True roots every stage at column 0.
 
 Minimum rational support runs the same search on a 0/1 matrix held over
 GF(2), with a GF(2) prefilter at the leaves: a rational dependency among 0/1
@@ -83,7 +85,18 @@ MODE_SUPPORT = "support-enumeration"
 
 
 class BudgetExceededError(RuntimeError):
-    """A search would exceed its configured budget (kernel vectors or nodes)."""
+    """A search would exceed its configured budget (kernel vectors or nodes).
+
+    A support search's refusal carries the stage w it stopped in, below which
+    every weight is ruled out, and the nodes it had visited; a kernel-mode
+    refusal, which walks nothing, carries None for both.
+    """
+
+    def __init__(
+        self, message: str, stage: Optional[int] = None, nodes: Optional[int] = None
+    ):
+        super().__init__(message)
+        self.stage, self.nodes = stage, nodes
 
 
 class InvariantError(RuntimeError):
@@ -561,6 +574,7 @@ def _least_dependent_set(
     stages: Iterable[int],
     dependent: Optional[Callable[[list[int]], bool]],
     budget: int,
+    transitive: bool,
 ) -> Optional[tuple[int, ...]]:
     """Lex-least column set of the first stage size w that has one, or None.
 
@@ -576,8 +590,11 @@ def _least_dependent_set(
     when its open rows outnumber what the columns still to come can cover.
     A leaf with no open row is a hit over GF(2); otherwise dependent(set)
     decides.  The least column a runs in ascending order and the search
-    returns the least hit of the first a that has one.  More than budget
-    nodes raise BudgetExceededError.
+    returns the least hit of the first a that has one.  When the columns are
+    one orbit of a group that maps dependent sets to dependent sets
+    (transitive), some w-set holding column 0 is dependent if any is, so only
+    a = 0 runs: the same answer.  More than budget nodes raise
+    BudgetExceededError.
     """
     maxdeg = max((mk.bit_count() for mk in masks), default=0)
     every = (1 << len(masks)) - 1
@@ -592,7 +609,9 @@ def _least_dependent_set(
         if nodes > budget:
             raise BudgetExceededError(
                 f"support search reached {nodes} nodes at stage w={w}, "
-                f"budget is {budget}"
+                f"budget is {budget}",
+                stage=w,
+                nodes=nodes,
             )
         chosen.append(c)
         mk = masks[c]
@@ -615,14 +634,16 @@ def _least_dependent_set(
         chosen.pop()
 
     for w in stages:
-        for a in range(len(masks) - w + 1):
+        for a in range(1 if transitive else len(masks) - w + 1):
             push(a, 0, 0, (2 << a) - 1)
             if hits:
                 return min(hits)
     return None
 
 
-def _support_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
+def _support_enum(
+    m: GfpMatrix, cap: int, budget: int, transitive: bool
+) -> SearchReport:
     p = m.p
     masks, row_cols, lanes, on_support = _columns(m)
     # <all-ones, x> = weight of x mod 2, so if the all-ones row is in the row
@@ -637,7 +658,7 @@ def _support_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
             vecs = [lanes[j] for j in chosen]  # the columns, as rows
             return len(_lane_basis(vecs, p, lw, m.rows)) < len(chosen)
 
-    hit = _least_dependent_set(masks, row_cols, stages, dependent, budget)
+    hit = _least_dependent_set(masks, row_cols, stages, dependent, budget, transitive)
     if hit is None:
         return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
     values = _witness_on_support(on_support, p, hit)
@@ -650,6 +671,7 @@ def min_weight_kernel_gfp(
     cap: int,
     mode: str = MODE_KERNEL,
     budget: Optional[int] = None,
+    transitive: bool = False,
 ) -> SearchReport:
     """Minimum Hamming weight of a nonzero kernel vector, with witness.
 
@@ -659,6 +681,9 @@ def min_weight_kernel_gfp(
     to default_budget(p) and refusals raise BudgetExceededError.  Both are
     exhaustive and agree wherever both run; ties are
     broken by lexicographically least support, then least coefficient tuple.
+    transitive says that m's columns are one orbit of its automorphisms, as
+    a Wilson matrix's are under GL(n, q): the support search then tries only
+    sets that hold column 0, with the same result.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -669,7 +694,7 @@ def min_weight_kernel_gfp(
         budget = default_budget(m.p)
     if mode_norm == MODE_KERNEL:
         return _kernel_enum(m, cap, budget)
-    return _support_enum(m, cap, budget)
+    return _support_enum(m, cap, budget, transitive)
 
 
 # -- rational minimum support ------------------------------------------------
@@ -699,7 +724,7 @@ def _rational_nullvector(rows: list[tuple[int, ...]], w: int) -> tuple[int, ...]
 
 
 def min_support_kernel_rational(
-    m: GfpMatrix, cap: int, budget: Optional[int] = None
+    m: GfpMatrix, cap: int, budget: Optional[int] = None, transitive: bool = False
 ) -> SearchReport:
     """Smallest column subset dependent over Q, first in lexicographic order.
 
@@ -707,7 +732,7 @@ def min_support_kernel_rational(
     The witness is the primitive integer kernel vector on that subset with
     positive leading entry.  A search past budget nodes raises
     BudgetExceededError; budget defaults to default_budget(2), the support
-    search's default over GF(2).
+    search's default over GF(2).  transitive is min_weight_kernel_gfp's.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -726,7 +751,7 @@ def min_support_kernel_rational(
     stages = range(1, min(cap, m.cols) + 1)
     if budget is None:
         budget = default_budget(2)
-    hit = _least_dependent_set(masks, row_cols, stages, dependent, budget)
+    hit = _least_dependent_set(masks, row_cols, stages, dependent, budget, transitive)
     if hit is None:
         return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
     vec = _rational_nullvector(on_support(hit), len(hit))

@@ -153,7 +153,7 @@ def _gf2_min_weight(
     n: int, t: int, k: int, mode: str, want: int, budget: Optional[int]
 ) -> tuple[str, str]:
     m = GfpMatrix.from_incidence(wilson_matrix(2, n, t, k), 2)
-    rep = min_weight_kernel_gfp(m, cap=want, mode=mode, budget=budget)
+    rep = min_weight_kernel_gfp(m, cap=want, mode=mode, budget=budget, transitive=True)
     computed = f"{rep.weight_text()} exhaustive={rep.exhaustive}"
     return f"{want} exhaustive=True", computed
 
@@ -189,7 +189,7 @@ def _rational_min_support(
     q: int, n: int, cap: int, want: int, budget: Optional[int]
 ) -> tuple[int, str]:
     m = GfpMatrix.from_incidence(wilson_matrix(q, n, 1, 2), 2)
-    rep = min_support_kernel_rational(m, cap=cap, budget=budget)
+    rep = min_support_kernel_rational(m, cap=cap, budget=budget, transitive=True)
     return want, rep.weight_text()
 
 
@@ -199,7 +199,9 @@ def _rational_min_support(
 def _gf3_bracket(budget: Optional[int]) -> tuple[str, str, bool]:
     m = GfpMatrix.from_incidence(wilson_matrix(3, 3, 1, 2), 3)
     rep_k = min_weight_kernel_gfp(m, cap=9, mode="kernel", budget=budget)
-    rep_s = min_weight_kernel_gfp(m, cap=9, mode="support", budget=budget)
+    rep_s = min_weight_kernel_gfp(
+        m, cap=9, mode="support", budget=budget, transitive=True
+    )
     agree = (
         rep_k.weight == rep_s.weight
         and rep_k.witness_support == rep_s.witness_support

@@ -700,6 +700,37 @@ def test_minweight_support_budget_refusal(tmp_path, capsys):
     assert err.startswith("error:") and "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["minweight", "--p", "2", "--mode", "support"], ["minsupport"]]
+)
+def test_searches_root_at_column_0_only_on_a_genuine_wilson_file(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # W_{0,1} over GF(2)^3 is one row of 7 ones: the least dependent set is
+    # {0, 1}, rooted or not; with column 3 emptied, it is {3}, which a search
+    # rooted at column 0 would miss, so the edited file takes the full loop
+    import qnull.linalg
+
+    search, rooted = qnull.linalg._least_dependent_set, []
+
+    def spy(*args):
+        rooted.append(args[-1])
+        return search(*args)
+
+    monkeypatch.setattr(qnull.linalg, "_least_dependent_set", spy)
+    path = tmp_path / "w.txt"
+    run(capsys, "wilson", "--q", "2", "--n", "3", "--t", "0", "--k", "1",
+        "--out", str(path))
+    edited = tmp_path / "edited.txt"
+    edited.write_text(path.read_text().replace("0 3\n", ""))
+    for matrix, support in ((path, [0, 1]), (edited, [3])):
+        code, payload, _ = run_json(
+            capsys, *argv, "--matrix", str(matrix), "--cap", "3"
+        )
+        assert code == 0 and payload["witness"]["support"] == support
+    assert rooted == [True, False]
+
+
 def test_minweight_broken_witness_is_an_internal_error(wilson_file, capsys, monkeypatch):
     # a witness helper that returns a vector outside the kernel is a bug: the
     # self-check must end in exit 3, not in the usage-error exit 2 (over GF(3)
@@ -757,8 +788,18 @@ def test_minsupport_budget_refusal_states_the_count(tmp_path, capsys, monkeypatc
     code, out, err = run(
         capsys, "minsupport", "--matrix", str(path), "--cap", "3", "--budget", "1"
     )
+    # the file is W_{0,1} itself, so each stage tries only column 0 first:
+    # stage 1 takes one node, and stage 2's first is over the budget
     assert (code, out) == (2, "")
-    assert err == "error: support search reached 2 nodes at stage w=1, budget is 1\n"
+    assert err == "error: support search reached 2 nodes at stage w=2, budget is 1\n"
+    # with one entry dropped it is not, and stage 1 tries every column
+    lines = path.read_text().splitlines()
+    edited = tmp_path / "edited.txt"
+    edited.write_text("\n".join(lines[:-1]) + "\n")
+    _, _, full = run(
+        capsys, "minsupport", "--matrix", str(edited), "--cap", "3", "--budget", "1"
+    )
+    assert full == "error: support search reached 2 nodes at stage w=1, budget is 1\n"
     monkeypatch.setenv("QNULL_BUDGET", "1")
     assert run(capsys, "minsupport", "--matrix", str(path), "--cap", "3") == (
         code, out, err

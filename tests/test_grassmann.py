@@ -412,14 +412,32 @@ def test_lane_sums_list_what_one_add_per_element_listed(q):
                 layout = grassmann._pivot_layout(k, d)
                 x = random_subspace(f, n, k, rng)
                 mults = grassmann._multiples(x)
+                starts = [[v] for v in x.vecs]
                 assert grassmann._local_choices(
-                    x.vecs, mults, layout, lanes.sums
+                    starts, mults, layout, lanes.sums
                 ) == local_choices_by_add(x.vecs, mults, layout, lanes.add)
+                if k:  # row 0 started from several vectors lists them in turn
+                    heads = [x.vecs[0]] + [vec() for _ in range(2)]
+                    got = grassmann._local_choices(
+                        [heads] + starts[1:], (None,) + mults[1:], layout, lanes.sums
+                    )
+                    each = [
+                        local_choices_by_add(
+                            (v,) + x.vecs[1:], mults, layout, lanes.add
+                        )
+                        for v in heads
+                    ]
+                    for local, lists, *alone in zip(layout, got, *each):
+                        if local and not local[0]:
+                            assert lists[0] == [v for a in alone for v in a[0]]
+                            assert all(lists[1:] == a[1:] for a in alone)
+                        else:
+                            assert all(lists == a for a in alone)
                 if k == n:  # the unit basis, in the ambient layer
                     w = lanes.whole
                     mults = grassmann._multiples(w)
                     assert grassmann._local_choices(
-                        w.vecs, mults, layout, grassmann._xor_sums
+                        [[v] for v in w.vecs], mults, layout, grassmann._xor_sums
                     ) == local_choices_by_add(w.vecs, mults, layout, lanes.add)
 
 

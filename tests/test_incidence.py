@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -52,15 +53,42 @@ def test_shape_and_entries_match_containment(q, n, t, k):
 
 @pytest.mark.parametrize("cap", [1, 2, 5])
 def test_matrix_is_the_same_in_capped_blocks(monkeypatch, cap):
-    # the row multiples are shared per block of the column layer, so smaller
-    # blocks must give the same columns
+    # the row multiples are shared per block of the column layer, and row 0's
+    # list is batched over the block, so smaller blocks, which split that
+    # list (t = 1 and t = 2 below), must give the same columns; so must the
+    # hyperplanes (k = n - 1) and the one column of k = 0
     for q, n, t, k in ((2, 5, 1, 2), (2, 5, 2, 3), (3, 4, 1, 2), (4, 3, 1, 2),
-                       (5, 3, 0, 2), (2, 4, 2, 4)):
+                       (5, 3, 0, 2), (2, 4, 2, 4), (2, 6, 1, 3), (3, 4, 2, 3),
+                       (2, 6, 2, 3), (3, 4, 1, 3), (2, 5, 2, 4), (3, 3, 0, 0)):
         want = wilson_matrix(q, n, t, k)
         monkeypatch.setattr(grassmann, "_STREAM_CAP", cap)
         got = wilson_matrix(q, n, t, k)
         monkeypatch.undo()
         assert got == want, (q, n, t, k)
+
+
+# sha256 of write_matrix at the cells that the benchmark's lattice and elim
+# workloads build, taken from the column-at-a-time build that the batched
+# one replaced
+WRITTEN_SHA256 = {
+    (4, 5, 2, 3): "e1b305af6eab030704f4c7c786cb5152b6e9cf29e80dccc4374b9d7c77ee38ad",
+    (2, 7, 1, 3): "d79cb672894a1de54f0dc7e4ec69a47bca159d002bf7c5139825a17d7d400bd0",
+    (2, 6, 2, 3): "2161c321c76fba86c1d3adfe6d192786073c767c5ac4c51af98c6aa6d51d2fbe",
+    (2, 5, 1, 2): "bbce0339631deaff804af80fdf93ae49a9fb3595c5983919fda4fc5617cace45",
+    (2, 5, 1, 3): "5b4ec6079d2e66e7ed6dc8daead67661bfb76422b03df76d8891220cb360cd81",
+    (3, 7, 1, 6): "3ddc87fa4e51072bdbc737b1f1d0c5bab720c5bba3f82ceb45848a457cc9a079",
+    (5, 5, 1, 4): "8caab211a7df98abaea0dc9ea6233224b9e932dc402c4ec3d2df0904d56dae2e",
+    (7, 4, 1, 3): "27fa945d765f922898f5869c6e04250e5653622d7d5b63ceb59fa3c5c054d51d",
+    (3, 5, 1, 2): "514d665ff141a18611bd820418a6d52185dad82f1add8358ed61430caafb7f5c",
+    (2, 6, 1, 3): "acd28b2e820b45e33b4edf5bc80dbcdda811686d0913dcefb3efec5ec170284b",
+    (2, 5, 2, 3): "a2ec779399e4ee1ef7a8fb43ae76ca4792b8fcaf059e28a9e3919cfa3ad88fc9",
+}
+
+
+@pytest.mark.parametrize("cell", WRITTEN_SHA256)
+def test_written_matrix_is_pinned(cell):
+    text = write_matrix(wilson_matrix(*cell))
+    assert hashlib.sha256(text.encode()).hexdigest() == WRITTEN_SHA256[cell]
 
 
 def test_column_and_row_sums():

@@ -642,6 +642,74 @@ def test_budget_refusal():
     assert default_budget(3) < default_budget(2)
 
 
+def test_budget_refusal_carries_its_stage_and_nodes():
+    # q2 n5 t2 k3 has minimum weight 8 and even stages: 1000 nodes end in 4
+    m = GfpMatrix.from_incidence(wilson_matrix(2, 5, 2, 3), 2)
+    with pytest.raises(BudgetExceededError) as err:
+        min_weight_kernel_gfp(m, 8, mode=MODE_SUPPORT, budget=1000)
+    e = err.value
+    assert (e.stage, e.nodes) == (4, 1001)
+    assert str(e) == "support search reached 1001 nodes at stage w=4, budget is 1000"
+    with pytest.raises(BudgetExceededError) as err:
+        min_support_kernel_rational(_m(2, [[1] * 4]), 3, budget=1)
+    assert (err.value.stage, err.value.nodes) == (1, 2)
+    with pytest.raises(BudgetExceededError) as err:
+        min_weight_kernel_gfp(_m(2, [[0] * 25]), 1, mode=MODE_KERNEL, budget=2**20)
+    assert (err.value.stage, err.value.nodes) == (None, None)
+
+
+# the Wilson matrices of the grid's lattices, q in (2, 3, 4) and n <= 4, and
+# q = 2 at n = 5; q3 n4 t2 k3 (18) is the slowest, and q4 n4 t2 k3 (24) is
+# past the default budget for the full search
+ROOTED_CELLS = [
+    (q, n, t, k)
+    for q in (2, 3, 4)
+    for n in range(2, 6 if q == 2 else 5)
+    for k in range(1, n)
+    for t in range(k)
+    if (q, n, t, k) != (4, 4, 2, 3)
+]
+
+
+@pytest.mark.parametrize("q,n,t,k", ROOTED_CELLS)
+def test_rooted_support_search_matches_the_full_one_over_gf(q, n, t, k):
+    # W_{t,k} is column-transitive, so rooting every stage at column 0 finds
+    # the same lex-least set, and so the same witness
+    m = GfpMatrix.from_incidence(wilson_matrix(q, n, t, k), field(q).p)
+    full = min_weight_kernel_gfp(m, m.cols, mode=MODE_SUPPORT)
+    assert full.found
+    rooted = min_weight_kernel_gfp(m, m.cols, mode=MODE_SUPPORT, transitive=True)
+    assert rooted == full
+
+
+@pytest.mark.parametrize(
+    "q,n,t,k",
+    [(q, n, 0, k) for q in (2, 3, 4) for n in range(1, 5) for k in range(1, n + 1)]
+    + [(2, 3, 1, 2), (2, 4, 1, 2), (2, 5, 1, 2), (2, 4, 2, 3), (3, 3, 1, 2)],
+)
+def test_rooted_support_search_matches_the_full_one_over_q(q, n, t, k):
+    m = GfpMatrix.from_incidence(wilson_matrix(q, n, t, k), 2)
+    full = min_support_kernel_rational(m, m.cols)
+    assert min_support_kernel_rational(m, m.cols, transitive=True) == full
+
+
+def test_rooted_search_is_only_sound_on_transitive_columns():
+    # column 3 of W_{0,1} made zero: the full search finds it alone, and a
+    # search rooted at column 0 misses it, so the flag is a promise
+    m = GfpMatrix.from_incidence(wilson_matrix(2, 3, 0, 1), 2)
+    bad = _m(2, [[1, 1, 1, 0, 1, 1, 1]])
+    for search in (
+        functools.partial(min_weight_kernel_gfp, mode=MODE_SUPPORT),
+        min_support_kernel_rational,
+    ):
+        assert search(m, 3, transitive=True) == search(m, 3)
+        assert search(bad, 3).witness_support == (3,)
+        assert search(bad, 3, transitive=True).witness_support == (0, 1)
+    # kernel mode walks the whole kernel, with no root to take
+    kernel = min_weight_kernel_gfp(bad, 3, mode=MODE_KERNEL, transitive=True)
+    assert kernel.witness_support == (3,)
+
+
 def test_kernel_mode_refuses_a_wide_matrix_before_it_eliminates(monkeypatch):
     # the kernel has dimension at least cols - rows, so a wide matrix is
     # refused on its shape, with the count it would need at least
