@@ -8,9 +8,10 @@ is `--budget`, else QNULL_BUDGET, else the library default, default_budget(p)
 for `minweight` and default_budget(2) for `minsupport`.  `wilson`,
 `construct`, `verify`, `strength` and `enumerate --json` count their
 nonzeros or listed subspaces first (`enumerate` streams its text form), and
-`rank`, `minweight` and `minsupport` the 64-bit words of their matrix at one
-bit per entry; each refuses more than QNULL_BUDGET, else default_budget(2),
-whatever `--budget` says.
+`rank`, `minweight` and `minsupport` the 64-bit words of the matrix they
+build, at _lane_width(p) bits per entry packed over GF(p) and at 64 bits in
+the dense form over Q; each refuses more than QNULL_BUDGET, else
+default_budget(2), whatever `--budget` says.
 
 Exit codes: 0 on success, 1 when a verification or reproduction check fails,
 2 on usage errors (bad parameters, unreadable, unwritable or malformed files,
@@ -41,6 +42,7 @@ from .designs import (
 )
 from .fields import Field, field
 from .grassmann import (
+    _DIGITS,
     enumerate_subspaces,
     from_index,
     gaussian_binomial,
@@ -299,7 +301,7 @@ def _cmd_rank(args) -> int:
 
 def _witness_design_text(m, p: int, rep: SearchReport) -> Optional[str]:
     """The witness as a design file over the matrix's column subspaces."""
-    if not rep.found:
+    if not rep.found or m.q > len(_DIGITS):  # GF(q) has no text form
         return None
     f = field(m.q)
     support = {
@@ -388,7 +390,7 @@ def _cmd_minsupport(args) -> int:
     payload = _report_payload(rep)
     payload["matrix"] = args.matrix
     human = _report_human(rep, None)
-    if rep.found:
+    if rep.found and m.q <= len(_DIGITS):
         f = field(m.q)
         lines = ["witness subspaces:"]
         for j, v in zip(rep.witness_support, rep.witness_values):

@@ -9,7 +9,7 @@ Two verifiers are provided on purpose.  Within one pivot set of the t-layer
 each basis row of y ranges over its own list of packed row choices
 (grassmann._packed_subspaces_of).  verify_strength counts the products of
 the lists built from each support element's rows.  verify_strength_direct
-reads the cached lists of the whole space (grassmann._ambient_layer) and
+reads the cached lists of that walk on GF(q)^n (grassmann._ambient_layer) and
 tests each row choice once against each support element covering the pivots,
 so it never lists an element's subspaces; tests hold the two equal.  Both
 name a violation as a row of W_{t,k} c = 0 with its nonzero sum: the row is

@@ -15,8 +15,7 @@ The fixed enumeration order is: pivot column sets ascending lexicographically
 (as increasing tuples), then the free entries read row-major as a base-q
 integer, ascending.  Over GF(2) with n=2, k=1 that gives span{(1,0)},
 span{(1,1)}, span{(0,1)}.  index_of and from_index place a subspace by at
-most n - k block sizes (_block), never by listing its layer, whose walks take
-the pivot sets from itertools.combinations one at a time (_layer_blocks).
+most n - k block sizes (_block), never by listing its layer.
 
 One structural fact carries most of the module: if B is the k x n RREF basis
 of x and L is any d x k RREF matrix, then L.B is already in RREF form with
@@ -25,12 +24,15 @@ subspaces.  So the d-dimensional subspaces of x are exactly the products L.B
 with L ranging over the d x k RREF matrices, no re-reduction needed.  Row r
 of L.B is x's row at L's r-th pivot plus a multiple of x's row c for each
 free entry (r, c) of L, so it is built from x's cached row multiples and x is
-never spanned; the ambient layer is the same construction on the unit basis.
-That loop is _local_choices, one _Lanes.sums call per free entry (no call per
-vector).  It starts each row from a list: [row] for one subspace x, or, as
-incidence.wilson_matrix does for the blocks of _layer_blocks, a whole list for
-x's row 0, which no free entry adds, so one call lists the rows of the
-subspaces of every x in the block that shares rows 1..k-1.
+never spanned.  That loop is _local_choices, one _Lanes.sums call per free
+entry (no call per vector).  It starts each row from a list: [row] for one
+subspace x, or, as incidence.wilson_matrix does for the blocks of a layer, a
+whole list for x's row 0, which no free entry adds, so one call lists the
+rows of the subspaces of every x in the block that shares rows 1..k-1.
+GF(q)^n is the subspace _Lanes.whole, on whose unit basis local order is the
+global order, so one _packed_subspaces_of walks every layer: all pivot sets
+at once while its lists are small, else one pivot set at a time in blocks
+whose lists are held to _STREAM_CAP vectors (_choice_blocks).
 """
 
 from __future__ import annotations
@@ -317,41 +319,13 @@ def _place(q: int, n: int, pivots: tuple[int, ...]):
 
 
 def enumerate_subspaces(f: Field, n: int, k: int) -> Iterator[Subspace]:
-    """All k-dimensional subspaces of GF(q)^n in the fixed order, streamed."""
-    if not 0 <= k <= n:
-        return
-    lanes = _lanes(f.q, n)
-    for pivots, choices in _layer_blocks(lanes, k):
-        for vecs in itertools.product(*choices):
-            yield Subspace(lanes, vecs, pivots)
-
-
-def _layer_blocks(lanes: _Lanes, k: int):
-    """The k-layer in blocks, in order: the pivots and the rows' lists of
-    choices, whose product is the block's packed bases (_choice_blocks)."""
-    units, mults = lanes.whole.vecs, _multiples(lanes.whole)
-    for pivots in itertools.combinations(range(lanes.n), k):
-        free = _free_entries(lanes.n, pivots)
-        for choices in _choice_blocks([units[p] for p in pivots], free, mults):
-            yield pivots, choices
-
-
-def _choice_blocks(rows: list[int], free, mults):
-    """The ambient rows' lists of choices, built by _local_choices from the
-    rows' start vectors, in blocks that hold each list to _STREAM_CAP vectors:
-    while a list would be longer, the leading free entry takes each multiple
-    in turn, added into its row's start.  The blocks' products follow one
-    another in order, so a huge layer streams."""
-    longest = max(Counter(r for r, _ in free).values(), default=0)
-    if longest and len(mults[0]) ** longest > _STREAM_CAP:
-        (r, c), free = free[0], free[1:]
-        for m in mults[c]:
-            head = rows[:r] + [rows[r] | m] + rows[r + 1:]
-            yield from _choice_blocks(head, free, mults)
-        return
-    # one pivot set, whose local pivots are all the rows
-    starts = [[v] for v in rows]
-    yield _local_choices(starts, mults, {range(len(rows)): free}, _xor_sums)[0]
+    """All k-dimensional subspaces of GF(q)^n in the fixed order, streamed:
+    subspaces_of the whole space, whose local order is the global order."""
+    if 0 <= k <= n:
+        lanes = _lanes(f.q, n)
+        for pivots, choices in _packed_subspaces_of(lanes.whole, k):
+            for vecs in itertools.product(*choices):
+                yield Subspace(lanes, vecs, pivots)
 
 
 def index_of(x: Subspace) -> int:
@@ -395,30 +369,52 @@ def from_index(f: Field, n: int, k: int, ordinal: int) -> Subspace:
 
 # -- local enumeration inside a subspace ---------------------------------
 
-def _packed_subspaces_of(x: Subspace, d: int, layout=None):
-    """Per pivot set of the d-dimensional subspaces of x (0 <= d <= x.k), in
+def _packed_subspaces_of(x: Subspace, d: int):
+    """Per block of the d-dimensional subspaces of x (0 <= d <= x.k), in
     local order: the global pivots and, per basis row, the packed vectors the
     row can take (_local_choices).  The rows choose independently: the bases
-    are the product.  layout defaults to _pivot_layout(x.k, d), or one pivot
-    set at a time past _STREAM_CAP of them.
+    are the product.  The pivot sets are laid out at once (_pivot_layout)
+    only when the most vectors that could be listed, C(k, d) d q^(k-d), fit
+    in _STREAM_CAP; else they come one at a time from itertools.combinations,
+    each in the capped blocks of _choice_blocks.
     """
-    if layout is None and math.comb(x.k, d) > _STREAM_CAP:
-        for s in itertools.combinations(range(x.k), d):
-            yield from _packed_subspaces_of(x, d, {s: _free_entries(x.k, s)})
+    k, xp, lanes, mults = x.k, x.pivots, x._lanes, _multiples(x)
+    if math.comb(k, d) * d * lanes.q ** (k - d) <= _STREAM_CAP:
+        layout = _pivot_layout(k, d)
+        lists = _local_choices([[v] for v in x.vecs], mults, layout, lanes.sums)
+        for local, choices in zip(layout, lists):
+            yield tuple(map(xp.__getitem__, local)), choices
         return
-    layout, xp = layout or _pivot_layout(x.k, d), x.pivots
-    starts = [[v] for v in x.vecs]
-    lists = _local_choices(starts, _multiples(x), layout, x._lanes.sums)
-    for local, choices in zip(layout, lists):
-        yield tuple(map(xp.__getitem__, local)), choices
+    for local in itertools.combinations(range(k), d):
+        pivots, rows = tuple(map(xp.__getitem__, local)), [x.vecs[p] for p in local]
+        for choices in _choice_blocks(rows, _free_entries(k, local), mults, lanes):
+            yield pivots, choices
+
+
+def _choice_blocks(rows: list[int], free, mults, lanes: _Lanes):
+    """The lists of choices of one pivot set's rows, built by _local_choices
+    from the rows' start vectors, in blocks that hold each list to
+    _STREAM_CAP vectors: while a list would be longer, the leading free entry
+    takes each multiple in turn, added into its row's start.  The blocks'
+    products follow one another in order, so a huge layer streams."""
+    longest = max(Counter(r for r, _ in free).values(), default=0)
+    if longest and lanes.q ** longest > _STREAM_CAP:
+        (r, c), free = free[0], free[1:]
+        for m in mults[c]:
+            head = rows[:r] + [lanes.add(rows[r], m)] + rows[r + 1:]
+            yield from _choice_blocks(head, free, mults, lanes)
+        return
+    # one pivot set, whose local pivots are all the rows
+    starts, layout = [[v] for v in rows], {range(len(rows)): free}
+    yield _local_choices(starts, mults, layout, lanes.sums)[0]
 
 
 @lru_cache(maxsize=16)
 def _ambient_layer(q: int, n: int, d: int) -> tuple:
-    """The blocks of the d-layer of GF(q)^n (_layer_blocks), in order: pivots,
-    the rows' lists of choices, each row's mixed-radix weight and the offset."""
+    """The blocks of the d-layer of GF(q)^n (_packed_subspaces_of), in order:
+    pivots, the rows' lists, each row's mixed-radix weight and the offset."""
     out, offset = [], 0
-    for pivots, rows in _layer_blocks(_lanes(q, n), d):
+    for pivots, rows in _packed_subspaces_of(_lanes(q, n).whole, d):
         weights = [math.prod(map(len, rows[i + 1:])) for i in range(d)]
         out.append((pivots, rows, weights, offset))
         offset += math.prod(map(len, rows))

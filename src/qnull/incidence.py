@@ -7,9 +7,9 @@ are stored as sorted tuples of row indices (each column has only
 gaussian_binomial(k,t,q) ones), which is what the kernel searches want.
 
 wilson_matrix builds no Subspace: it walks both layers in the packed blocks
-of grassmann._layer_blocks and lists the columns' t-subspaces with
-_local_choices, the row loop of _packed_subspaces_of.  A block's columns are
-the product of its rows' lists C_0 x ... x C_{k-1}, and it builds them
+of grassmann._packed_subspaces_of on GF(q)^n itself and lists the columns'
+t-subspaces with _local_choices, that walk's row loop.  A block's columns
+are the product of its rows' lists C_0 x ... x C_{k-1}, and it builds them
 together: one _local_choices call per suffix (v_1..v_{k-1}), with row 0
 started from all of C_0.  The t-subspaces of span(v_1..v_{k-1}) are ranked
 once for all |C_0| columns of the suffix; the rest come in one list per pivot
@@ -29,8 +29,8 @@ from .fields import Field, field
 from .grassmann import (
     Subspace,
     _lanes,
-    _layer_blocks,
     _local_choices,
+    _packed_subspaces_of,
     _pivot_layout,
     enumerate_subspaces,
     gaussian_binomial,
@@ -73,11 +73,11 @@ def wilson_matrix(q: int, n: int, t: int, k: int) -> IncidenceMatrix:
     lanes = _lanes(q, n)
     points = iter if t == 1 else itertools.product  # keys from the rows' lists
     ordinal = {}
-    for _, choices in _layer_blocks(lanes, t):
+    for _, choices in _packed_subspaces_of(lanes.whole, t):
         ordinal.update(zip(points(*choices), itertools.count(len(ordinal))))
     rank, multiples, sums = ordinal.__getitem__, lanes.multiples, lanes.sums
     layout, cols = _pivot_layout(k, t), []
-    for _, choices in _layer_blocks(lanes, k):
+    for _, choices in _packed_subspaces_of(lanes.whole, k):
         # the block's columns are head x product(rest); k = 0 has one column
         head, *rest = choices or [[None]]
         mult = {v: multiples(v) for row in rest for v in row}

@@ -823,6 +823,35 @@ def test_minsupport_none_on_full_rank_matrix(tmp_path, capsys):
     assert payload["weight"] == "none found" and payload["exhaustive"] is True
 
 
+def test_a_witness_over_gf37_is_printed_without_subspace_text(tmp_path, capsys):
+    # the text format has 36 digits, too few for GF(37): both searches keep
+    # their answer and leave out only the design file and subspace lines
+    path = tmp_path / "w37.txt"
+    run(
+        capsys,
+        "wilson", "--q", "37", "--n", "2", "--t", "0", "--k", "1",
+        "--out", str(path),
+    )
+    for argv, values in (
+        (["minweight", "--p", "37", "--mode", "support"], [1, 36]),
+        (["minsupport"], [1, -1]),
+    ):
+        argv += ["--matrix", str(path), "--cap", "3"]
+        code, payload, err = run_json(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert payload["weight"] == 2
+        assert payload["witness"] == {"support": [0, 1], "values": values}
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.splitlines() == [
+            "weight:     2",
+            "mode:       support-enumeration",
+            "exhaustive: True",
+            "cap:        3",
+            f"witness:    0:{values[0]} 1:{values[1]}",
+        ]
+
+
 # -- reproduce ------------------------------------------------------------------------
 
 

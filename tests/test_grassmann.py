@@ -1,6 +1,10 @@
 import itertools
+import math
+import os
 import random
-import time
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -145,10 +149,10 @@ def test_index_round_trips_at_large_n_and_refuses_huge_n():
             make()
 
 
-def test_no_ambient_layer_is_laid_out_whole(monkeypatch):
-    # the ordinals come from block sizes and the layer walks from
-    # itertools.combinations: only the small local layouts of a subspace's
-    # own coordinates reach _pivot_layout, never the ambient dimension
+def test_no_layer_is_laid_out_past_the_stream_cap(monkeypatch):
+    # the ordinals come from block sizes, and a layer's pivot sets are laid
+    # out at once only when every vector its lists could hold fits in
+    # _STREAM_CAP; a larger layer takes them from itertools.combinations
     from qnull import designs, incidence
 
     calls = []
@@ -157,6 +161,10 @@ def test_no_ambient_layer_is_laid_out_whole(monkeypatch):
     def spy(k, d):
         calls.append((k, d))
         return real(k, d)
+
+    def small(q):
+        cap = grassmann._STREAM_CAP
+        return all(math.comb(k, d) * d * q ** (k - d) <= cap for k, d in calls)
 
     monkeypatch.setattr(grassmann, "_pivot_layout", spy)
     monkeypatch.setattr(incidence, "_pivot_layout", spy)
@@ -169,29 +177,56 @@ def test_no_ambient_layer_is_laid_out_whole(monkeypatch):
         designs.write_design(designs.construct_lb_design(2, 256, 2))
     )
     assert designs.verify_strength(design, 2).ok
-    assert calls and all(k <= 3 for k, _ in calls)
+    assert calls and small(2)
     calls.clear()
     design = designs.construct_lb_design(3, 4, 1)
     assert designs.verify_strength_direct(design, 1).ok
     assert wilson_matrix(3, 4, 1, 2).cols == gaussian_binomial(4, 2, 3)
-    assert calls and all(k <= 2 for k, _ in calls)
+    # a small layer of GF(3)^4 is laid out like any subspace's
+    assert (4, 1) in calls and small(3)
+
+
+# (n, d): the first d-subspace of GF(2)^n, and the seconds it took, under a
+# 600 MB address-space limit
+FIRST_OF_A_DEEP_LAYER = """
+import sys, time
+from qnull.fields import field
+from qnull.grassmann import coordinate_span, subspaces_of
+n, d = map(int, sys.argv[1:])
+start = time.perf_counter()
+first = next(subspaces_of(coordinate_span(field(2), n, n), d))
+print(time.perf_counter() - start, first == coordinate_span(field(2), n, d))
+"""
 
 
 def test_a_local_layer_past_the_stream_cap_is_walked_one_pivot_set_at_a_time(
     monkeypatch,
 ):
-    # C(30, 15) pivot sets are never laid out at once: the first subspace
-    # comes at once, and the walk keeps the order of the laid-out layer
-    f = field(2)
-    start = time.perf_counter()
-    first = next(subspaces_of(coordinate_span(f, 30, 30), 15))
-    assert time.perf_counter() - start < 2
-    assert first == coordinate_span(f, 30, 15)
+    # the C(30, 15) and C(18, 9) pivot sets, and the 2^22 choices of a row of
+    # the first pivot set at (44, 22), are never listed at once: the first
+    # subspace comes at once, and the walk keeps the order of the laid-out
+    # layer
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    src = os.path.dirname(os.path.dirname(grassmann.__file__))
+    for n, d in ((30, 15), (18, 9), (44, 22)):
+        proc = subprocess.run(
+            [sys.executable, "-c", FIRST_OF_A_DEEP_LAYER, str(n), str(d)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=limit_memory,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), (n, d, proc.stderr)
+        seconds, same = proc.stdout.split()
+        assert float(seconds) < 2 and same == b"True", (n, d, proc.stdout)
     rng = random.Random(5)
     xs = [random_subspace(field(q), 6, 4, rng) for q in (2, 3, 4)]
     want = [list(subspaces_of(x, d)) for x in xs for d in range(5)]
-    monkeypatch.setattr(grassmann, "_STREAM_CAP", 0)
-    assert [list(subspaces_of(x, d)) for x in xs for d in range(5)] == want
+    for cap in (0, 1, 2, 5):
+        monkeypatch.setattr(grassmann, "_STREAM_CAP", cap)
+        assert [list(subspaces_of(x, d)) for x in xs for d in range(5)] == want
 
 
 @st.composite
@@ -372,6 +407,13 @@ def test_enumerate_subspaces_order_matches_the_or_built_layer(q):
             ]
             got = [(x.vecs, x.pivots) for x in enumerate_subspaces(f, n, k)]
             assert got == want, (n, k)
+    # the local order of GF(q)^n itself, on the unit basis, is the global one
+    for n in range(6 if q <= 5 else 0):
+        whole = coordinate_span(f, n, n)
+        for k in range(n + 1):
+            got = [(x.vecs, x.pivots) for x in subspaces_of(whole, k)]
+            want = [(x.vecs, x.pivots) for x in enumerate_subspaces(f, n, k)]
+            assert got == want, (n, k)
 
 
 def local_choices_by_add(vecs, mults, layout, add):
@@ -444,7 +486,10 @@ def test_lane_sums_list_what_one_add_per_element_listed(q):
 @pytest.mark.parametrize("cap", [1, 2, 5])
 def test_enumeration_in_capped_blocks_keeps_the_order(monkeypatch, cap):
     # a row's list of choices is held to cap vectors by fixing the leading
-    # free entries in turn; the subspaces still come in index order
+    # free entries in turn; the subspaces still come in index order, and a
+    # subspace's own layers and both verifiers' verdicts stay the same
+    from qnull import designs
+
     for q, n, k in ((2, 5, 1), (2, 5, 2), (3, 4, 2), (4, 3, 1), (5, 3, 2)):
         want = [(x.vecs, x.pivots) for x in enumerate_subspaces(field(q), n, k)]
         monkeypatch.setattr(grassmann, "_STREAM_CAP", cap)
@@ -452,6 +497,31 @@ def test_enumeration_in_capped_blocks_keeps_the_order(monkeypatch, cap):
         monkeypatch.undo()
         assert [(x.vecs, x.pivots) for x in got] == want, (q, n, k)
         assert [index_of(x) for x in got] == list(range(gaussian_binomial(n, k, q)))
+    rng = random.Random(cap)
+    xs = [random_subspace(field(q), 5, 4, rng) for q in (2, 3, 4)]
+    supports = [designs.construct_lb_design(3, 4, 1).support]
+    for w in xs:  # four 3-subspaces of w, which need not sum to zero
+        ys = rng.sample(list(subspaces_of(w, 3)), 4)
+        supports.append({y: rng.randrange(1, w.field.q) for y in ys})
+
+    def walks():
+        grassmann._ambient_layer.cache_clear()
+        layers = [list(subspaces_of(x, d)) for x in xs for d in range(5)]
+        verdicts = []
+        for support in supports:
+            x = next(iter(support))
+            for t in range(min(y.k for y in support) + 1):
+                design = designs.NullDesign(x.field, x.n, x.field.q, 0, support)
+                verdicts.append((designs.verify_strength(design, t),
+                                 designs.verify_strength_direct(design, t)))
+        return layers, verdicts
+
+    want = walks()
+    assert {v.ok for v, _ in want[1]} == {True, False}
+    monkeypatch.setattr(grassmann, "_STREAM_CAP", cap)
+    assert walks() == want
+    monkeypatch.undo()
+    grassmann._ambient_layer.cache_clear()
 
 
 def test_text_round_trip():
