@@ -5,16 +5,16 @@ over GF(2) and at w-bit lane nc-1-j over odd p; from_incidence writes these
 ints from the columns, and the tuple entries is decoded only when read.  The
 two elimination cores take and give packed rows, so rref_gfp and the kernels
 neither pack nor decode.  Over GF(2) _xor_basis, also used by the all-ones
-test and the rational prefilter, is the forward pass to an echelon basis
-keyed by leading bit.  Over odd p _lane_basis keys it by leading lane and
-keeps each row as found, with -1/lead and, once used, its multiples: all p
-for p <= 7, so a step is one lane add (fields._lane_ops), else the doublings,
-one add per set bit of the scalar.  rank_gfp, rank_rational and the support
-search's leaf test stop there, cheaper on full-rank input than a reduced
-basis.  Over odd p rref_gfp runs Gauss-Jordan as the rows come: every basis
-row is zero at the other pivot lanes, so a row costs one lane add per pivot
-it touches, with no fill-in, and a new pivot clears its lane from the rows
-leading above it.  Over GF(2) rref_gfp back-substitutes the echelon basis.
+test, is the forward pass to an echelon basis keyed by leading bit.  Over
+odd p _lane_basis keys it by leading lane and keeps each row as found, with
+-1/lead and, once used, its multiples: all p for p <= 7, so a step is one
+lane add (fields._lane_ops), else the doublings, one add per set bit of the
+scalar.  rank_gfp, rank_rational and the support search's leaf test stop
+there, cheaper on full-rank input than a reduced basis.  Over odd p
+rref_gfp runs Gauss-Jordan as the rows come: every basis row is zero at the
+other pivot lanes, so a row costs one lane add per pivot it touches, with
+no fill-in, and a new pivot clears its lane from the rows leading above it.
+Over GF(2) rref_gfp back-substitutes the echelon basis.
 
 Over Q, rank_rational has no elimination of its own.  It turns the matrix
 so that rows <= columns and takes its rank mod p on _lane_basis for the odd
@@ -46,11 +46,14 @@ GF(p):
   column-transitive matrix, such as W_{t,k}, whose columns GL(n,q) permutes
   in one orbit, transitive=True roots every stage at column 0.
 
-Minimum rational support runs the same search on a 0/1 matrix held over
-GF(2), with a GF(2) prefilter at the leaves: a rational dependency among 0/1
-columns survives reduction mod 2, so only subsets that are GF(2)-deficient
-get the exact rank test.  Both searches read the column view _columns and
-never decode entries; leaf tests and witnesses read only the chosen columns.
+Minimum rational support is the same search, with Q passed as p = 0, on a
+0/1 matrix held over GF(2).  A rational dependency among integer columns
+survives reduction mod any prime, so a leaf first gets the mod-7 rank test,
+on its columns spread into 4-bit lanes when first read; only a leaf that is
+dependent mod 7 gets the exact rank_rational.  One helper, _nullvector,
+gives the witness in every ring.  The search reads the column view _columns
+and never decodes entries; leaf tests and witnesses read only the chosen
+columns.
 """
 
 from __future__ import annotations
@@ -488,17 +491,35 @@ def _verify_kernel_vector(
             raise InvariantError("witness is not in the kernel")
 
 
-def _witness_on_support(
-    on_support: Callable, p: int, support: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Least full-support kernel coefficient tuple on a minimal dependent set:
-    the kernel there is one line, and its least such point leads with 1."""
-    # a set of zero columns touches no row; one zero row keeps the width
-    rows = on_support(support) or [(0,) * len(support)]
-    basis = kernel_basis_gfp(GfpMatrix(p, rows))
-    if len(basis) != 1:
+def _nullvector(rows: Sequence[Sequence[int]], w: int, p: int) -> tuple[int, ...]:
+    """The kernel of w columns, given as the rows they touch, when it is one
+    line: over GF(p) its point that leads with 1, over Q (p = 0) its primitive
+    integer point with a positive lead.  Any other kernel is an InvariantError."""
+    # Gauss-Jordan on ints mod p, or on Fractions
+    mod = (lambda a: a % p) if p else Fraction
+    inv = (lambda a: pow(a, -1, p)) if p else (lambda a: 1 / a)
+    done: dict[int, list] = {}  # the RREF rows, keyed by pivot column
+    for row in rows:
+        v = list(map(mod, row))
+        for c, r in done.items():
+            f = v[c]
+            if f:
+                v = [mod(a - f * b) for a, b in zip(v, r)]
+        c = next((c for c in range(w) if v[c]), None)
+        if c is not None:
+            v = [mod(a * inv(v[c])) for a in v]
+            for r in done.values():
+                if r[c]:
+                    r[:] = [mod(a - r[c] * b) for a, b in zip(r, v)]
+            done[c] = v
+    free = [c for c in range(w) if c not in done]
+    if len(free) != 1:
         raise InvariantError("support set is not minimally dependent")
-    return tuple(x * pow(basis[0][0], p - 2, p) % p for x in basis[0])
+    vec = [mod(-done[c][free[0]] if c in done else c == free[0]) for c in range(w)]
+    lead = inv(next(a for a in vec if a))
+    vec = [mod(a * lead) for a in vec]
+    scale = 1 if p else math.lcm(*(a.denominator for a in vec))
+    return tuple(int(a * scale) for a in vec)
 
 
 # -- kernel-enumeration mode ------------------------------------------------
@@ -642,9 +663,9 @@ def _least_dependent_set(
 
 
 def _support_enum(
-    m: GfpMatrix, cap: int, budget: int, transitive: bool
+    m: GfpMatrix, p: int, cap: int, budget: int, transitive: bool
 ) -> SearchReport:
-    p = m.p
+    """The support search over GF(p), or over Q (p = 0) on a 0/1 m over GF(2)."""
     masks, row_cols, lanes, on_support = _columns(m)
     # <all-ones, x> = weight of x mod 2, so if the all-ones row is in the row
     # space every kernel word has even weight
@@ -652,16 +673,26 @@ def _support_enum(
     stages = range(step, min(cap, m.cols) + 1, step)
     dependent = None
     if p != 2:
-        lw = _lane_width(p)
+        # a rational dependency among integer columns survives mod any prime,
+        # so over Q a leaf is ranked mod 7 first, on its columns spread into
+        # 4-bit lanes (bit i to lane i) when first read, and only a leaf
+        # dependent mod 7 gets the exact rank test
+        lp = p or 7
+        lw = _lane_width(lp)
+        column = lanes.__getitem__ if p else functools.cache(
+            lambda j: int(format(masks[j], "b"), 16)
+        )
 
         def dependent(chosen: list[int]) -> bool:
-            vecs = [lanes[j] for j in chosen]  # the columns, as rows
-            return len(_lane_basis(vecs, p, lw, m.rows)) < len(chosen)
+            vecs = [column(j) for j in chosen]  # the columns, as rows
+            return len(_lane_basis(vecs, lp, lw, m.rows)) < len(chosen) and (
+                p > 0 or rank_rational(on_support(chosen)) < len(chosen)
+            )
 
     hit = _least_dependent_set(masks, row_cols, stages, dependent, budget, transitive)
     if hit is None:
         return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
-    values = _witness_on_support(on_support, p, hit)
+    values = _nullvector(on_support(hit), len(hit), p)
     _verify_kernel_vector(on_support, p, hit, values)
     return SearchReport(len(hit), hit, values, MODE_SUPPORT, True, cap)
 
@@ -694,33 +725,10 @@ def min_weight_kernel_gfp(
         budget = default_budget(m.p)
     if mode_norm == MODE_KERNEL:
         return _kernel_enum(m, cap, budget)
-    return _support_enum(m, cap, budget, transitive)
+    return _support_enum(m, m.p, cap, budget, transitive)
 
 
 # -- rational minimum support ------------------------------------------------
-
-
-def _rational_nullvector(rows: list[tuple[int, ...]], w: int) -> tuple[int, ...]:
-    """Primitive integer kernel vector of w columns' rows (first nonzero > 0)."""
-    done: dict[int, list[Fraction]] = {}  # the RREF rows, keyed by pivot column
-    for row in rows:
-        v = [Fraction(x) for x in row]
-        for c, r in done.items():
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, r)]
-        c = next((c for c in range(w) if v[c]), None)
-        if c is not None:
-            v = [a / v[c] for a in v]
-            done = {g: [a - r[c] * b for a, b in zip(r, v)] for g, r in done.items()}
-            done[c] = v
-    free = [c for c in range(w) if c not in done]
-    if not free:
-        raise InvariantError("support set is not rationally dependent")
-    vec = [-done[c][free[0]] if c in done else Fraction(c == free[0]) for c in range(w)]
-    lcm = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * lcm) for v in vec]
-    g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
-    return tuple(v // g for v in ints)
 
 
 def min_support_kernel_rational(
@@ -738,22 +746,6 @@ def min_support_kernel_rational(
         raise ValueError("cap must be >= 1")
     if m.p != 2:
         raise ValueError(f"expected a 0/1 matrix over GF(2), got one over GF({m.p})")
-    masks, row_cols, _, on_support = _columns(m)
-
-    def dependent(chosen: list[int]) -> bool:
-        # a rational dependency among 0/1 columns survives reduction mod 2,
-        # so only GF(2)-deficient sets get the exact rank test
-        w = len(chosen)
-        return len(_xor_basis(masks[j] for j in chosen)) < w and (
-            rank_rational(on_support(chosen)) < w
-        )
-
-    stages = range(1, min(cap, m.cols) + 1)
     if budget is None:
         budget = default_budget(2)
-    hit = _least_dependent_set(masks, row_cols, stages, dependent, budget, transitive)
-    if hit is None:
-        return SearchReport(None, None, None, MODE_SUPPORT, True, cap)
-    vec = _rational_nullvector(on_support(hit), len(hit))
-    _verify_kernel_vector(on_support, 0, hit, vec)
-    return SearchReport(len(hit), hit, vec, MODE_SUPPORT, True, cap)
+    return _support_enum(m, 0, cap, budget, transitive)

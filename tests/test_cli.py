@@ -737,11 +737,7 @@ def test_minweight_broken_witness_is_an_internal_error(wilson_file, capsys, monk
     # the least witness here is 1 2 2 1 2 1, so all ones is wrong)
     import qnull.linalg
 
-    monkeypatch.setattr(
-        qnull.linalg,
-        "_witness_on_support",
-        lambda on_support, p, support: (1,) * len(support),
-    )
+    monkeypatch.setattr(qnull.linalg, "_nullvector", lambda rows, w, p: (1,) * w)
     code, out, err = run(
         capsys,
         "minweight", "--matrix", wilson_file, "--p", "3", "--cap", "8",
@@ -776,6 +772,23 @@ def test_minsupport_finds_pair_on_rank_one_matrix(tmp_path, capsys):
     assert payload["witness"] == {"support": [0, 1], "values": [1, -1]}
     code, out, _ = run(capsys, "minsupport", "--matrix", str(path), "--cap", "3")
     assert "witness subspaces:" in out and "|-1" in out
+
+
+def test_minsupport_broken_witness_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # the rational witness takes the same self-check: on one row of ones the
+    # least dependent set is {0, 1}, and 1, 1 does not kill it over Q
+    import qnull.linalg
+
+    monkeypatch.setattr(qnull.linalg, "_nullvector", lambda rows, w, p: (1,) * w)
+    path = tmp_path / "row.txt"
+    run(
+        capsys,
+        "wilson", "--q", "2", "--n", "4", "--t", "0", "--k", "1",
+        "--out", str(path),
+    )
+    code, out, err = run(capsys, "minsupport", "--matrix", str(path), "--cap", "3")
+    assert code == 3 and out == ""
+    assert err == "internal error: witness is not in the kernel\n"
 
 
 def test_minsupport_budget_refusal_states_the_count(tmp_path, capsys, monkeypatch):

@@ -902,6 +902,38 @@ def test_rational_gf2_prefilter_is_not_trusted():
     assert rep.witness_values == (1, 1, -1, -2)
 
 
+def test_rational_mod_7_leaf_test_is_not_trusted(monkeypatch):
+    # these six 0/1 columns have determinant 7: dependent mod 7, the leaf's
+    # first test, but independent over Q, so the exact rank test must say no
+    rows = ["010010", "001110", "010100", "011011", "100111", "111000"]
+    rows = [[int(c) for c in r] for r in rows]
+    widths = []
+
+    def spy(sub):
+        widths.append(len(sub[0]))
+        return rank_rational(sub)
+
+    monkeypatch.setattr(linalg, "rank_rational", spy)
+    rep = min_support_kernel_rational(GfpMatrix(2, rows), 6)
+    assert rep.weight_text() == "none found" and rep.exhaustive
+    assert widths == [6]  # only the full set is dependent mod 7
+    # a seventh column equal to column 0 is the least dependent set with it
+    rep = min_support_kernel_rational(GfpMatrix(2, [r + r[:1] for r in rows]), 7)
+    assert rep.weight == 2
+    assert rep.witness_support == (0, 6) and rep.witness_values == (1, -1)
+
+
+def test_a_refused_rational_search_makes_no_exact_rank_test(monkeypatch):
+    # W_{1,4} over GF(2)^5 has many leaves dependent mod 2 but none mod 7 up
+    # to 2^14 nodes, so a refusal there costs no rank_rational call
+    calls = []
+    monkeypatch.setattr(linalg, "rank_rational", lambda rows: calls.append(rows))
+    m = GfpMatrix.from_incidence(wilson_matrix(2, 5, 1, 4), 2)
+    with pytest.raises(BudgetExceededError):
+        min_support_kernel_rational(m, m.cols, budget=2**14, transitive=True)
+    assert calls == []
+
+
 def test_rational_zero_and_duplicate_columns():
     rep = min_support_kernel_rational(GfpMatrix(2, [[0, 1], [0, 1]]), 2)
     assert rep.weight == 1 and rep.witness_support == (0,)
