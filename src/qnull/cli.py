@@ -27,11 +27,11 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import Optional
 
 from .designs import (
     NullDesign,
-    _scatter_count,
     as_modulus,
     construct_lb_design,
     construct_uniform_design,
@@ -119,6 +119,12 @@ def _within_budget(count: int, what: str) -> None:
     budget = _budget_from() or default_budget(2)
     if count > budget:
         raise ValueError(f"{what.format(count)}, budget is {budget}")
+
+
+def _scatter_count(design: NullDesign, ts) -> int:
+    """The t-subspaces verify_strength lists, summed over its support and ts."""
+    dims, q = Counter(x.k for x in design.support), design.field.q
+    return sum(m * gaussian_binomial(k, t, q) for k, m in dims.items() for t in ts)
 
 
 # -- subcommands --------------------------------------------------------------

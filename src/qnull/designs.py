@@ -15,18 +15,12 @@ so it never lists an element's subspaces; tests hold the two equal.  Both
 name a violation as a row of W_{t,k} c = 0 with its nonzero sum: the row is
 y's ordinal in its layer (see Verdict), so neither builds a Subspace.
 
-A design keeps the nonzero sums mod R = design.r of its last verify_strength
-in a private slot (t, (R, sums)), sums being per pivot set the (packed basis,
-sum) cells; (None, None) is empty.  as_modulus(design, r) hands the slot on
-when r divides design.r, as sums mod R give the sums mod r.  So a design mod
-q is checked mod p with one pass over its sums.  The slot's tuple is
-replaced, never changed, so neither design sees the other's later sums.
-
-A slot at t+1 gives the sums at t (the push-down): the sum at y is the sum
-of those at the (t+1)-spaces z > y, mod r, since [j-t, 1]_q = 1 + q + ... z
-lie between y and an element of dimension j > t (none has dimension t once
-checked at t+1).  It is taken when its cells' t-subspaces, [t+1, t]_q each,
-are no more than a recount of the support lists.
+A design keeps its last verify_strength counts, with their t, in a private
+slot, and as_modulus(design, r) hands the slot on when r divides design.r:
+counts keyed by coefficients mod design.r give every sum mod r, as
+sum c*m = sum (c mod r)*m (mod r).  So a design mod q is checked mod p with
+one pass over its counts.  The slot's tuple is replaced, never changed, so
+neither design sees the other's later counts.
 
 construct_uniform_design does not search: the support elements are the
 kernels of the functionals solved for in the chain's top space, read off its
@@ -116,7 +110,7 @@ class NullDesign:
         self.t_claimed = t_claimed
         self.support = MappingProxyType(cleaned)
         self._sorted = None
-        self._scatter = (None, None)  # (t, (r, sums)) of the last verify_strength
+        self._scatter = (None, None)  # (t, counts) of the last verify_strength
 
     def items_sorted(self) -> list[tuple[Subspace, int]]:
         """Support items ordered by (dimension, enumeration ordinal)."""
@@ -177,8 +171,7 @@ def _check_domain(design: NullDesign, t: int) -> None:
 
 def _nonzero_cells(counts: dict[int, Counter], r: int) -> list[tuple[object, int]]:
     """(cell, sum mod r) wherever the sum of c times the cell's count under
-    each coefficient c is nonzero; counts of coefficient 1 alone are the sums.
-    verify_strength keeps these cells on the design (module docstring)."""
+    each coefficient c is nonzero; counts of coefficient 1 alone are the sums."""
     total = counts.get(1, {})
     if len(counts) > 1 or not total:
         total = {}
@@ -188,47 +181,34 @@ def _nonzero_cells(counts: dict[int, Counter], r: int) -> list[tuple[object, int
     return [(key, v % r) for key, v in total.items() if v % r]
 
 
-def _scatter_count(design: NullDesign, ts) -> int:
-    """The t-subspaces a recount lists, summed over the support and ts."""
-    dims, q = Counter(x.k for x in design.support), design.field.q
-    return sum(m * gaussian_binomial(k, t, q) for k, m in dims.items() for t in ts)
-
-
 def verify_strength(design: NullDesign, t: int) -> Verdict:
     """Check the strength-t condition at every t-dimensional subspace.
 
     Scatter formulation: only y below some support element can have a nonzero
     sum.  The packed bases of the elements' t-subspaces are counted per pivot
     set and coefficient, and only nonzero cells get an ordinal (see Verdict).
-    The nonzero sums stay on the design until it is verified at another t;
-    sums at t+1 are pushed down when that lists no more (module docstring).
+    The counts stay on the design until it is verified at another t.  Counts
+    at t+1 with no nonzero sum give t with no count: [j-t, 1]_q = 1 (mod r)
+    (t+1)-spaces lie between a t-space and an element of dimension j > t, so
+    each sum at t is a sum of sums at t+1.
     """
     _check_domain(design, t)
-    lanes, r = _lanes(design.field.q, design.n), design.r
+    if design._scatter[0] == t + 1 and not any(
+            _nonzero_cells(counts, design.r) for counts in design._scatter[1].values()):
+        design._scatter = (t, {})
     if design._scatter[0] != t:
-        items = design.support.items()
-        if design._scatter[0] == t + 1:
-            held = sum(map(len, design._scatter[1][1].values()))
-            if held * gaussian_binomial(t + 1, t, lanes.q) <= _scatter_count(design, [t]):
-                items = [(Subspace(lanes, key, pv), v)
-                         for pv, cells in design._scatter[1][1].items() for key, v in cells]
-        design._scatter = (None, None)  # free the old sums before counting anew
+        design._scatter = (None, None)  # free the old counts before counting anew
         groups = defaultdict(lambda: defaultdict(Counter))  # pivots -> c -> counts
-        for x, c in items:
+        for x, c in design.support.items():
             for pivots, choices in _packed_subspaces_of(x, t):
                 groups[pivots][c].update(itertools.product(*choices))
-        sums = {}
-        for pivots, counts in groups.items():
-            if cells := _nonzero_cells(counts, r):
-                sums[pivots] = cells
-        design._scatter = (t, (r, sums))
-    if design._scatter[1][0] != r:  # sums mod a multiple of r, from as_modulus
-        sums = ((pv, [(key, v % r) for key, v in cells if v % r])
-                for pv, cells in design._scatter[1][1].items())
-        design._scatter = (t, (r, {pv: cells for pv, cells in sums if cells}))
+        design._scatter = (t, groups)
+    groups = design._scatter[1]
+    lanes, r = _lanes(design.field.q, design.n), design.r
     violations = tuple(sorted(
         (_ordinal(lanes, key, pivots), v)
-        for pivots, cells in design._scatter[1][1].items() for key, v in cells
+        for pivots, counts in groups.items()
+        for key, v in _nonzero_cells(counts, r)
     ))
     return Verdict(ok=not violations, violations=violations)
 
@@ -410,7 +390,7 @@ def _functionals(
 
 def as_modulus(design: NullDesign, r: int) -> NullDesign:
     """Reinterpret the coefficients mod a different power of p (zeros drop);
-    a divisor r of design.r shares design's scatter sums (module docstring)."""
+    a divisor r of design.r shares design's scatter counts (module docstring)."""
     out = NullDesign(design.field, design.n, r, design.t_claimed, dict(design.support))
     if design.r % r == 0:
         out._scatter = design._scatter

@@ -494,7 +494,7 @@ def test_a_finer_modulus_gets_no_counts():
     assert verify_strength(wide, 1) == verify_strength(_fresh(d, 4), 1)
 
 
-# -- sums pushed down from t+1 ----------------------------------------------
+# -- strengths checked from the top down -------------------------------------
 
 
 def _spy_listing(monkeypatch):
@@ -507,13 +507,6 @@ def _spy_listing(monkeypatch):
 
     monkeypatch.setattr(designs, "_packed_subspaces_of", spy)
     return listed
-
-
-def _pushed_down(listed, design):
-    """Whether a verify_strength call listed anything but support elements
-    (the objects themselves)."""
-    elements = {id(x) for x in design.support}
-    return any(id(x) not in elements for x in listed)
 
 
 def _layered_designs(q, r, seed):
@@ -534,64 +527,48 @@ def _layered_designs(q, r, seed):
     return [lb] + [NullDesign(f, n, r, n - 2, s) for s in (patched, scattered)]
 
 
-@pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
-def test_sums_pushed_down_give_the_fresh_verdict_at_every_strength(q, forced, monkeypatch):
+def test_a_top_down_check_gives_the_fresh_verdict_at_every_strength(q, monkeypatch):
     """One object verified from its top strength down to 0 equals a fresh
-    object and the direct verifier at each t, as does an as_modulus child that
-    pushes down the slot its parent filled at t+1.  forced pushes down at
-    every t, whatever a recount would list."""
-    if forced:
-        monkeypatch.setattr(designs, "_scatter_count", lambda design, ts: float("inf"))
+    object and the direct verifier at each t, as does an as_modulus child
+    checked at t after its parent at t+1.  Below a strength that holds,
+    nothing is listed."""
     listed = _spy_listing(monkeypatch)
     p = field(q).p
-    pushed = failed = 0
+    held = failed = 0
     for r in sorted({p, q}):
         for seed in range(3):
             for d in _layered_designs(q, r, seed):
+                above = None
                 for t in range(min(x.k for x in d.support), -1, -1):
                     if r != p and d._scatter[0] == t + 1:
                         child = as_modulus(d, p)
                         assert child._scatter is d._scatter
                         got = verify_strength(child, t)
-                        assert child._scatter[0] == t and child._scatter[1][0] == p
                         assert got == verify_strength_direct(child, t)
                         assert got == verify_strength(_fresh(d, p), t)
-                        failed += not got.ok
                     listed.clear()
                     got = verify_strength(d, t)
-                    assert d._scatter[0] == t and d._scatter[1][0] == r
-                    pushed_here = _pushed_down(listed, d)
+                    assert not (above and listed)
+                    held += bool(above)
+                    assert d._scatter[0] == t
                     assert got == verify_strength(_fresh(d, r), t)
                     assert got == verify_strength_direct(d, t)
-                    pushed += pushed_here and not got.ok
+                    above = got.ok
                     failed += not got.ok
-    assert pushed and failed  # pushed-down sums carried real violations
+    assert held and failed
 
 
-def test_a_big_element_is_recounted_and_a_holding_design_lists_nothing(monkeypatch):
-    """A lone k-space carrying c has a nonzero sum at each of its t-subspaces,
-    so pushing down from t+1 would list [k, t+1]_q [t+1, t]_q
-    = [k, t]_q [k-t, 1]_q subspaces, more than the [k, t]_q of a recount once
-    k >= t+2; at t = k-1 the two tie and the sums are pushed down.  A
-    lower-bound design that holds at t leaves no sums, and t-1, ..., 0 then
-    list nothing."""
+def test_a_holding_design_lists_nothing_below(monkeypatch):
+    """construct_lb_design(3, 5, 3) holds at 3, so t = 2, 1, 0 hold with no
+    count: nothing is listed and the slot keeps no counts."""
     listed = _spy_listing(monkeypatch)
-    q, n, k = 3, 5, 4
-    x = from_index(field(q), n, k, 17)
-    d = NullDesign(field(q), n, q, 0, {x: 2})
-    for t in range(k, -1, -1):
-        listed.clear()
-        got = verify_strength(d, t)
-        assert _pushed_down(listed, d) == (t == k - 1)
-        assert len(got.violations) == gaussian_binomial(k, t, q)
-        assert got == verify_strength(_fresh(d, q), t) == verify_strength_direct(d, t)
-
     lb = construct_lb_design(3, 5, 3)
-    assert verify_strength(lb, 3).ok and lb._scatter == (3, (3, {}))
+    assert verify_strength(lb, 3).ok and lb._scatter[0] == 3
     listed.clear()
     for t in (2, 1, 0):
-        assert verify_strength(lb, t).ok and lb._scatter == (t, (3, {}))
+        got = verify_strength(lb, t)
+        assert got.ok and not got.violations and lb._scatter == (t, {})
     assert not listed
 
 
