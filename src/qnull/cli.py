@@ -247,7 +247,7 @@ def _cmd_verify(args) -> int:
 def _cmd_strength(args) -> int:
     design = _load_design(args.design)
     t_max = args.t_max if args.t_max is not None else design.n
-    # strength_of tries t = 0, 1, ... up to t_max and the least support dimension
+    # strength_of tries t <= top from both ends; the count over all of them bounds it
     top = min([t_max, *(x.k for x in design.support)])
     count = _scatter_count(design, range(top + 1))
     _within_budget(count, "the strength scan would list {} subspaces")

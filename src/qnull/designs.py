@@ -256,20 +256,23 @@ def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
 def strength_of(design: NullDesign, t_max: int) -> Optional[int]:
     """Largest t <= t_max at which the design verifies; None if even t=0 fails.
 
-    Valid as an upward scan because strength is downward closed.
+    Strength is downward closed, so t in 0..min(t_max, least support dim) is
+    tried from both ends (top, 0, top - 1, 1, ...) up to the first top t that
+    holds or bottom t that fails.
     """
     if not 0 <= t_max <= design.n:
         raise ValueError(f"t_max {t_max} out of range [0, {design.n}]")
     if design.is_void():
         return t_max
-    limit = min(t_max, min(x.k for x in design.support))
-    best: Optional[int] = None
-    for t in range(limit + 1):
-        if verify_strength(design, t).ok:
-            best = t
-        else:
-            break
-    return best
+    lo, hi = 0, min(t_max, min(x.k for x in design.support))
+    while lo <= hi:  # every t < lo holds and every t > hi fails
+        if verify_strength(design, hi).ok:
+            return hi
+        hi -= 1
+        if lo <= hi and not verify_strength(design, lo).ok:
+            hi = lo - 1
+        lo += 1
+    return hi if hi >= 0 else None
 
 
 def construct_lb_design(q: int, n: int, t: int, r: Optional[int] = None) -> NullDesign:

@@ -215,9 +215,11 @@ def canonicalize(f: Field, n: int, rows: Iterable[Sequence[int]]) -> Subspace:
 
 
 def coordinate_span(f: Field, n: int, m: int) -> Subspace:
-    """span(e_1..e_m), the subspace with the identity-prefix basis."""
-    lanes = _lanes(f.q, n)
-    return lanes.rref(1 << (i * lanes.bw) for i in range(m))
+    """span(e_1..e_m), the first m unit rows of GF(q)^n; refuses m outside [0, n]."""
+    if not 0 <= m <= n:
+        raise ValueError(f"span dimension {m} out of range [0, {n}]")
+    whole = _lanes(f.q, n).whole
+    return Subspace(whole._lanes, whole.vecs[:m], whole.pivots[:m])
 
 
 def random_subspace_of(parent: Subspace, d: int, rng: random.Random) -> Subspace:

@@ -29,8 +29,10 @@ costs one pass; a rank-deficient matrix, passes until P beats the bound.
 Two exhaustive minimum-weight strategies are implemented for kernels over
 GF(p):
 
-* kernel-enumeration walks every kernel vector (Gray-code order, so each step
-  is one basis-vector update); it requires p^(kernel dim) to fit a budget.
+* kernel-enumeration walks every kernel vector, with the kernel basis packed
+  as the rows are, in a Gray-code order: a step is one XOR or lane add, a
+  weight one bit count, and the tie-break compares ints.  It requires
+  p^(kernel dim) to fit a budget.
 
 * support-enumeration finds the lexicographically first dependent column
   subset of least size.  Stages run in increasing size w, so at stage w a
@@ -526,7 +528,7 @@ def _nullvector(rows: Sequence[Sequence[int]], w: int, p: int) -> tuple[int, ...
 
 
 def _kernel_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
-    p = m.p
+    p, nc, w = m.p, m.cols, _lane_width(m.p)
 
     def refuse(kd: int, least: str = "") -> None:
         if p ** min(kd, budget.bit_length()) > budget:  # never a huge p^kd
@@ -534,51 +536,48 @@ def _kernel_enum(m: GfpMatrix, cap: int, budget: int) -> SearchReport:
                 f"kernel enumeration needs {least}{p}^{kd} vectors, budget is {budget}"
             )
 
-    refuse(max(m.cols - m.rows, 0), "at least ")  # dim ker >= cols - rows
-    basis = kernel_basis_gfp(m)
+    refuse(max(nc - m.rows, 0), "at least ")  # dim ker >= cols - rows
+    basis = _pack(kernel_basis_gfp(m), w)  # column j at lane nc-1-j
     kd = len(basis)
     refuse(kd)
-    best_w: Optional[int] = None
-    best_key = None  # (support tuple, values tuple)
+    # adding 2^(w-1) - 1 to every lane sets the top bit of exactly the nonzero
+    # lanes, and no lane carries: its residue is below 2^(w-1)
+    ones = ((1 << w * nc) - 1) // ((1 << w) - 1)
+    fold, high = ones * ((1 << w - 1) - 1), ones << w - 1
+    best = (nc + 1, 0, 0)  # (weight, -support mask, vector) of the least so far
+
+    def offer(v: int, weight: int) -> None:
+        # column j at lane nc-1-j: at equal weight the larger support mask, then
+        # the smaller int, is the lex-least support, then values
+        nonlocal best
+        best = min(best, (weight, -(v + fold & high), v))
+
+    cur = 0
     if p == 2:
-        bints = [sum(1 << j for j, v in enumerate(vec) if v) for vec in basis]
-        cur = 0
         for c in range(1, 1 << kd):
-            cur ^= bints[(c & -c).bit_length() - 1]
-            w = cur.bit_count()
-            if best_w is not None and w > best_w:
-                continue
-            support = tuple(j for j in range(m.cols) if (cur >> j) & 1)
-            key = (support, (1,) * w)
-            if best_w is None or w < best_w or key < best_key:
-                best_w = w
-                best_key = key
+            cur ^= basis[(c & -c).bit_length() - 1]
+            weight = cur.bit_count()
+            if weight <= best[0]:
+                offer(cur, weight)
     else:
-        cur = [0] * m.cols
-        live = 0
+        add = _lane_ops(p, w, nc)[0]
         for c in range(1, p**kd):
             # modular Gray step: bump the digit at the p-adic valuation of c,
             # which adds one basis vector to the running combination
             cc, i = c, 0
             while cc % p == 0:
                 cc, i = cc // p, i + 1
-            for j, bv in enumerate(basis[i]):
-                if bv:
-                    old, cur[j] = cur[j], (cur[j] + bv) % p
-                    live += (cur[j] != 0) - (old != 0)
-            if best_w is not None and live > best_w:
-                continue
-            support = tuple(j for j in range(m.cols) if cur[j])
-            values = tuple(cur[j] for j in support)
-            key = (support, values)
-            if best_w is None or live < best_w or key < best_key:
-                best_w = live
-                best_key = key
-    if best_w is None or best_w > cap:
+            cur = add(cur, basis[i])
+            weight = (cur + fold & high).bit_count()
+            if weight <= best[0]:
+                offer(cur, weight)
+    if best[0] > min(cap, nc):  # nothing up to the cap, or no nonzero vector
         return SearchReport(None, None, None, MODE_KERNEL, True, cap)
-    support, values = best_key
+    vec = _unpack(best[2], nc, w)
+    support = tuple(j for j, v in enumerate(vec) if v)
+    values = tuple(v for v in vec if v)
     _verify_kernel_vector(_columns(m)[3], p, support, values)
-    return SearchReport(best_w, support, values, MODE_KERNEL, True, cap)
+    return SearchReport(best[0], support, values, MODE_KERNEL, True, cap)
 
 
 # -- support-enumeration mode ------------------------------------------------

@@ -572,6 +572,45 @@ def test_a_holding_design_lists_nothing_below(monkeypatch):
     assert not listed
 
 
+def _upward_strength(design, t_max):
+    """Reference scan: t = 0, 1, ... on the direct verifier, up to the first
+    t that fails; None if t = 0 fails."""
+    best = None
+    for t in range(min(t_max, *(x.k for x in design.support)) + 1):
+        if not verify_strength_direct(design, t).ok:
+            break
+        best = t
+    return best
+
+
+def test_strength_of_from_both_ends_matches_the_upward_scan():
+    f2, f3 = field(2), field(3)
+    two = [from_index(f2, 5, 3, i) for i in (0, 17)]
+    lines = [from_index(f3, 3, 2, i) for i in (0, 5)]
+    cases = [
+        construct_lb_design(2, 3, 1),
+        construct_lb_design(3, 4, 2),
+        construct_lb_design(2, 5, 3),
+        construct_uniform_design(2, 4, 2, 0),
+        construct_uniform_design(3, 4, 2, 1),
+        construct_uniform_design(2, 5, 3, 2),
+        # strength 0: two 3-spaces whose coefficients cancel at the zero space
+        NullDesign(f2, 5, 2, 0, dict.fromkeys(two, 1)),
+        NullDesign(f3, 3, 3, 0, {lines[0]: 1, lines[1]: 2}),
+        # None: one element, whose coefficient every t-subspace sees
+        NullDesign(f3, 3, 3, 0, {lines[0]: 1}),
+    ]
+    cases += [_mixed_design(q, 3, seed) for q in (2, 4, 9) for seed in range(2)]
+    cases += [d for q in (2, 3) for d in _layered_designs(q, q, 1)]
+    seen = set()
+    for d in cases:
+        for t_max in range(d.n + 1):
+            want = _upward_strength(d, t_max)
+            assert strength_of(d, t_max) == want, (write_design(d), t_max)
+            seen.add(want)
+    assert {None, 0, 1, 2, 3} <= seen
+
+
 def test_direct_verifier_with_ambient_keys_interleaved():
     """More (q, n, t) keys than the ambient table cache holds, in a shuffled
     order, twice: each verdict equals the scatter's and the per-y sums."""

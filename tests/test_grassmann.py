@@ -385,6 +385,19 @@ def random_subspace(f, n, k, rng):
 
 
 @pytest.mark.parametrize("q", ORDER_FIELDS)
+def test_coordinate_span_is_the_span_of_the_first_units(q):
+    f = field(q)
+    for n in range(7):
+        for m in range(n + 1):
+            units = [[int(j == i) for j in range(n)] for i in range(m)]
+            x, y = coordinate_span(f, n, m), canonicalize(f, n, units)
+            assert (x, x.k, x.pivots) == (y, m, y.pivots), (n, m)
+        for bad in (-1, n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                coordinate_span(f, n, bad)
+
+
+@pytest.mark.parametrize("q", ORDER_FIELDS)
 def test_subspaces_of_order_matches_the_span_construction(q):
     f, rng = field(q), random.Random(q)
     for k in range(5 if q <= 4 else 4):

@@ -568,9 +568,11 @@ def _brute_min_weight(m, cap):
 
 @st.composite
 def small_gfp_matrix(draw):
-    p = draw(st.sampled_from([2, 3]))
+    """Lanes of 1, 4, 8 and 12 bits, with table (p < 8) and doubling multiples;
+    at most about 2*10^4 vectors, p^cols, for the brute force."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 131]))
     nr = draw(st.integers(min_value=1, max_value=4))
-    nc = draw(st.integers(min_value=1, max_value=7))
+    nc = draw(st.integers(min_value=1, max_value=int(math.log(2e4, p))))
     rows = [
         [draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(nc)]
         for _ in range(nr)
