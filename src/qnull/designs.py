@@ -12,8 +12,9 @@ the lists built from each support element's rows.  verify_strength_direct
 reads the cached lists of that walk on GF(q)^n (grassmann._ambient_layer) and
 tests each row choice once against each support element covering the pivots,
 so it never lists an element's subspaces; tests hold the two equal.  Both
-name a violation as a row of W_{t,k} c = 0 with its nonzero sum: the row is
-y's ordinal in its layer (see Verdict), so neither builds a Subspace.
+count a block into a plain dict in one C-level pass and name a violation as
+a row of W_{t,k} c = 0 with its nonzero sum, y's ordinal in its layer (see
+Verdict), so neither builds a Subspace.
 
 A design keeps its last verify_strength counts, with their t, in a private
 slot, and as_modulus(design, r) hands the slot on when r divides design.r:
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter, defaultdict
+from collections import _count_elements  # Counter.update's loop, in C when built
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -169,7 +170,7 @@ def _check_domain(design: NullDesign, t: int) -> None:
         )
 
 
-def _nonzero_cells(counts: dict[int, Counter], r: int) -> list[tuple[object, int]]:
+def _nonzero_cells(counts: dict[int, dict], r: int) -> list[tuple[object, int]]:
     """(cell, sum mod r) wherever the sum of c times the cell's count under
     each coefficient c is nonzero; counts of coefficient 1 alone are the sums."""
     total = counts.get(1, {})
@@ -186,11 +187,12 @@ def verify_strength(design: NullDesign, t: int) -> Verdict:
 
     Scatter formulation: only y below some support element can have a nonzero
     sum.  The packed bases of the elements' t-subspaces are counted per pivot
-    set and coefficient, and only nonzero cells get an ordinal (see Verdict).
-    The counts stay on the design until it is verified at another t.  Counts
-    at t+1 with no nonzero sum give t with no count: [j-t, 1]_q = 1 (mod r)
-    (t+1)-spaces lie between a t-space and an element of dimension j > t, so
-    each sum at t is a sum of sums at t+1.
+    set and coefficient, one C-level pass per block into a plain dict, and
+    only nonzero cells get an ordinal (see Verdict).  The counts stay on the
+    design until it is verified at another t.  Counts at t+1 with no nonzero
+    sum give t with no count: [j-t, 1]_q = 1 (mod r) (t+1)-spaces lie between
+    a t-space and an element of dimension j > t, so each sum at t is a sum of
+    sums at t+1.
     """
     _check_domain(design, t)
     if design._scatter[0] == t + 1 and not any(
@@ -198,16 +200,16 @@ def verify_strength(design: NullDesign, t: int) -> Verdict:
         design._scatter = (t, {})
     if design._scatter[0] != t:
         design._scatter = (None, None)  # free the old counts before counting anew
-        groups = defaultdict(lambda: defaultdict(Counter))  # pivots -> c -> counts
+        groups = {}  # pivots -> c -> {packed basis: count}
         for x, c in design.support.items():
             for pivots, choices in _packed_subspaces_of(x, t):
-                groups[pivots][c].update(itertools.product(*choices))
+                cells = groups.setdefault(pivots, {}).setdefault(c, {})
+                _count_elements(cells, itertools.product(*choices))
         design._scatter = (t, groups)
-    groups = design._scatter[1]
     lanes, r = _lanes(design.field.q, design.n), design.r
     violations = tuple(sorted(
         (_ordinal(lanes, key, pivots), v)
-        for pivots, counts in groups.items()
+        for pivots, counts in design._scatter[1].items()
         for key, v in _nonzero_cells(counts, r)
     ))
     return Verdict(ok=not violations, violations=violations)
@@ -226,14 +228,14 @@ def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
     _check_domain(design, t)
     lanes, r = _lanes(design.field.q, design.n), design.r
     add, mask = lanes.add, lanes.mask
-    above = [(set(x.pivots), _reducer(x), c) for x, c in design.support.items()]
-    counts = defaultdict(Counter)  # c -> ordinals
+    counts = {c: {} for c in design.support.values()}  # c -> {ordinal: count}
+    above = [(set(x.pivots), _reducer(x), counts[c]) for x, c in design.support.items()]
     for pivots, choices, weights, offset in _ambient_layer(lanes.q, design.n, t):
-        below = [(red, c) for xp, red, c in above if xp.issuperset(pivots)]
+        below = [(red, cells) for xp, red, cells in above if xp.issuperset(pivots)]
         if not below:
             continue
         offsets = itertools.repeat(offset)
-        for red, c in below:
+        for red, cells in below:
             hits = []
             for row, weight in zip(choices, weights):
                 hit = []
@@ -248,7 +250,7 @@ def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
                     break
                 hits.append(hit)
             else:
-                counts[c].update(map(sum, itertools.product(*hits), offsets))
+                _count_elements(cells, map(sum, itertools.product(*hits), offsets))
     bad = tuple(sorted(_nonzero_cells(counts, r)))
     return Verdict(ok=not bad, violations=bad)
 
@@ -295,9 +297,7 @@ def construct_lb_design(q: int, n: int, t: int, r: Optional[int] = None) -> Null
     design = NullDesign(f, n, r, t, support)
     expected = 1 + gaussian_binomial(t + 1, t, q)
     if len(design.support) != expected:
-        raise InvariantError(
-            f"support size {len(design.support)} != expected {expected}"
-        )
+        raise InvariantError(f"support size {len(design.support)} != expected {expected}")
     return design
 
 

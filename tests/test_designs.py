@@ -386,6 +386,28 @@ def test_verifiers_name_the_nonzero_rows_of_w_c_at_a_lattice_cell():
     assert verify_strength_direct(design, t).ok and verify_strength(design, t).ok
 
 
+def test_nonzero_cells_on_plain_dict_counts():
+    """Counts are c -> {cell: count} plain dicts; a cell is listed with its
+    sum of c * count mod r only when that sum is nonzero mod r."""
+    cells = designs._nonzero_cells
+    a, b, c = (1, 2), (5,), (7, 8)
+    # 3 hits of coefficient 1 are 3 over Z and 0 mod 3
+    assert cells({1: {a: 3, b: 1}}, 3) == [(b, 1)]
+    # coefficients 1 and r - 1 on the same cell cancel
+    assert sorted(cells({1: {a: 1, b: 1}, 3: {a: 1, c: 2}}, 4)) == [(b, 1), (c, 2)]
+    # the merge path (coefficients 1 and 4 = 1 mod 3, as in counts shared
+    # from a design mod 9) gives the one-coefficient path's list
+    one = cells({1: {a: 2, b: 1, c: 3}}, 3)
+    assert sorted(one) == [(a, 2), (b, 1)]
+    assert sorted(cells({1: {a: 2, c: 3}, 4: {b: 1}}, 3)) == sorted(one)
+    assert sorted(cells({1: {a: 2, b: 1, c: 3}, 2: {}}, 3)) == sorted(one)
+    # a lone coefficient other than 1 is weighted, not taken as the sums
+    assert cells({2: {a: 1, b: 3}}, 3) == [(a, 2)]
+    # no counts, or coefficients with no cell, list nothing
+    assert cells({}, 2) == []
+    assert cells({1: {}}, 2) == cells({1: {}, 2: {}}, 4) == []
+
+
 def test_verify_rejects_undefined_strata():
     d = construct_lb_design(2, 4, 1)  # support dims 1 and 2
     with pytest.raises(ValueError):
