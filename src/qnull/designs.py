@@ -9,12 +9,13 @@ Two verifiers are provided on purpose.  Within one pivot set of the t-layer
 each basis row of y ranges over its own list of packed row choices
 (grassmann._packed_subspaces_of).  verify_strength counts the products of
 the lists built from each support element's rows.  verify_strength_direct
-reads the cached lists of that walk on GF(q)^n (grassmann._ambient_layer) and
-tests each row choice once against each support element covering the pivots,
-so it never lists an element's subspaces; tests hold the two equal.  Both
-count a block into a plain dict in one C-level pass and name a violation as
-a row of W_{t,k} c = 0 with its nonzero sum, y's ordinal in its layer (see
-Verdict), so neither builds a Subspace.
+reads the cached lists of that walk on GF(q)^n (grassmann._ambient_layer),
+takes per support element the indices of the row choices that lie in it,
+its hits, and counts their products; tests hold the two equal.  An element's
+walk and hits depend on it and t alone, so grassmann keeps them on the
+Subspace object for its last t.  Both count a block into a plain dict in one
+C-level pass and name a violation as a row of W_{t,k} c = 0 with its nonzero
+sum, y's ordinal in its layer (see Verdict), so neither builds a Subspace.
 
 A design keeps its last verify_strength counts, with their t, in a private
 slot, and as_modulus(design, r) hands the slot on when r divides design.r:
@@ -40,13 +41,12 @@ from typing import Mapping, Optional
 from .fields import Field, field
 from .grassmann import (
     Subspace,
-    _ambient_layer,
+    _blocks,
     _coordinates,
+    _hits,
     _hyperplanes,
     _lanes,
     _ordinal,
-    _packed_subspaces_of,
-    _reducer,
     canonicalize,
     contains,
     coordinate_span,
@@ -202,7 +202,7 @@ def verify_strength(design: NullDesign, t: int) -> Verdict:
         design._scatter = (None, None)  # free the old counts before counting anew
         groups = {}  # pivots -> c -> {packed basis: count}
         for x, c in design.support.items():
-            for pivots, choices in _packed_subspaces_of(x, t):
+            for pivots, choices in _blocks(x, t):
                 cells = groups.setdefault(pivots, {}).setdefault(c, {})
                 _count_elements(cells, itertools.product(*choices))
         design._scatter = (t, groups)
@@ -218,40 +218,20 @@ def verify_strength(design: NullDesign, t: int) -> Verdict:
 def verify_strength_direct(design: NullDesign, t: int) -> Verdict:
     """Reference verifier: walk the pivot sets of J_q(n,t) and sum per y.
 
-    y lies in x only if x has y's pivots, so a pivot set that no support
-    element covers is skipped whole.  y lies in x exactly when each of its
-    rows reduces to zero against x, and each row picks from its own list, so
-    each choice is reduced once per candidate x and c is counted at every
-    product of hits.  y's ordinal is its block's offset plus the
-    mixed-radix value of its row indices over the list lengths.
+    y lies in x exactly when x has y's pivots and each row of y, which picks
+    from its own list, reduces to zero against x.  So each support element's
+    hits, the choices of the pivot sets it covers that lie in it, are found
+    once per Subspace object and t (grassmann._hits), and c is counted at each
+    product of hits: y's ordinal is its block's offset plus the mixed-radix
+    value of its row indices over the list lengths.
     """
     _check_domain(design, t)
-    lanes, r = _lanes(design.field.q, design.n), design.r
-    add, mask = lanes.add, lanes.mask
     counts = {c: {} for c in design.support.values()}  # c -> {ordinal: count}
-    above = [(set(x.pivots), _reducer(x), counts[c]) for x, c in design.support.items()]
-    for pivots, choices, weights, offset in _ambient_layer(lanes.q, design.n, t):
-        below = [(red, cells) for xp, red, cells in above if xp.issuperset(pivots)]
-        if not below:
-            continue
-        offsets = itertools.repeat(offset)
-        for red, cells in below:
-            hits = []
-            for row, weight in zip(choices, weights):
-                hit = []
-                for i, v in enumerate(row):
-                    for shift, negs in red:
-                        d = (v >> shift) & mask
-                        if d:
-                            v = add(v, negs[d])
-                    if not v:
-                        hit.append(i * weight)
-                if not hit:
-                    break
-                hits.append(hit)
-            else:
-                _count_elements(cells, map(sum, itertools.product(*hits), offsets))
-    bad = tuple(sorted(_nonzero_cells(counts, r)))
+    for x, c in design.support.items():
+        for offset, hits in _hits(x, t):
+            ordinals = map(sum, itertools.product(*hits), itertools.repeat(offset))
+            _count_elements(counts[c], ordinals)
+    bad = tuple(sorted(_nonzero_cells(counts, design.r)))
     return Verdict(ok=not bad, violations=bad)
 
 
@@ -404,6 +384,8 @@ def make_random_chain(
     f: Field, n: int, k: int, t: int, rng: random.Random
 ) -> tuple[Subspace, Subspace, Subspace]:
     """A uniformly arbitrary valid chain u < v < w for construct_uniform_design."""
+    if not 0 <= t < k < n:
+        raise ValueError(f"need 0 <= t < k < n, got t={t}, k={k}, n={n}")
     w = random_subspace_of(coordinate_span(f, n, n), k + 1, rng)
     u = random_subspace_of(w, k - t - 1, rng)
     while True:

@@ -32,7 +32,8 @@ rows of the subspaces of every x in the block that shares rows 1..k-1.
 GF(q)^n is the subspace _Lanes.whole, on whose unit basis local order is the
 global order, so one _packed_subspaces_of walks every layer: all pivot sets
 at once while its lists are small, else one pivot set at a time in blocks
-whose lists are held to _STREAM_CAP vectors (_choice_blocks).
+whose lists are held to _STREAM_CAP vectors (_choice_blocks).  A subspace
+object keeps the verifiers' walks of it for the last t (_blocks, _hits).
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ class Subspace:
     canonical basis, so two values are equal iff they are the same subspace.
     """
 
-    __slots__ = ("field", "n", "k", "vecs", "pivots", "_lanes", "_reducer", "_multiples")
+    __slots__ = ("field", "n", "k", "vecs", "pivots", "_lanes", "_reducer", "_multiples",
+                 "_blocks", "_hits")
 
     def __init__(self, lanes: _Lanes, vecs: tuple[int, ...], pivots: tuple[int, ...]):
         self.field = lanes.field
@@ -173,6 +175,7 @@ class Subspace:
         self._lanes = lanes
         self._reducer = None  # set by _reducer(): per row, (pivot shift, -c*row)
         self._multiples = None  # set by _multiples(): per row, c*row
+        # _blocks and _hits hold (last t, data); _multiples() sets them, not each init
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -228,6 +231,8 @@ def random_subspace_of(parent: Subspace, d: int, rng: random.Random) -> Subspace
     Draws d vectors, each with one rng.randrange(q) coefficient per basis row
     of parent, and draws again until they are independent.
     """
+    if not 0 <= d <= parent.k:
+        raise ValueError(f"dimension {d} out of range [0, {parent.k}]")
     lanes, mults = parent._lanes, _multiples(parent)
     while True:
         rows = []
@@ -246,6 +251,7 @@ def _multiples(x: Subspace) -> tuple[list[int], ...]:
     subspace object."""
     if x._multiples is None:
         x._multiples = tuple(map(x._lanes.multiples, x.vecs))
+        x._blocks = x._hits = (None, None)  # read only after the multiples
     return x._multiples
 
 
@@ -259,6 +265,43 @@ def _reducer(x: Subspace) -> tuple[tuple[int, list[int]], ...]:
             (p * lanes.bw, lanes.negated(m)) for m, p in zip(_multiples(x), x.pivots)
         )
     return x._reducer
+
+
+def _blocks(x: Subspace, t: int):
+    """The blocks of _packed_subspaces_of(x, t), listed and kept for the last t
+    from the second call at that t on, so a subspace walked once holds nothing."""
+    _multiples(x)  # sets the slot on a first walk
+    held = x._blocks
+    if held[0] != t:
+        x._blocks = (t, None)
+        return _packed_subspaces_of(x, t)
+    if held[1] is None:
+        x._blocks = held = (t, list(_packed_subspaces_of(x, t)))
+    return held[1]
+
+
+def _hits(x: Subspace, t: int) -> list:
+    """Per block of the ambient t-layer (_ambient_layer) whose pivots x has: its
+    offset and per row the weighted indices of the choices in x; the offset plus
+    each product's sum is the ordinal of a t-subspace of x.  Kept for the last t."""
+    red = _reducer(x)  # builds the multiples, and so the slot, first
+    if x._hits[0] != t:
+        lanes, xp, out = x._lanes, set(x.pivots), []
+        add, mask = lanes.add, lanes.mask
+        for pivots, choices, weights, offset in _ambient_layer(lanes.q, x.n, t):
+            if xp.issuperset(pivots):
+                out.append((offset, hits := []))
+                for row, weight in zip(choices, weights):
+                    hits.append(hit := [])
+                    for i, v in enumerate(row):
+                        for shift, negs in red:
+                            d = (v >> shift) & mask
+                            if d:
+                                v = add(v, negs[d])
+                        if not v:
+                            hit.append(i * weight)
+        x._hits = (t, out)
+    return x._hits[1]
 
 
 def contains(x: Subspace, y: Subspace) -> bool:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qnull import designs
+from qnull import designs, grassmann
 from qnull.designs import (
     NullDesign,
     as_modulus,
@@ -521,13 +521,13 @@ def test_a_finer_modulus_gets_no_counts():
 
 def _spy_listing(monkeypatch):
     """The subspaces verify_strength lists the t-subspaces of, call by call."""
-    listed, real = [], designs._packed_subspaces_of
+    listed, real = [], grassmann._packed_subspaces_of
 
     def spy(x, d):
         listed.append(x)
         return real(x, d)
 
-    monkeypatch.setattr(designs, "_packed_subspaces_of", spy)
+    monkeypatch.setattr(grassmann, "_packed_subspaces_of", spy)
     return listed
 
 
@@ -594,6 +594,91 @@ def test_a_holding_design_lists_nothing_below(monkeypatch):
     assert not listed
 
 
+# -- per-element walks kept on the Subspace objects --------------------------
+
+
+@st.composite
+def shared_element_runs(draw):
+    """(field, n, steps): designs drawn over one pool of Subspace objects,
+    each step (r, support, t, t2) with r a modulus of the field, t and t2
+    strengths the support admits."""
+    q, n_max = draw(st.sampled_from([(2, 4), (3, 3), (4, 3), (8, 2), (9, 2)]))
+    f, n = field(q), draw(st.integers(min_value=1, max_value=n_max))
+
+    def element():
+        d = draw(st.integers(min_value=0, max_value=n))
+        return from_index(f, n, d, draw(st.integers(0, gaussian_binomial(n, d, q) - 1)))
+
+    pool = [element() for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    moduli = [f.p**i for i in range(1, f.s + 1)]
+    steps = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        picked = draw(st.lists(st.sampled_from(pool), min_size=1, unique_by=id))
+        r = draw(st.sampled_from(moduli))
+        support = {x: draw(st.integers(min_value=1, max_value=r - 1)) for x in picked}
+        top = min(x.k for x in picked)
+        t, t2 = (draw(st.integers(min_value=0, max_value=top)) for _ in range(2))
+        steps.append((r, support, t, t2))
+    return f, n, steps
+
+
+def _agrees_with_fresh(shared, copies, t):
+    fresh = NullDesign(shared.field, shared.n, shared.r, 0, copies)
+    want = verify_strength_direct(fresh, t)
+    assert verify_strength(fresh, t) == want
+    assert verify_strength(shared, t) == verify_strength_direct(shared, t) == want
+
+
+@given(shared_element_runs())
+@settings(max_examples=120, deadline=None)
+def test_shared_elements_give_the_verdicts_of_fresh_copies(run):
+    """Designs that share Subspace objects, with other coefficients and
+    moduli and an as_modulus child, verified at t, t2 and t again: each
+    verdict of both verifiers is the verdict on copies of the elements
+    rebuilt through from_index, which hold no walk."""
+    f, n, steps = run
+    for r, support, t, t2 in steps:
+        copies = {from_index(f, n, x.k, index_of(x)): c for x, c in support.items()}
+        design = NullDesign(f, n, r, 0, support)
+        for tau in (t, t2, t):
+            _agrees_with_fresh(design, copies, tau)
+            if r > f.p:  # made after its parent's check, whose counts it shares
+                _agrees_with_fresh(as_modulus(design, f.p), copies, tau)
+
+
+def test_an_element_is_walked_once_per_t(monkeypatch):
+    """A second check of one Subspace object at the same t finds no hits
+    anew and a third walks nothing (the second keeps the walk, which a
+    one-off check does not); a new t finds and walks again."""
+    listed = _spy_listing(monkeypatch)
+    layers, real = [], grassmann._ambient_layer
+
+    def spy(q, n, d):
+        layers.append(d)
+        return real(q, n, d)
+
+    monkeypatch.setattr(grassmann, "_ambient_layer", spy)
+    f = field(3)
+    x, y = from_index(f, 4, 2, 5), from_index(f, 4, 3, 7)
+
+    def check(t, c=1):
+        listed.clear()
+        layers.clear()
+        design = NullDesign(f, 4, 3, 0, {x: c, y: 1})
+        verdicts = verify_strength(design, t), verify_strength_direct(design, t)
+        assert verdicts[0] == verdicts[1]
+        return [z for z in listed if z is x], layers.count(t)
+
+    assert check(1) == ([x], 2)  # first check: x and y get hits at t = 1
+    assert check(1, 2) == ([x], 0)  # hits held; the walk is listed and kept
+    assert check(1) == ([], 0)
+    assert x._hits[0] == x._blocks[0] == 1
+    assert check(2) == ([x], 2)  # a new t replaces both slots
+    assert check(2, 2) == ([x], 0)
+    assert check(1) == ([x], 2)  # only the last t is kept
+    assert x._hits[0] == x._blocks[0] == 1 and x._blocks[1] is None
+
+
 def _upward_strength(design, t_max):
     """Reference scan: t = 0, 1, ... on the direct verifier, up to the first
     t that fails; None if t = 0 fails."""
@@ -636,7 +721,7 @@ def test_strength_of_from_both_ends_matches_the_upward_scan():
 def test_direct_verifier_with_ambient_keys_interleaved():
     """More (q, n, t) keys than the ambient table cache holds, in a shuffled
     order, twice: each verdict equals the scatter's and the per-y sums."""
-    designs._ambient_layer.cache_clear()
+    grassmann._ambient_layer.cache_clear()
     cases = [
         (q, n, t) for q, n_max in ((2, 4), (3, 3), (4, 3)) for n in range(1, n_max + 1)
         for t in range(n + 1)
@@ -706,3 +791,11 @@ def test_make_random_chain_determinism():
     a = make_random_chain(f, 5, 3, 1, random.Random(7))
     b = make_random_chain(f, 5, 3, 1, random.Random(7))
     assert a == b
+
+
+@pytest.mark.parametrize("n, k, t", [(4, 4, 1), (4, 2, 2), (4, 5, 1), (4, 2, -1)])
+def test_make_random_chain_refuses_a_chain_that_cannot_exist(n, k, t, within_5_s):
+    # k = n, t = k, k > n and t < 0: no chain u < v < w of dimensions
+    # k-t-1, k-t, k+1 fits, so drawing one would never end or would be wrong
+    with pytest.raises(ValueError, match=r"need 0 <= t < k < n"):
+        make_random_chain(field(2), n, k, t, random.Random(0))

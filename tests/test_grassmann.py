@@ -23,6 +23,7 @@ from qnull.grassmann import (
     gaussian_binomial,
     index_of,
     join,
+    random_subspace_of,
     subspace_from_text,
     subspace_to_text,
     subspaces_of,
@@ -395,6 +396,13 @@ def test_coordinate_span_is_the_span_of_the_first_units(q):
         for bad in (-1, n + 1):
             with pytest.raises(ValueError, match="out of range"):
                 coordinate_span(f, n, bad)
+
+
+@pytest.mark.parametrize("d", [-1, 3])
+def test_random_subspace_of_refuses_a_dimension_outside_the_parent(d, within_5_s):
+    # no such subspace exists, so drawing until one is found would never end
+    with pytest.raises(ValueError, match=r"dimension .* out of range \[0, 2\]"):
+        random_subspace_of(coordinate_span(field(2), 4, 2), d, random.Random(0))
 
 
 @pytest.mark.parametrize("q", ORDER_FIELDS)
