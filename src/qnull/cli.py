@@ -279,6 +279,8 @@ def _load_matrix(path: str, p: Optional[int], dense: bool = False):
 
 
 def _cmd_rank(args) -> int:
+    if args.over == "q" and args.p is not None:
+        raise ValueError(f"--p {args.p} applies only to --over gf, not over Q")
     m = _load_matrix(args.matrix, args.p, dense=args.over == "q")
     if args.over == "q":
         rank = rank_rational(m.dense())

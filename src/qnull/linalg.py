@@ -17,14 +17,23 @@ no fill-in, and a new pivot clears its lane from the rows leading above it.
 Over GF(2) rref_gfp back-substitutes the echelon basis.
 
 Over Q, rank_rational has no elimination of its own.  It turns the matrix
-so that rows <= columns and takes its rank mod p on _lane_basis for the odd
-primes below 2^7, largest first, then below 2^11, 2^15, ...  The largest
-rank r seen is a lower bound: a minor nonzero mod p is nonzero.  It stops
-at r = rows, or once the product P of the primes tried has P^2 above the
-product of the r+1 largest squared column (or, if less, row) norms.  Each
-(r+1)-minor is then divisible by P and, by Hadamard's inequality, below P
-in absolute value, so 0.  Full rank (Kantor: W_{t,k} for t <= min(k, n-k))
-costs one pass; a rank-deficient matrix, passes until P beats the bound.
+so that rows <= columns and takes its rank mod p on _lane_basis for the
+4-bit-lane primes 7, 5, 3, then the other odd primes below 2^7, largest
+first, then below 2^11, 2^15, ...  The largest rank r seen is a lower
+bound: a minor nonzero mod p is nonzero.  It stops at r = rows, or once the
+product P of the primes tried has P^2 above the product of the r+1 largest
+squared column (or, if less, row) norms.  Each (r+1)-minor is then
+divisible by P and, by Hadamard's inequality, below P in absolute value, so
+0.  That stop holds after any primes, so the bound is built only once 7, 5
+and 3 are all tried.  Full rank (Kantor: W_{t,k} for t <= min(k, n-k)) ends
+the loop at the first prime that shows it, 7 or else 5 on the W_{t,k}
+tried; a rank-deficient matrix takes passes until P beats the bound.  Each
+row becomes bytes once, in C, when every entry is in [0, 256): per prime,
+one translate per row finds whether any byte is p or more (then a second
+maps each byte to its residue), and the rows are packed from those bytes.
+Other integer matrices are reduced % p entry by entry; a non-integer entry
+is refused by its position, located only once the bytes pass has failed.
+_rank_mod_primes, the prime loop, takes any packer.
 
 Two exhaustive minimum-weight strategies are implemented for kernels over
 GF(p):
@@ -412,8 +421,10 @@ def kernel_basis_gfp(m: GfpMatrix) -> list[tuple[int, ...]]:
 
 
 def _rank_primes() -> Iterator[int]:
-    """Odd primes below 2^7, then 2^7..2^11, 2^11..2^15, ..., each largest first."""
-    lo = 2
+    """The 4-bit-lane primes 7, 5, 3, then the other odd primes below 2^7,
+    then 2^7..2^11, 2^11..2^15, ..., each band largest first."""
+    yield from (7, 5, 3)
+    lo = 7
     for e in itertools.count(7, 4):
         yield from (p for p in range((1 << e) - 1, lo, -2) if _is_prime(p))
         lo = 1 << e
@@ -421,8 +432,54 @@ def _rank_primes() -> Iterator[int]:
 
 def _norm_products(vectors: Iterable[Sequence[int]]) -> list[int]:
     """[1, n1, n1*n2, ...] over the squared norms n1 >= n2 >= ... of vectors."""
-    norms = sorted((sum(v * v for v in x) for x in vectors), reverse=True)
+    norms = sorted((sum(map(operator.mul, x, x)) for x in vectors), reverse=True)
     return list(itertools.accumulate(norms, operator.mul, initial=1))
+
+
+def _rank_mod_primes(
+    packed: Callable[[int, int], list[int]],
+    nr: int,
+    nc: int,
+    bounds: Callable[[], list[int]],
+) -> int:
+    """Rank over Q of an nr x nc integer matrix, nr <= nc, whose rows mod p
+    packed(p, w) gives in w-bit lanes; bounds() gives the Hadamard products
+    min(_norm_products) of its rows and columns, built only if needed."""
+    rank, prod, bound = 0, 1, None
+    for p in _rank_primes():
+        w = _lane_width(p)
+        rank = max(rank, len(_lane_basis(packed(p, w), p, w, nc)))
+        prod *= p
+        if rank == nr:
+            return rank
+        if p in (7, 5):
+            continue  # the bound waits until 3, the last 4-bit-lane prime
+        if bound is None:
+            bound = bounds()
+        # each (rank+1)-minor is divisible by prod, and below it by Hadamard
+        if prod * prod > bound[rank + 1]:
+            return rank
+
+
+def _byte_residues(rows: list[bytes], p: int) -> list[bytes]:
+    """Rows of byte entries mod p, the same rows if every byte is below p."""
+    if p > 255:
+        return rows
+    below = bytes(range(p))
+    if not any(b.translate(None, below) for b in rows):
+        return rows
+    table = (below * (256 // p + 1))[:256]  # byte v to v % p
+    return [b.translate(table) for b in rows]
+
+
+def _refuse_non_integers(entries: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError at the first entry that is not an integer."""
+    for i, row in enumerate(entries):
+        for j, v in enumerate(row):
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"entry ({i},{j}) = {v!r} is not an integer") from None
 
 
 def rank_rational(entries: Sequence[Sequence[int]]) -> int:
@@ -432,20 +489,19 @@ def rank_rational(entries: Sequence[Sequence[int]]) -> int:
     if not entries or not entries[0]:
         return 0
     rows = entries if len(entries) <= len(entries[0]) else list(zip(*entries))
-    lo, hi = min(map(min, rows)), max(map(max, rows))
-    rank, prod, bounds = 0, 1, None
-    for p in _rank_primes():
-        w = _lane_width(p)
-        mod = rows if 0 <= lo and hi < p else [[v % p for v in r] for r in rows]
-        rank = max(rank, len(_lane_basis(_pack(mod, w), p, w, len(rows[0]))))
-        prod *= p
-        if rank == len(rows):
-            return rank
-        if bounds is None:
-            bounds = list(map(min, _norm_products(rows), _norm_products(zip(*rows))))
-        # each (rank+1)-minor is divisible by prod, and below it by Hadamard
-        if prod * prod > bounds[rank + 1]:
-            return rank
+    try:
+        rows = list(map(bytes, rows))  # in C, if every entry is in [0, 256)
+    except (TypeError, ValueError):
+        _refuse_non_integers(entries)
+        packed = lambda p, w: _pack([[v % p for v in r] for r in rows], w)
+    else:
+        packed = lambda p, w: _pack(_byte_residues(rows, p), w)
+    return _rank_mod_primes(
+        packed,
+        len(rows),
+        len(rows[0]),
+        lambda: list(map(min, _norm_products(rows), _norm_products(zip(*rows)))),
+    )
 
 
 # -- the column view and witnesses -----------------------------------------

@@ -489,6 +489,15 @@ def test_rank_over_a_large_prime_answers_and_past_the_primality_bound_refuses(
     assert "primality is decided below 3317044064679887385961981" in err
 
 
+@pytest.mark.parametrize("p", ["4", "7"])
+def test_rank_over_q_refuses_a_modulus(wilson_file, capsys, p):
+    # the rank over Q takes no modulus: a given --p, prime or not, is refused
+    argv = ("rank", "--matrix", wilson_file, "--over", "q", "--p", p)
+    code, out, err = run(capsys, *argv)
+    _assert_refused(code, out, err)
+    assert f"--p {p} applies only to --over gf" in err
+
+
 def test_rank_rejects_duplicate_matrix_entry(tmp_path, capsys):
     path = tmp_path / "dup.txt"
     path.write_text("2 2 1 1 1 1\n0 0\n0 0\n")

@@ -526,6 +526,102 @@ def test_rank_rational_certificate_edge_cases():
     assert rank_rational([[], []]) == 0
 
 
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        ([[200, 0], [0, 1]], 2),
+        ([[9, 2], [2, 9]], 2),  # rank 1 mod 7, full mod 5
+        ([[255, 255], [255, 255]], 1),
+        ([[256, 1], [1, 256]], 2),  # past a byte: the entries are reduced one by one
+        ([[105]], 1),  # 0 mod 7, 5 and 3, so it takes p = 127
+    ],
+)
+def test_rank_rational_reduces_byte_entries_at_or_above_p(rows, want):
+    assert rank_rational(rows) == want == _fraction_rank(rows)
+
+
+@st.composite
+def byte_range_rows(draw):
+    """Entries in [0, 300], mostly below 256: rows of entries up to a drawn
+    top, and copies of them scaled by products of 3, 5 and 7, which vanish
+    mod those primes."""
+    top = draw(st.sampled_from([2, 6, 7, 30, 127, 255, 300]))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(st.integers(0, top), min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, min_size=1, max_size=5))
+    scale = st.sampled_from([3, 5, 7, 15, 21, 35, 105])
+    scaled = draw(st.lists(st.tuples(st.sampled_from(base), scale), max_size=2))
+    rows = base + [[c * v for v in r] for r, c in scaled if c * max(r) <= 300]
+    return draw(st.permutations(rows))
+
+
+@given(byte_range_rows())
+@settings(max_examples=200, deadline=None)
+def test_rank_rational_matches_fraction_elimination_on_byte_range_entries(rows):
+    assert rank_rational(rows) == _fraction_rank(rows)
+    assert rank_rational([list(col) for col in zip(*rows)]) == _fraction_rank(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        ([[0.5, 1]], r"\(0,0\) = 0\.5"),
+        ([[Fraction(1, 2), 1]], r"\(0,0\) = Fraction\(1, 2\)"),
+        ([["1", 2]], r"\(0,0\) = '1'"),
+        ([[1, 2], [3, 2.0]], r"\(1,1\) = 2\.0"),
+        ([[300, 1], [-1, None]], r"\(1,1\) = None"),  # past a byte, then not an int
+        ([[1], [2], [0.5]], r"\(2,0\) = 0\.5"),  # tall: named as given, not transposed
+    ],
+)
+def test_rank_rational_refuses_a_non_integer_entry_by_its_position(rows, where):
+    with pytest.raises(ValueError, match=where + " is not an integer"):
+        rank_rational(rows)
+
+
+def test_rank_primes_try_the_4_bit_lane_primes_first():
+    odd = [p for p in range(3, 1 << 11, 2) if all(p % d for d in range(3, p, 2))]
+    primes = list(itertools.islice(linalg._rank_primes(), len(odd)))
+    # 7, 5, 3, then each other odd prime below 2^11 once, by band, largest first
+    low, high = odd[3:30], odd[30:]  # 11..127 and 131..2039
+    assert primes == [7, 5, 3, *reversed(low), *reversed(high)]
+    assert primes[3:5] == [127, 113] and primes[29:31] == [11, 2039]
+
+
+def _spy_rank_primes(monkeypatch):
+    """The (p, rank mod p) pairs that rank_rational tries, in order."""
+    tried = []
+    real = linalg._lane_basis
+
+    def spy(rows, p, w, nc):
+        basis = real(rows, p, w, nc)
+        tried.append((p, len(basis)))
+        return basis
+
+    monkeypatch.setattr(linalg, "_lane_basis", spy)
+    return tried
+
+
+def test_full_rank_after_a_deficient_4_bit_lane_prime_builds_no_bound(monkeypatch):
+    # W_{1,3}(2,6) is 63x1395, of rank 62 mod 7 and 63 mod 5: full rank ends
+    # the loop at p = 5, before the Hadamard bound is built
+    tried = _spy_rank_primes(monkeypatch)
+
+    def no_bound(vectors):
+        raise AssertionError("the Hadamard bound was built")
+
+    monkeypatch.setattr(linalg, "_norm_products", no_bound)
+    assert rank_rational(wilson_matrix(2, 6, 1, 3).dense()) == 63
+    assert tried == [(7, 62), (5, 63)]
+
+
+def test_the_bound_is_checked_once_7_5_and_3_are_tried(monkeypatch):
+    # Hadamard puts the 2-minor of [[1, 1], [1, 1]] at most 2 in absolute
+    # value, and 7 * 5 * 3 divides it, so it is 0 once 3 is tried
+    tried = _spy_rank_primes(monkeypatch)
+    assert rank_rational([[1, 1], [1, 1]]) == 1
+    assert tried == [(7, 1), (5, 1), (3, 1)]
+
+
 def test_rational_rank_of_wilson_matrices_is_kantors_closed_form():
     # Kantor (1972): W_{t,k} has full rank [n,t]_q over Q when t <= min(k, n-k)
     def qbinom(n, k, q):
