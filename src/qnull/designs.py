@@ -258,12 +258,13 @@ def strength_of(design: NullDesign, t_max: int) -> Optional[int]:
 
 
 def construct_lb_design(q: int, n: int, t: int, r: Optional[int] = None) -> NullDesign:
-    """Minimal-support non-void design of strength t.
+    """A non-void design of strength t with 1 + [t+1, t]_q nonzeros.
 
     One (t+1)-dimensional subspace carries coefficient 1 and each of its
-    t-dimensional subspaces carries -1; the support size is
-    1 + (q^{t+1}-1)/(q-1) and cannot be beaten by any non-void design of
-    strength t.
+    t-dimensional subspaces carries -1, so the support has
+    1 + (q^{t+1}-1)/(q-1) elements; criterion 3 of the grid verifies that
+    size and strength t.  That no non-void design of strength t has a
+    smaller support is not checked here (ROADMAP item 9).
     """
     f = field(q)
     if not 0 <= t < n:

@@ -25,10 +25,14 @@ with L ranging over the d x k RREF matrices, no re-reduction needed.  Row r
 of L.B is x's row at L's r-th pivot plus a multiple of x's row c for each
 free entry (r, c) of L, so it is built from x's cached row multiples and x is
 never spanned.  That loop is _local_choices, one _Lanes.sums call per free
-entry (no call per vector).  It starts each row from a list: [row] for one
-subspace x, or, as incidence.wilson_matrix does for the blocks of a layer, a
-whole list for x's row 0, which no free entry adds, so one call lists the
-rows of the subspaces of every x in the block that shares rows 1..k-1.
+entry (no call per vector).  Over odd p a sums call of at least
+fields._BATCH_MIN (32) vectors of at most 64 bits lists its product in one
+big-int pass on 4- or 8-byte slots (fields._batched_lane_ops); shorter
+products and wider vectors take one comprehension step per vector.  The
+loop starts each row from a list: [row] for one subspace x, or, as
+incidence.wilson_matrix does for the blocks of a layer, a whole list for x's
+row 0, which no free entry adds, so one call lists the rows of the
+subspaces of every x in the block that shares rows 1..k-1.
 GF(q)^n is the subspace _Lanes.whole, on whose unit basis local order is the
 global order, so one _packed_subspaces_of walks every layer: all pivot sets
 at once while its lists are small, else one pivot set at a time in blocks
@@ -46,7 +50,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .fields import Field, _lane_ops, field
+from .fields import Field, _batched_lane_ops, field
 
 __all__ = [
     "Subspace",
@@ -92,7 +96,7 @@ class _Lanes:
         self.dec = {raw: c for c, raw in enumerate(self.enc)}
         # -c at the lane pattern of each code c; no other pattern occurs
         self._neg_at = [f.neg(self.dec.get(raw, 0)) for raw in range(max(self.enc) + 1)]
-        ops = (operator.xor, _xor_sums) if p == 2 else _lane_ops(p, w, n * s)
+        ops = (operator.xor, _xor_sums) if p == 2 else _batched_lane_ops(p, w, n * s)
         self.add, self.sums = ops  # sums lists add(v, m) for v in vs for m in ms
         # x times a coordinate moves its digits up one lane and adds the top
         # digit d back in as d*x^s = d*(-modulus[0] - modulus[1] x - ...)

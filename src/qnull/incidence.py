@@ -16,6 +16,9 @@ once for all |C_0| columns of the suffix; the rest come in one list per pivot
 set, slice i for the i-th choice of row 0.  Free entries (r, c) have c > 0,
 so only rows 1..k-1 need multiples, built once per block.  Row indices are
 keyed by packed basis, or at t = 1 by the one packed row, with no 1-tuples.
+Over odd p at large k about half the build is those lane sums, most of them
+in batches of one big-int pass each (grassmann module doc); at t >= 2 most
+of it is the rank look-ups and the column sorts.
 """
 
 from __future__ import annotations

@@ -61,7 +61,8 @@ Minimum rational support is the same search, with Q passed as p = 0, on a
 0/1 matrix held over GF(2).  A rational dependency among integer columns
 survives reduction mod any prime, so a leaf first gets the mod-7 rank test,
 on its columns spread into 4-bit lanes when first read; only a leaf that is
-dependent mod 7 gets the exact rank_rational.  One helper, _nullvector,
+dependent mod 7 gets the exact rank_rational, whose prime loop takes that
+rank as tried and goes on at 5.  One helper, _nullvector,
 gives the witness in every ring.  The search reads the column view _columns
 and never decodes entries; leaf tests and witnesses read only the chosen
 columns.
@@ -441,12 +442,17 @@ def _rank_mod_primes(
     nr: int,
     nc: int,
     bounds: Callable[[], list[int]],
+    rank: int = 0,
+    prod: int = 1,
 ) -> int:
     """Rank over Q of an nr x nc integer matrix, nr <= nc, whose rows mod p
     packed(p, w) gives in w-bit lanes; bounds() gives the Hadamard products
-    min(_norm_products) of its rows and columns, built only if needed."""
-    rank, prod, bound = 0, 1, None
+    min(_norm_products) of its rows and columns, built only if needed.  The
+    primes dividing prod are taken as tried already, rank the most seen."""
+    bound = None
     for p in _rank_primes():
+        if prod % p == 0:
+            continue
         w = _lane_width(p)
         rank = max(rank, len(_lane_basis(packed(p, w), p, w, nc)))
         prod *= p
@@ -482,6 +488,13 @@ def _refuse_non_integers(entries: Sequence[Sequence[int]]) -> None:
                 raise ValueError(f"entry ({i},{j}) = {v!r} is not an integer") from None
 
 
+class _RankedMod7(list):
+    """A support-search leaf's rows (on_support) carrying their rank mod 7,
+    from which rank_rational's prime loop starts, going on at 5."""
+
+    __slots__ = ("rank",)
+
+
 def rank_rational(entries: Sequence[Sequence[int]]) -> int:
     """Rank over Q of an integer matrix, from its ranks mod p (see module doc)."""
     if len({len(r) for r in entries}) > 1:
@@ -496,11 +509,13 @@ def rank_rational(entries: Sequence[Sequence[int]]) -> int:
         packed = lambda p, w: _pack([[v % p for v in r] for r in rows], w)
     else:
         packed = lambda p, w: _pack(_byte_residues(rows, p), w)
+    tried = (entries.rank, 7) if isinstance(entries, _RankedMod7) else (0, 1)
     return _rank_mod_primes(
         packed,
         len(rows),
         len(rows[0]),
         lambda: list(map(min, _norm_products(rows), _norm_products(zip(*rows)))),
+        *tried,
     )
 
 
@@ -731,7 +746,7 @@ def _support_enum(
         # a rational dependency among integer columns survives mod any prime,
         # so over Q a leaf is ranked mod 7 first, on its columns spread into
         # 4-bit lanes (bit i to lane i) when first read, and only a leaf
-        # dependent mod 7 gets the exact rank test
+        # dependent mod 7 gets the exact rank test, which goes on from there
         lp = p or 7
         lw = _lane_width(lp)
         column = lanes.__getitem__ if p else functools.cache(
@@ -740,9 +755,12 @@ def _support_enum(
 
         def dependent(chosen: list[int]) -> bool:
             vecs = [column(j) for j in chosen]  # the columns, as rows
-            return len(_lane_basis(vecs, lp, lw, m.rows)) < len(chosen) and (
-                p > 0 or rank_rational(on_support(chosen)) < len(chosen)
-            )
+            rank = len(_lane_basis(vecs, lp, lw, m.rows))
+            if p or rank == len(chosen):
+                return rank < len(chosen)
+            leaf = _RankedMod7(on_support(chosen))
+            leaf.rank = rank
+            return rank_rational(leaf) < len(chosen)
 
     hit = _least_dependent_set(masks, row_cols, stages, dependent, budget, transitive)
     if hit is None:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnull import grassmann
+from qnull import fields, grassmann
 from qnull.fields import Field, field
 from qnull.grassmann import (
     Subspace,
@@ -502,6 +502,50 @@ def test_lane_sums_list_what_one_add_per_element_listed(q):
                     assert grassmann._local_choices(
                         [[v] for v in w.vecs], mults, layout, grassmann._xor_sums
                     ) == local_choices_by_add(w.vecs, mults, layout, lanes.add)
+
+
+def random_vectors(lanes, count, rng):
+    return [
+        sum(lanes.enc[rng.randrange(lanes.q)] << (j * lanes.bw) for j in range(lanes.n))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25])
+def test_batched_lane_sums_list_what_one_add_per_element_listed(q):
+    # products from just below the batch's crossover to well above it, at
+    # vectors of 4-byte and of 8-byte slots
+    b, rng = fields._BATCH_MIN, random.Random(q)
+    for n in (2, 32 // _lanes(q, 1).bw + 1):
+        lanes = _lanes(q, n)
+        for nv, nm in ((b - 1, 1), (1, b - 1), (b, 1), (1, b), (b // q + 1, q),
+                       (3 * b, q), (7, 5)):
+            vs, ms = random_vectors(lanes, nv, rng), random_vectors(lanes, nm, rng)
+            assert lanes.sums(vs, ms) == [lanes.add(v, m) for v in vs for m in ms]
+        assert lanes.sums([], lanes.multiples(1)) == []
+        assert lanes.sums(random_vectors(lanes, b, rng), []) == []
+
+
+@pytest.mark.parametrize("q, n", [(5, 8), (5, 9), (5, 16), (5, 17),
+                                  (3, 10), (3, 11), (3, 21), (3, 22)])
+def test_batched_lane_sums_at_the_slot_widths(q, n):
+    # 32, 36, 64 and 68-bit vectors at q = 5, 30, 33, 63 and 66 at q = 3:
+    # each side of the 4-byte and 8-byte slots, and past them (one add per
+    # vector); every lane of vs and ms is p - 1 in one of the vectors
+    lanes, rng = _lanes(q, n), random.Random(n)
+    top = sum(lanes.enc[q - 1] << (j * lanes.bw) for j in range(n))
+    vs = [top] + random_vectors(lanes, 2 * fields._BATCH_MIN, rng)
+    ms = [top, 0] + lanes.multiples(random_vectors(lanes, 1, rng)[0])
+    assert lanes.sums(vs, ms) == [lanes.add(v, m) for v in vs for m in ms]
+    assert lanes.sums([], ms) == []
+
+
+@pytest.mark.parametrize("q, n, t, k", [(3, 7, 1, 6), (5, 5, 1, 4), (9, 3, 1, 2)])
+def test_wilson_matrix_is_the_same_with_and_without_batched_sums(monkeypatch, q, n, t, k):
+    want = wilson_matrix(q, n, t, k)
+    for crossover in (0, math.inf):
+        monkeypatch.setattr(fields, "_BATCH_MIN", crossover)
+        assert wilson_matrix(q, n, t, k) == want, crossover
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5])

@@ -1021,6 +1021,30 @@ def test_rational_mod_7_leaf_test_is_not_trusted(monkeypatch):
     assert rep.witness_support == (0, 6) and rep.witness_values == (1, -1)
 
 
+def test_a_rational_leaf_is_not_ranked_mod_7_twice(monkeypatch):
+    # W_{1,2}(2,4)'s least rational support has 6 columns; each leaf that is
+    # dependent mod 7 brings that rank to the exact test, which goes on at 5
+    # and stops by the bound once 3 is tried
+    tried = _spy_rank_primes(monkeypatch)
+    exact = []
+
+    def spy(sub):
+        tried.clear()
+        got = rank_rational(sub)
+        exact.append(tuple(tried))
+        return got
+
+    monkeypatch.setattr(linalg, "rank_rational", spy)
+    m = GfpMatrix.from_incidence(wilson_matrix(2, 4, 1, 2), 2)
+    rep = min_support_kernel_rational(m, 6, transitive=True)
+    assert rep.weight == 6
+    assert exact and all(ps == ((5, 5), (3, 5)) for ps in exact)
+    # the matrix alone still starts at 7
+    tried.clear()
+    assert rank_rational(m.entries) == m.rows
+    assert tried[0][0] == 7
+
+
 def test_a_refused_rational_search_makes_no_exact_rank_test(monkeypatch):
     # W_{1,4} over GF(2)^5 has many leaves dependent mod 2 but none mod 7 up
     # to 2^14 nodes, so a refusal there costs no rank_rational call
