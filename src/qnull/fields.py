@@ -21,11 +21,10 @@ from typing import Callable
 
 __all__ = ["Field", "field"]
 
-#: the fewest vectors _batched_lane_ops lists in one big-int pass; below
-#: this the comprehension of _lane_ops is faster (measured at q = 3, 5, 7)
+#: the fewest vectors _batched_lane_ops lists in one big-int pass; per
+#: vector, the batch and the comprehension of _lane_ops break even between
+#: 24 and 54 vectors at q = 3, 5, 7, 9 and 27 (4- and 8-byte slots)
 _BATCH_MIN = 32
-#: the array typecode of an unsigned item, by its size in bytes
-_UINT = {array(c).itemsize: c for c in "QLI"}
 
 # Modulus polynomials for the non-prime orders, low degree first:
 # GF(4): x^2+x+1, GF(8): x^3+x+1, GF(9): x^2+2x+2, GF(16): x^4+x+1,
@@ -249,7 +248,7 @@ def _batched_lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable]:
     if w * lanes > 64:
         return add, sums
     size, order, sh = 4 if w * lanes <= 32 else 8, sys.byteorder, w - 1
-    code = _UINT[size]
+    code = "I" if size == 4 else "Q"
     ones = (((1 << w * lanes) - 1) // ((1 << w) - 1)).to_bytes(size, order)
 
     def batched(vs, ms):

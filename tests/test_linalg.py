@@ -1045,6 +1045,26 @@ def test_a_rational_leaf_is_not_ranked_mod_7_twice(monkeypatch):
     assert tried[0][0] == 7
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_rational_leaf_carries_its_own_rank_mod_7(monkeypatch, n):
+    # the exact test takes the leaf's rank mod 7 on trust to start its prime
+    # loop, so each leaf it gets must carry the rank of exactly its rows; the
+    # search on W_{1,2}(2,5) is refused, after about 200 such leaves
+    carried = []
+
+    def spy(sub):
+        carried.append((sub.rank, rank_gfp(GfpMatrix(7, [list(r) for r in sub]))))
+        return rank_rational(sub)
+
+    monkeypatch.setattr(linalg, "rank_rational", spy)
+    m = GfpMatrix.from_incidence(wilson_matrix(2, n, 1, 2), 2)
+    try:
+        min_support_kernel_rational(m, m.cols, budget=2**16, transitive=True)
+    except BudgetExceededError:
+        assert n == 5
+    assert carried and all(got == want for got, want in carried)
+
+
 def test_a_refused_rational_search_makes_no_exact_rank_test(monkeypatch):
     # W_{1,4} over GF(2)^5 has many leaves dependent mod 2 but none mod 7 up
     # to 2^14 nodes, so a refusal there costs no rank_rational call
