@@ -270,7 +270,9 @@ def _load_matrix(path: str, p: Optional[int], dense: bool = False):
         raise ValueError(f"bad matrix file {path}: {e}") from None
     # every command that reads a matrix builds it whole, dense over Q at one
     # 64-bit slot per entry or packed over GF(p) (p defaults to the field's)
-    # at _lane_width(p) bits: count its words before that allocates them
+    # at _lane_width(p) bits: count its words before that allocates them.
+    # Staging the packed rows takes as many bytes again at lane widths of 1
+    # and 8 bits or more, twice the count at 4 (one hex digit per lane)
     bits = 64 if dense else _lane_width(p if p is not None else field(m.q).p)
     per = "one bit" if bits == 1 else f"{bits} bits"
     what = f"a {m.rows}x{m.cols} matrix takes {{}} 64-bit words at {per} per entry"

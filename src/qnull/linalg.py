@@ -2,7 +2,10 @@
 
 A GfpMatrix stores each row packed, as one int with column j at bit nc-1-j
 over GF(2) and at w-bit lane nc-1-j over odd p; from_incidence writes these
-ints from the columns, and the tuple entries is decoded only when read.  The
+ints from the columns, staging each row as its own bytes at the lane width
+(8 columns a byte over GF(2)) except for the 4-bit lanes of p = 3, 5, 7,
+staged one hex digit a lane since an OR into a shared byte measured slower
+on their dense cells.  The tuple entries is decoded only when read.  The
 two elimination cores take and give packed rows, so rref_gfp and the kernels
 neither pack nor decode.  Over GF(2) _xor_basis, also used by the all-ones
 test, is the forward pass to an echelon basis keyed by leading bit.  Over
@@ -166,19 +169,36 @@ class GfpMatrix:
 
     @classmethod
     def from_incidence(cls, m, p: int) -> "GfpMatrix":
-        """Reduce an IncidenceMatrix (0/1 entries) mod p, packed from col_rows."""
+        """Reduce an IncidenceMatrix (0/1 entries) mod p, packed from col_rows.
+
+        Each row is staged as the bytes of its int, ceil(cols * w / 8) of
+        them, and read by int.from_bytes: column j sets bit (cols-1-j) * w,
+        whose byte and bit are found once per column.  At p = 2 that is the
+        packed size, eight columns to a byte.  The 4-bit lanes (p = 3, 5, 7)
+        stage one hex digit per lane instead, read by int(text, 16): two
+        lanes sharing a byte cost an OR per entry, which measured slower on
+        their dense cells than the digit store.
+        """
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        # each row as the binary (p = 2) or hex digits of its int, d per lane,
-        # after a 0 so that an empty row parses
-        d = -(-_lane_width(p) // 4)
-        rows = [bytearray(b"0" * (m.cols * d + 1)) for _ in range(m.rows)]
-        for pos, col in enumerate(m.col_rows, 1):
-            pos *= d  # the last digit of lane pos - 1
+        w = _lane_width(p)
+        if w == 4:
+            # one hex digit per lane, after a 0 so that an empty row parses
+            digits = [bytearray(b"0" * (m.cols + 1)) for _ in range(m.rows)]
+            for pos, col in enumerate(m.col_rows, 1):
+                for i in col:
+                    digits[i][pos] = 49  # "1"
+            return object.__new__(cls)._set(p, m.cols, [int(r, 16) for r in digits])
+        size = -(-m.cols * w // 8)
+        rows = [bytearray(size) for _ in range(m.rows)]
+        for j, col in enumerate(m.col_rows):
+            at = (m.cols - 1 - j) * w
+            pos, bit = size - 1 - (at >> 3), 1 << (at & 7)
             for i in col:
-                rows[i][pos] = 49  # "1"
-        base = 2 if p == 2 else 16
-        return object.__new__(cls)._set(p, m.cols, [int(r, base) for r in rows])
+                rows[i][pos] |= bit
+        return object.__new__(cls)._set(
+            p, m.cols, [int.from_bytes(r, "big") for r in rows]
+        )
 
 
 @dataclass(frozen=True)

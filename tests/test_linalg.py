@@ -1,8 +1,11 @@
 import functools
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -115,9 +118,10 @@ def _has_field(q):
 
 @functools.cache
 def _storage_cases():
-    """Every Wilson cell with q^n <= 3^4 over a field qnull has, and a
-    hand-edited file (an empty row and column, a row that repeats another, a
-    column of ones), each with its dense rows."""
+    """Every Wilson cell with q^n <= 3^4 over a field qnull has, and
+    hand-edited files (an empty row and column, a row that repeats another, a
+    column of ones, no column, widths around a byte), each with its dense
+    rows."""
     cells = [
         wilson_matrix(q, n, t, k)
         for q in filter(_has_field, range(2, 3**4 + 1))
@@ -127,6 +131,15 @@ def _storage_cases():
         for k in range(t, n + 1)
     ]
     cells.append(read_matrix("2 3 1 2 4 5\n0 0\n0 3\n0 4\n1 4\n3 0\n3 3\n3 4\n"))
+    # the byte edges of staging rows as bytes: rows with no column, and 8, 9,
+    # 16 and 17 columns with the first and last set, column 3 holding every
+    # row at 8 and 16, and row 3 empty at 9 and 17
+    cells.append(read_matrix("2 3 1 2 3 0\n"))
+    for c in (8, 9, 16, 17):
+        ones = {(0, 0), (1, c - 1), (2, 0), (2, c - 1), (0, c // 2)}
+        ones |= {(i, 3) for i in range(4)} if c % 8 == 0 else {(1, 1)}
+        text = "".join(f"{i} {j}\n" for i, j in sorted(ones))
+        cells.append(read_matrix(f"2 5 1 2 4 {c}\n{text}"))
     return [(m, tuple(map(tuple, m.dense()))) for m in cells]
 
 
@@ -145,6 +158,38 @@ def test_packed_storage_keeps_the_dense_meaning(p):
         (red, rank, pivots), (red2, rank2, pivots2) = rref_gfp(packed), rref_gfp(dense)
         assert (red.entries, rank, pivots) == (red2.entries, rank2, pivots2)
         assert kernel_basis_gfp(packed) == kernel_basis_gfp(dense)
+
+
+STAGING_PEAK = """
+from qnull.incidence import wilson_matrix
+from qnull.linalg import GfpMatrix
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return int(next(ln for ln in status if ln.startswith("VmHWM:")).split()[1])
+
+m = wilson_matrix(2, 7, 2, 3)
+before = peak_kb()
+g = GfpMatrix.from_incidence(m, 2)
+print((peak_kb() - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_gf2_staging_peak_stays_near_the_packed_rows():
+    # W_{2,3}(2,7) is 2667 x 11811: its packed rows take 3.9 MB, where a
+    # staging of one ASCII digit per column took 31 MB more.  The peak is
+    # the child's own VmHWM: Linux carries the parent's peak into a child's
+    # ru_maxrss across fork and exec, which would hide the growth.
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", STAGING_PEAK],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+    assert float(proc.stdout) < 16, proc.stdout
 
 
 def test_kernel_basis_properties():
