@@ -79,7 +79,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValueError(f"cannot read {path}: {e}") from None
 
 

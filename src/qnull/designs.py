@@ -79,7 +79,7 @@ __all__ = [
 class NullDesign:
     """Immutable finitely-supported coefficient map on subspaces of dim >= t_claimed."""
 
-    __slots__ = ("field", "n", "r", "t_claimed", "support", "_sorted", "_scatter")
+    __slots__ = ("field", "n", "r", "t_claimed", "support", "_scatter")
 
     def __init__(
         self,
@@ -110,16 +110,11 @@ class NullDesign:
         self.r = r
         self.t_claimed = t_claimed
         self.support = MappingProxyType(cleaned)
-        self._sorted = None
         self._scatter = (None, None)  # (t, counts) of the last verify_strength
 
     def items_sorted(self) -> list[tuple[Subspace, int]]:
         """Support items ordered by (dimension, enumeration ordinal)."""
-        if self._sorted is None:
-            self._sorted = sorted(
-                self.support.items(), key=lambda xc: (xc[0].k, index_of(xc[0]))
-            )
-        return list(self._sorted)
+        return sorted(self.support.items(), key=lambda xc: (xc[0].k, index_of(xc[0])))
 
     def uniform_dim(self) -> Optional[int]:
         """The common support dimension if the design is uniform, else None."""
@@ -410,17 +405,18 @@ def read_design(text: str) -> NullDesign:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty design file")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ValueError(f"bad header {lines[0]!r}, expected 'q n r t_claimed'")
-    q, n, r, t_claimed = map(int, head)
+    try:
+        q, n, r, t_claimed = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"bad header {lines[0]!r}, expected 'q n r t_claimed'") from None
     f = field(q)
     support: dict[Subspace, int] = {}
     for ln in lines[1:]:
-        parts = ln.split("|")
-        if len(parts) != 3:
-            raise ValueError(f"bad design line {ln!r}")
-        dim, text_part, coeff = int(parts[0]), parts[1], int(parts[2])
+        try:
+            dim, text_part, coeff = ln.split("|")
+            dim, coeff = int(dim), int(coeff)
+        except ValueError:
+            raise ValueError(f"bad design line {ln!r}") from None
         x = subspace_from_text(f, n, text_part)
         if x.k != dim:
             raise ValueError(f"line {ln!r}: stated dim {dim} but parsed dim {x.k}")

@@ -10,10 +10,17 @@ powers, walked once at construction, must reach every nonzero element.
 Arithmetic is table-driven: a Field instance precomputes full add/mul/inv
 tables at construction, which keeps inner loops at list-indexing cost; they
 grow as q^2, so orders above Field.MAX_ORDER are refused before any is built.
+
+Vectors over GF(p) packed one residue per lane of an int are added by the
+lane ops of _lane_ops, the one factory that both the packed subspaces
+(grassmann) and the GF(p) elimination (linalg) use: XOR at p = 2, else one
+integer add and a lane-wise fold of p, with long products of short vectors
+listed in one big-int pass.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from functools import lru_cache
@@ -21,9 +28,9 @@ from typing import Callable
 
 __all__ = ["Field", "field"]
 
-#: the fewest vectors _batched_lane_ops lists in one big-int pass; per
-#: vector, the batch and the comprehension of _lane_ops break even between
-#: 24 and 54 vectors at q = 3, 5, 7, 9 and 27 (4- and 8-byte slots)
+#: the fewest vectors the sums of _lane_ops list in one big-int pass; per
+#: vector, the batch and the inline formula break even between 24 and 54
+#: vectors at q = 3, 5, 7, 9 and 27 (4- and 8-byte slots)
 _BATCH_MIN = 32
 
 # Modulus polynomials for the non-prime orders, low degree first:
@@ -209,62 +216,58 @@ class Field:
         return f"Field(GF({self.q}))"
 
 
+def _xor_sums(vs: list[int], ms: list[int]) -> list[int]:
+    """The sums of _lane_ops at p = 2, or at any p where no lane is nonzero in both."""
+    return [v ^ m for v in vs for m in ms]
+
+
 def _lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable]:
-    """Lane-wise (a + b) mod p on ints of `lanes` w-bit lanes, 2^(w-1) >= p:
-    add(a, b), and sums(vs, ms), which lists add(a, b) for a in vs for b in ms
-    with the formula inline, in one call.
+    """Lane-wise (a + b) mod p on ints of `lanes` w-bit lanes, 2^(w-1) >= p
+    at odd p: add(a, b), and sums(vs, ms), which lists add(a, b) for a in vs
+    for b in ms in one call.  At p = 2 they are XOR and _xor_sums.
 
     Each lane of a and b holds a residue below p.  Adding 2^(w-1) - p sets a
     lane's high bit exactly when its sum reaches p, and no lane carries into
     the next, so one mask and one multiply take p off where it is due.
-    The packed subspaces (grassmann._Lanes) list their longer products of at
-    most 64-bit vectors in one big-int pass instead (_batched_lane_ops).
+
+    sums lists a product of _BATCH_MIN or more vectors of at most 64 bits in
+    a few C-level big-int steps, not one Python step per vector.  Each vector
+    of the product gets a slot of an array, 4 bytes (8 above 32 bits): vs[i]
+    in the len(ms) slots of row i, ms tiled once per row.  Read as ints, the
+    two take the formula once, with its constants repeated per slot, and the
+    array read back from the result is the list, in the same order.  The
+    padding bits of a slot stay 0, since no lane carries.  Wider vectors, and
+    shorter products, take the formula inline, one step per vector.
     """
+    if p == 2:
+        return operator.xor, _xor_sums
     ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)  # the low bit of every lane
     fold, high, sh = ones * ((1 << (w - 1)) - p), ones << (w - 1), w - 1
+    size, order = 4 if w * lanes <= 32 else 8, sys.byteorder
+    code = "I" if size == 4 else "Q"
+    # `ones` as one slot's bytes, None if a vector does not fit a slot
+    one = ones.to_bytes(size, order) if w * lanes <= 64 else None
 
     def add(a: int, b: int) -> int:
         t = a + b
         return t - (((t + fold) & high) >> sh) * p
 
-    return add, lambda vs, ms: [
-        (t := a + b) - (((t + fold) & high) >> sh) * p for a in vs for b in ms
-    ]
-
-
-def _batched_lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable]:
-    """_lane_ops(p, w, lanes), whose sums lists a product of _BATCH_MIN or
-    more vectors of at most 64 bits in a few C-level big-int steps, not one
-    Python step per vector.
-
-    Each vector of the product gets a slot of an array, 4 bytes (8 above 32
-    bits): vs[i] in the len(ms) slots of row i, ms tiled once per row.  Read
-    as ints, the two take the formula once, with its constants repeated per
-    slot, and the array read back from the result is the list, in the same
-    order.  The padding bits of a slot stay 0, since no lane carries.  Wider
-    vectors, and shorter products, keep the comprehension.
-    """
-    add, sums = _lane_ops(p, w, lanes)
-    if w * lanes > 64:
-        return add, sums
-    size, order, sh = 4 if w * lanes <= 32 else 8, sys.byteorder, w - 1
-    code = "I" if size == 4 else "Q"
-    ones = (((1 << w * lanes) - 1) // ((1 << w) - 1)).to_bytes(size, order)
-
-    def batched(vs, ms):
+    def sums(vs: list[int], ms: list[int]) -> list[int]:
         n, m = len(vs) * len(ms), len(ms)
-        if n < _BATCH_MIN:
-            return sums(vs, ms)
+        if n < _BATCH_MIN or one is None:
+            return [
+                (t := a + b) - (((t + fold) & high) >> sh) * p for a in vs for b in ms
+            ]
         buf, row = array(code, bytes(n * size)), array(code, vs)
         for j in range(m):
             buf[j::m] = row
         t = int.from_bytes(buf, order) + int.from_bytes(array(code, ms) * len(vs), order)
-        o = int.from_bytes(ones * n, order)  # the repeated fold is h - o * p
+        o = int.from_bytes(one * n, order)  # the repeated fold is h - o * p
         h, out = o << sh, array(code)
         out.frombytes((t - (((t + h - o * p) & h) >> sh) * p).to_bytes(n * size, order))
         return out.tolist()
 
-    return add, batched
+    return add, sums
 
 
 @lru_cache(maxsize=None)

@@ -27,8 +27,8 @@ free entry (r, c) of L, so it is built from x's cached row multiples and x is
 never spanned.  That loop is _local_choices, one _Lanes.sums call per free
 entry (no call per vector).  Over odd p a sums call of at least
 fields._BATCH_MIN (32) vectors of at most 64 bits lists its product in one
-big-int pass on 4- or 8-byte slots (fields._batched_lane_ops); shorter
-products and wider vectors take one comprehension step per vector.  The
+big-int pass on 4- or 8-byte slots (fields._lane_ops); shorter products and
+wider vectors take one step of the inline formula per vector.  The
 loop starts each row from a list: [row] for one subspace x, or, as
 incidence.wilson_matrix does for the blocks of a layer, a whole list for x's
 row 0, which no free entry adds, so one call lists the rows of the
@@ -44,13 +44,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .fields import Field, _batched_lane_ops, field
+from .fields import Field, _lane_ops, field
 
 __all__ = [
     "Subspace",
@@ -96,8 +95,8 @@ class _Lanes:
         self.dec = {raw: c for c, raw in enumerate(self.enc)}
         # -c at the lane pattern of each code c; no other pattern occurs
         self._neg_at = [f.neg(self.dec.get(raw, 0)) for raw in range(max(self.enc) + 1)]
-        ops = (operator.xor, _xor_sums) if p == 2 else _batched_lane_ops(p, w, n * s)
-        self.add, self.sums = ops  # sums lists add(v, m) for v in vs for m in ms
+        # sums lists add(v, m) for v in vs for m in ms
+        self.add, self.sums = _lane_ops(p, w, n * s)
         # x times a coordinate moves its digits up one lane and adds the top
         # digit d back in as d*x^s = d*(-modulus[0] - modulus[1] x - ...)
         self._top = sum(((1 << w) - 1) << (j * self.bw + (s - 1) * w) for j in range(n))
@@ -468,11 +467,6 @@ def _ambient_layer(q: int, n: int, d: int) -> tuple:
         out.append((pivots, rows, weights, offset))
         offset += math.prod(map(len, rows))
     return tuple(out)
-
-
-def _xor_sums(vs: list[int], ms: list[int]) -> list[int]:
-    """_Lanes.sums over GF(2), or at any q where no lane is nonzero in both."""
-    return [v ^ m for v in vs for m in ms]
 
 
 def _local_choices(starts, mults, layout, sums) -> list:

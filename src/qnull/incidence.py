@@ -144,10 +144,10 @@ def read_matrix(text: str) -> IncidenceMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
-    head = lines[0].split()
-    if len(head) != 6:
-        raise ValueError(f"bad header {lines[0]!r}, expected 'q n t k rows cols'")
-    q, n, t, k, rows, cols = map(int, head)
+    try:
+        q, n, t, k, rows, cols = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"bad header {lines[0]!r}, expected 'q n t k rows cols'") from None
     field(q)
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")

@@ -64,8 +64,8 @@ Minimum rational support is the same search, with Q passed as p = 0, on a
 0/1 matrix held over GF(2).  A rational dependency among integer columns
 survives reduction mod any prime, so a leaf first gets the mod-7 rank test,
 on its columns spread into 4-bit lanes when first read; only a leaf that is
-dependent mod 7 gets the exact rank_rational, whose prime loop takes that
-rank as tried and goes on at 5.  One helper, _nullvector,
+dependent mod 7 gets the exact rank test, _rank_rational, passed that rank
+with 7 as tried, so its prime loop goes on at 5.  One helper, _nullvector,
 gives the witness in every ring.  The search reads the column view _columns
 and never decodes entries; leaf tests and witnesses read only the chosen
 columns.
@@ -79,7 +79,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from struct import pack, unpack
+from struct import error as StructError, pack, unpack
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .fields import _is_prime, _lane_ops
@@ -131,7 +131,7 @@ class GfpMatrix:
     """A matrix over GF(p), stored as the packed rows the elimination cores use:
     row i is one int with column j at lane cols-1-j of w = _lane_width(p) bits.
     entries, the rows as tuples, is decoded when first read and then cached.
-    GfpMatrix(p, entries) refuses an entry outside [0, p).
+    GfpMatrix(p, entries) refuses an entry outside [0, p) or not an integer.
     """
 
     p: int
@@ -143,12 +143,17 @@ class GfpMatrix:
             raise ValueError(f"modulus {p} is not prime")
         if len({len(r) for r in entries}) > 1:
             raise ValueError("ragged matrix")
-        for i, row in enumerate(entries):
-            if row and not 0 <= min(row) <= max(row) < p:
-                j = next(j for j, v in enumerate(row) if not 0 <= v < p)
-                raise ValueError(f"entry {row[j]!r} at ({i}, {j}) is not in [0, {p})")
-        entries = tuple(map(tuple, entries))
-        self._set(p, len(entries[0]) if entries else 0, _pack(entries, _lane_width(p)))
+        try:
+            for i, row in enumerate(entries):
+                if row and not 0 <= min(row) <= max(row) < p:
+                    j = next(j for j, v in enumerate(row) if not 0 <= v < p)
+                    raise ValueError(f"entry {row[j]!r} at ({i}, {j}) is not in [0, {p})")
+            entries = tuple(map(tuple, entries))
+            packed = _pack(entries, _lane_width(p))
+        except (TypeError, ValueError, StructError):
+            _refuse_non_integers(entries)  # by its position, else the error stands
+            raise
+        self._set(p, len(entries[0]) if entries else 0, packed)
         self.__dict__["entries"] = entries
 
     def _set(self, p: int, cols: int, packed: Iterable[int]) -> "GfpMatrix":
@@ -508,15 +513,14 @@ def _refuse_non_integers(entries: Sequence[Sequence[int]]) -> None:
                 raise ValueError(f"entry ({i},{j}) = {v!r} is not an integer") from None
 
 
-class _RankedMod7(list):
-    """A support-search leaf's rows (on_support) carrying their rank mod 7,
-    from which rank_rational's prime loop starts, going on at 5."""
-
-    __slots__ = ("rank",)
-
-
 def rank_rational(entries: Sequence[Sequence[int]]) -> int:
     """Rank over Q of an integer matrix, from its ranks mod p (see module doc)."""
+    return _rank_rational(entries, 0, 1)
+
+
+def _rank_rational(entries: Sequence[Sequence[int]], rank: int, prod: int) -> int:
+    """rank_rational with the primes dividing prod taken as tried and rank the
+    most seen there: a support-search leaf passes its rank mod 7 and 7."""
     if len({len(r) for r in entries}) > 1:
         raise ValueError("ragged matrix")
     if not entries or not entries[0]:
@@ -529,14 +533,8 @@ def rank_rational(entries: Sequence[Sequence[int]]) -> int:
         packed = lambda p, w: _pack([[v % p for v in r] for r in rows], w)
     else:
         packed = lambda p, w: _pack(_byte_residues(rows, p), w)
-    tried = (entries.rank, 7) if isinstance(entries, _RankedMod7) else (0, 1)
-    return _rank_mod_primes(
-        packed,
-        len(rows),
-        len(rows[0]),
-        lambda: list(map(min, _norm_products(rows), _norm_products(zip(*rows)))),
-        *tried,
-    )
+    bounds = lambda: list(map(min, _norm_products(rows), _norm_products(zip(*rows))))
+    return _rank_mod_primes(packed, len(rows), len(rows[0]), bounds, rank, prod)
 
 
 # -- the column view and witnesses -----------------------------------------
@@ -778,9 +776,7 @@ def _support_enum(
             rank = len(_lane_basis(vecs, lp, lw, m.rows))
             if p or rank == len(chosen):
                 return rank < len(chosen)
-            leaf = _RankedMod7(on_support(chosen))
-            leaf.rank = rank
-            return rank_rational(leaf) < len(chosen)
+            return _rank_rational(on_support(chosen), rank, 7) < len(chosen)
 
     hit = _least_dependent_set(masks, row_cols, stages, dependent, budget, transitive)
     if hit is None:

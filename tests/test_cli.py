@@ -354,6 +354,35 @@ def test_verify_missing_file_is_usage_error(capsys):
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize("argv", ["verify --design", "rank --over q --matrix"])
+def test_a_file_that_is_not_ascii_is_named(tmp_path, capsys, argv):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"\xff2 3 2 1\n")
+    code, out, err = run(capsys, *argv.split(), str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, text, named",
+    [
+        ("verify --design", "2 3 2 x\n", "bad header '2 3 2 x'"),
+        ("verify --design", "2 3 2 1\nx|100|1\n", "bad design line 'x|100|1'"),
+        ("verify --design", "2 3 2 1\n1|100|y\n", "bad design line '1|100|y'"),
+        ("verify --design", "2 3 2 1\n1|100|1.5\n", "bad design line '1|100|1.5'"),
+        ("rank --over q --matrix", "2 3 1 2 x 7\n", "bad header '2 3 1 2 x 7'"),
+    ],
+)
+def test_a_non_integer_in_a_file_names_its_header_or_line(
+    tmp_path, capsys, argv, text, named
+):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv.split(), str(path))
+    assert (code, out) == (2, "")
+    assert named in err and err.count("\n") == 1
+
+
 # -- refused parameters -----------------------------------------------------------
 
 

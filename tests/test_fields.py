@@ -1,7 +1,10 @@
 import math
+import operator
+import random
 
 import pytest
 
+from qnull import fields
 from qnull.fields import Field, _is_prime, field
 
 
@@ -152,3 +155,34 @@ def test_primality_matches_trial_division_and_refuses_past_its_bound():
         message = f"^{m} is too large: primality is decided below {limit}$"
         with pytest.raises(ValueError, match=message):
             is_prime(m)
+
+
+def test_lane_ops_at_p_2_are_xor():
+    assert fields._lane_ops(2, 1, 9) == (operator.xor, fields._xor_sums)
+    assert fields._xor_sums([0b101, 0b010], [0b011, 0]) == [0b110, 0b101, 0b001, 0b010]
+
+
+@pytest.mark.parametrize(
+    "p, w, lanes", [(3, 3, 10), (3, 3, 11), (5, 4, 16), (7, 4, 17), (131, 9, 3), (3, 3, 30)]
+)
+def test_lane_sums_add_each_lane_mod_p(p, w, lanes):
+    # vectors of 30 and 33 bits at p = 3, 64 and 68 at p = 5 and 7 (each side
+    # of the 4- and 8-byte slots of the batch), 27 at p = 131 and 90 at p = 3
+    # (past the slots), in products on each side of the batch's threshold,
+    # against each lane added on its own
+    add, sums = fields._lane_ops(p, w, lanes)
+    rng, b, mask = random.Random(p * lanes), fields._BATCH_MIN, (1 << w) - 1
+
+    def vectors(count):  # led by p - 1 in every lane, where each sum reaches p
+        top = sum(p - 1 << j * w for j in range(lanes))
+        rest = [sum(rng.randrange(p) << j * w for j in range(lanes)) for _ in range(count)]
+        return ([top] + rest)[:count]
+
+    def lane_add(x, y):
+        lane = lambda v, j: v >> j * w & mask
+        return sum((lane(x, j) + lane(y, j)) % p << j * w for j in range(lanes))
+
+    for nv, nm in ((1, 1), (b - 1, 1), (1, b), (b // 3 + 1, 3), (3 * b, 7), (0, b), (b, 0)):
+        vs, ms = vectors(nv), vectors(nm)
+        want = [lane_add(v, m) for v in vs for m in ms]
+        assert sums(vs, ms) == [add(v, m) for v in vs for m in ms] == want, (nv, nm)

@@ -467,7 +467,7 @@ def test_lane_sums_list_what_one_add_per_element_listed(q):
             # a multiple of unit row c adds into lane c only, where vs are 0,
             # so there the sum is an XOR at any q
             units = lanes.multiples(1 << (c * lanes.bw))
-            assert grassmann._xor_sums(vs, units) == [
+            assert fields._xor_sums(vs, units) == [
                 lanes.add(v, m) for v in vs for m in units
             ]
         for k in range(n + 1):
@@ -500,7 +500,7 @@ def test_lane_sums_list_what_one_add_per_element_listed(q):
                     w = lanes.whole
                     mults = grassmann._multiples(w)
                     assert grassmann._local_choices(
-                        [[v] for v in w.vecs], mults, layout, grassmann._xor_sums
+                        [[v] for v in w.vecs], mults, layout, fields._xor_sums
                     ) == local_choices_by_add(w.vecs, mults, layout, lanes.add)
 
 

@@ -86,6 +86,16 @@ def test_gfp_matrix_refuses_entries_outside_the_residues():
     assert rref_gfp(_m(3, ((3, 0), (0, 1))))[1] == 1
 
 
+@pytest.mark.parametrize("p", [3, 11, 131, 2**61 - 1])
+@pytest.mark.parametrize("bad", [1.5, "1", None])
+def test_gfp_matrix_refuses_a_non_integer_entry_by_its_position(p, bad):
+    # 1.5 passes the range check and once failed in the packer (TypeError at
+    # 4- and 8-bit lanes, struct.error at wider ones); "1" and None once
+    # failed in min() with a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"(1,1) = {bad!r} is not an integer")):
+        GfpMatrix(p, [[0, 1], [1, bad]])
+
+
 def test_gfp_matrix_is_a_value():
     a = _m(5, [[1, 2, 3], [4, 0, 1]])
     b = GfpMatrix.from_incidence(read_matrix("5 2 1 1 2 3\n0 0\n1 2\n"), 5)
@@ -1050,13 +1060,13 @@ def test_rational_mod_7_leaf_test_is_not_trusted(monkeypatch):
     # first test, but independent over Q, so the exact rank test must say no
     rows = ["010010", "001110", "010100", "011011", "100111", "111000"]
     rows = [[int(c) for c in r] for r in rows]
-    widths = []
+    widths, real = [], linalg._rank_rational
 
-    def spy(sub):
+    def spy(sub, rank, prod):
         widths.append(len(sub[0]))
-        return rank_rational(sub)
+        return real(sub, rank, prod)
 
-    monkeypatch.setattr(linalg, "rank_rational", spy)
+    monkeypatch.setattr(linalg, "_rank_rational", spy)
     rep = min_support_kernel_rational(GfpMatrix(2, rows), 6)
     assert rep.weight_text() == "none found" and rep.exhaustive
     assert widths == [6]  # only the full set is dependent mod 7
@@ -1071,15 +1081,15 @@ def test_a_rational_leaf_is_not_ranked_mod_7_twice(monkeypatch):
     # dependent mod 7 brings that rank to the exact test, which goes on at 5
     # and stops by the bound once 3 is tried
     tried = _spy_rank_primes(monkeypatch)
-    exact = []
+    exact, real = [], linalg._rank_rational
 
-    def spy(sub):
+    def spy(sub, rank, prod):
         tried.clear()
-        got = rank_rational(sub)
+        got = real(sub, rank, prod)
         exact.append(tuple(tried))
         return got
 
-    monkeypatch.setattr(linalg, "rank_rational", spy)
+    monkeypatch.setattr(linalg, "_rank_rational", spy)
     m = GfpMatrix.from_incidence(wilson_matrix(2, 4, 1, 2), 2)
     rep = min_support_kernel_rational(m, 6, transitive=True)
     assert rep.weight == 6
@@ -1095,13 +1105,13 @@ def test_a_rational_leaf_carries_its_own_rank_mod_7(monkeypatch, n):
     # the exact test takes the leaf's rank mod 7 on trust to start its prime
     # loop, so each leaf it gets must carry the rank of exactly its rows; the
     # search on W_{1,2}(2,5) is refused, after about 200 such leaves
-    carried = []
+    carried, real = [], linalg._rank_rational
 
-    def spy(sub):
-        carried.append((sub.rank, rank_gfp(GfpMatrix(7, [list(r) for r in sub]))))
-        return rank_rational(sub)
+    def spy(sub, rank, prod):
+        carried.append((rank, rank_gfp(GfpMatrix(7, [list(r) for r in sub]))))
+        return real(sub, rank, prod)
 
-    monkeypatch.setattr(linalg, "rank_rational", spy)
+    monkeypatch.setattr(linalg, "_rank_rational", spy)
     m = GfpMatrix.from_incidence(wilson_matrix(2, n, 1, 2), 2)
     try:
         min_support_kernel_rational(m, m.cols, budget=2**16, transitive=True)
@@ -1114,7 +1124,7 @@ def test_a_refused_rational_search_makes_no_exact_rank_test(monkeypatch):
     # W_{1,4} over GF(2)^5 has many leaves dependent mod 2 but none mod 7 up
     # to 2^14 nodes, so a refusal there costs no rank_rational call
     calls = []
-    monkeypatch.setattr(linalg, "rank_rational", lambda rows: calls.append(rows))
+    monkeypatch.setattr(linalg, "_rank_rational", lambda *args: calls.append(args))
     m = GfpMatrix.from_incidence(wilson_matrix(2, 5, 1, 4), 2)
     with pytest.raises(BudgetExceededError):
         min_support_kernel_rational(m, m.cols, budget=2**14, transitive=True)
