@@ -22,7 +22,6 @@ from .designs import (
     construct_lb_design,
     construct_uniform_design,
     strength_of,
-    sum_over_superspaces,
     verify_strength,
     verify_strength_direct,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "apply_check",
     "NullDesign",
     "Verdict",
-    "sum_over_superspaces",
     "verify_strength",
     "verify_strength_direct",
     "strength_of",

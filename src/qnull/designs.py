@@ -63,7 +63,6 @@ from .linalg import InvariantError
 __all__ = [
     "NullDesign",
     "Verdict",
-    "sum_over_superspaces",
     "verify_strength",
     "verify_strength_direct",
     "strength_of",
@@ -141,17 +140,6 @@ class Verdict:
 
     ok: bool
     violations: tuple[tuple[int, int], ...]
-
-
-def sum_over_superspaces(design: NullDesign, y: Subspace) -> int:
-    """The containment sum at y: coefficients of support elements above y, mod r."""
-    if y.field is not design.field or y.n != design.n:
-        raise ValueError("query subspace from a different ambient space")
-    total = 0
-    for x, c in design.support.items():
-        if contains(x, y):
-            total += c
-    return total % design.r
 
 
 def _check_domain(design: NullDesign, t: int) -> None:

@@ -221,6 +221,7 @@ def _xor_sums(vs: list[int], ms: list[int]) -> list[int]:
     return [v ^ m for v in vs for m in ms]
 
 
+@lru_cache(maxsize=256)
 def _lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable]:
     """Lane-wise (a + b) mod p on ints of `lanes` w-bit lanes, 2^(w-1) >= p
     at odd p: add(a, b), and sums(vs, ms), which lists add(a, b) for a in vs
@@ -238,6 +239,9 @@ def _lane_ops(p: int, w: int, lanes: int) -> tuple[Callable, Callable]:
     array read back from the result is the list, in the same order.  The
     padding bits of a slot stay 0, since no lane carries.  Wider vectors, and
     shorter products, take the formula inline, one step per vector.
+
+    The ops hold no state, so they are cached by (p, w, lanes): a support
+    search that ranks each leaf on the same lanes builds them once.
     """
     if p == 2:
         return operator.xor, _xor_sums

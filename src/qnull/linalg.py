@@ -1,23 +1,26 @@
 """Exact rank/kernel computations over GF(p) and Q, with minimum searches.
 
 A GfpMatrix stores each row packed, as one int with column j at bit nc-1-j
-over GF(2) and at w-bit lane nc-1-j over odd p; from_incidence writes these
-ints from the columns, staging each row as its own bytes at the lane width
-(8 columns a byte over GF(2)) except for the 4-bit lanes of p = 3, 5, 7,
-staged one hex digit a lane since an OR into a shared byte measured slower
-on their dense cells.  The tuple entries is decoded only when read.  The
-two elimination cores take and give packed rows, so rref_gfp and the kernels
-neither pack nor decode.  Over GF(2) _xor_basis, also used by the all-ones
-test, is the forward pass to an echelon basis keyed by leading bit.  Over
-odd p _lane_basis keys it by leading lane and keeps each row as found, with
--1/lead and, once used, its multiples: all p for p <= 7, so a step is one
-lane add (fields._lane_ops), else the doublings, one add per set bit of the
-scalar.  rank_gfp, rank_rational and the support search's leaf test stop
-there, cheaper on full-rank input than a reduced basis.  Over odd p
-rref_gfp runs Gauss-Jordan as the rows come: every basis row is zero at the
-other pivot lanes, so a row costs one lane add per pivot it touches, with
-no fill-in, and a new pivot clears its lane from the rows leading above it.
-Over GF(2) rref_gfp back-substitutes the echelon basis.
+over GF(2) and at w-bit lane nc-1-j over odd p, w = 4 for p = 3, 5, 7 and
+else the least of 8, 16, 32, ... bits that holds a sum of two residues:
+_pack and _unpack read a lane as a digit, as one big-endian struct integer
+up to 64 bits, or as hex text above.  from_incidence writes the ints from
+the columns, staging each row as its own bytes at the lane width (8 columns
+a byte over GF(2)) except for the 4-bit lanes, staged one hex digit a lane
+since an OR into a shared byte measured slower on their dense cells.  The
+tuple entries is decoded only when read.  The two elimination cores take and
+give packed rows, so rref_gfp and the kernels neither pack nor decode.  Over
+GF(2) _xor_basis, also used by the all-ones test, is the forward pass to an
+echelon basis keyed by leading bit.  Over odd p _lane_basis keys it by
+leading lane and keeps each row as found, with -1/lead and, once used, its
+multiples: all p for p <= 7, so a step is one lane add (fields._lane_ops),
+else the doublings, one add per set bit of the scalar.  rank_gfp,
+rank_rational and the support search's leaf test stop there, cheaper on
+full-rank input than a reduced basis.  Over odd p rref_gfp runs Gauss-Jordan
+as the rows come: every basis row is zero at the other pivot lanes, so a row
+costs one lane add per pivot it touches, with no fill-in, and a new pivot
+clears its lane from the rows leading above it.  Over GF(2) rref_gfp
+back-substitutes the echelon basis.
 
 Over Q, rank_rational has no elimination of its own.  It turns the matrix
 so that rows <= columns and takes its rank mod p on _lane_basis for the
@@ -131,16 +134,18 @@ class GfpMatrix:
     """A matrix over GF(p), stored as the packed rows the elimination cores use:
     row i is one int with column j at lane cols-1-j of w = _lane_width(p) bits.
     entries, the rows as tuples, is decoded when first read and then cached.
-    GfpMatrix(p, entries) refuses an entry outside [0, p) or not an integer.
+    GfpMatrix(p, entries) reads the rows, any iterable of them, once and
+    refuses an entry outside [0, p) or not an integer.
     """
 
     p: int
     cols: int
     _packed: tuple[int, ...]
 
-    def __init__(self, p: int, entries: Sequence[Sequence[int]]):
+    def __init__(self, p: int, entries: Iterable[Iterable[int]]):
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
+        entries = tuple(map(tuple, entries))  # once: the rows may be an iterator
         if len({len(r) for r in entries}) > 1:
             raise ValueError("ragged matrix")
         try:
@@ -148,7 +153,6 @@ class GfpMatrix:
                 if row and not 0 <= min(row) <= max(row) < p:
                     j = next(j for j, v in enumerate(row) if not 0 <= v < p)
                     raise ValueError(f"entry {row[j]!r} at ({i}, {j}) is not in [0, {p})")
-            entries = tuple(map(tuple, entries))
             packed = _pack(entries, _lane_width(p))
         except (TypeError, ValueError, StructError):
             _refuse_non_integers(entries)  # by its position, else the error stands
@@ -236,52 +240,40 @@ class SearchReport:
 
 
 # ASCII digit of each residue below 16, and back: one binary digit per
-# column at p = 2, one hex digit per 4-bit lane at odd p <= 7
+# column at p = 2, one hex digit per 4-bit lane at odd p <= 7; a lane of 8
+# to 64 bits is one big-endian struct integer, of the code _STRUCT[w]
 _TO_DIGIT = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 _FROM_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_STRUCT = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 def _lane_width(p: int) -> int:
-    """1 at p = 2, else the least multiple of 4 with 2^(w-1) >= p."""
-    return 1 if p == 2 else -(-((p - 1).bit_length() + 1) // 4) * 4
+    """1 at p = 2, else the least power of two w with 2^(w-1) >= p: 4 for
+    p <= 7, then 8, 16, 32, ... bits, so a lane of a byte or more is whole bytes."""
+    return 1 if p == 2 else 1 << (p - 1).bit_length().bit_length()
 
 
 def _pack(entries: Iterable[Sequence[int]], w: int) -> list[int]:
-    """Rows as ints of w-bit lanes (w = 1 or 4k); column j is lane nc-1-j."""
+    """Rows as ints of w-bit lanes, w = _lane_width(p); column j is lane nc-1-j:
+    one digit a lane up to 4 bits, one struct integer up to 64, else hex text."""
     if w <= 4:
         return [int(b"0" + bytes(row).translate(_TO_DIGIT), 1 << w) for row in entries]
-    if w == 8:
-        return [int.from_bytes(bytes(row), "big") for row in entries]
-    d = w // 4
-    if d > 16:  # wider than struct's 64-bit lanes
-        lane = f"%0{d}x"
-        return [int("0" + "".join(map(lane.__mod__, row)), 16) for row in entries]
-    # a row as struct's big-endian 64-bit lanes, 16 hex digits each
-    return [
-        int(b"0" + _regroup(pack(f">{len(row)}Q", *row).hex().encode(), 16, d), 16)
-        for row in entries
-    ]
+    if w <= 64:
+        fmt = ">%d" + _STRUCT[w]
+        return [int.from_bytes(pack(fmt % len(row), *row), "big") for row in entries]
+    lane = f"%0{w // 4}x"
+    return [int("0" + "".join(map(lane.__mod__, row)), 16) for row in entries]
 
 
 def _unpack(v: int, nc: int, w: int) -> tuple[int, ...]:
-    if w == 8:
-        return tuple(v.to_bytes(nc, "big"))
+    if 8 <= w <= 64:
+        return unpack(f">{nc}{_STRUCT[w]}", v.to_bytes(nc * w // 8, "big"))
     # a marker bit above the top lane keeps the leading zeros, and nc = 0
     text = format(v | 1 << nc * w, "b" if w == 1 else "x")[1:]
     if w <= 4:
         return tuple(text.encode().translate(_FROM_DIGIT))
     d = w // 4
-    if d > 16:
-        return tuple(int(text[i : i + d], 16) for i in range(0, len(text), d))
-    return unpack(f">{nc}Q", bytes.fromhex(_regroup(text.encode(), d, 16).decode()))
-
-
-def _regroup(digits: bytes, a: int, b: int) -> bytearray:
-    """Hex digits in groups of a as groups of b, cut or zero-filled on the left."""
-    out = bytearray(b"0" * (len(digits) // a * b))
-    for i in range(1, min(a, b) + 1):
-        out[b - i :: b] = digits[a - i :: a]
-    return out
+    return tuple(int(text[i : i + d], 16) for i in range(0, len(text), d))
 
 
 def _reduce(basis: dict[int, int], v: int) -> int:

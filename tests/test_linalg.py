@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnull import linalg
+from qnull import fields, linalg
 from qnull.designs import NullDesign, verify_strength
 from qnull.fields import field
 from qnull.grassmann import gaussian_binomial
-from qnull.incidence import read_matrix, wilson_matrix
+from qnull.incidence import IncidenceMatrix, read_matrix, wilson_matrix
 from qnull.linalg import (
     MODE_KERNEL,
     MODE_SUPPORT,
@@ -69,6 +69,18 @@ def test_gfp_matrix_validation():
         GfpMatrix(2, [[1, 0], [1]])  # ragged
 
 
+def test_gfp_matrix_reads_rows_from_any_iterable():
+    # a generator was once read whole by the ragged check, leaving no rows
+    rows = [[1, 2], [0, 1]]
+    want = GfpMatrix(3, rows)
+    for given_rows in ((r for r in rows), iter(rows), map(iter, rows)):
+        got = GfpMatrix(3, given_rows)
+        assert got == want and got.entries == ((1, 2), (0, 1))
+    assert rank_gfp(GfpMatrix(3, (r for r in rows))) == 2
+    with pytest.raises(ValueError, match="ragged"):
+        GfpMatrix(3, (r for r in [[1, 2], [1]]))
+
+
 def test_gfp_matrix_refuses_entries_outside_the_residues():
     # each once went through: a rank mod 3 of 2 where it is 1, an
     # InvariantError in the lane core, and a raw int() parse message
@@ -86,12 +98,12 @@ def test_gfp_matrix_refuses_entries_outside_the_residues():
     assert rref_gfp(_m(3, ((3, 0), (0, 1))))[1] == 1
 
 
-@pytest.mark.parametrize("p", [3, 11, 131, 2**61 - 1])
+@pytest.mark.parametrize("p", [3, 11, 131, 2**61 - 1, 3317044064679887385961813])
 @pytest.mark.parametrize("bad", [1.5, "1", None])
 def test_gfp_matrix_refuses_a_non_integer_entry_by_its_position(p, bad):
-    # 1.5 passes the range check and once failed in the packer (TypeError at
-    # 4- and 8-bit lanes, struct.error at wider ones); "1" and None once
-    # failed in min() with a TypeError
+    # 1.5 passes the range check and once failed in the packer (TypeError in
+    # the digit and hex-text codecs, struct.error at byte lanes); "1" and
+    # None once failed in min() with a TypeError
     with pytest.raises(ValueError, match=re.escape(f"(1,1) = {bad!r} is not an integer")):
         GfpMatrix(p, [[0, 1], [1, bad]])
 
@@ -116,6 +128,9 @@ def test_tracer_hooks_stay_in_place():
         m = GfpMatrix.from_incidence(wilson_matrix(2, 3, 1, 2), p)
         red = rref_gfp(m)[0]
         assert (red.p, red.rows, red.cols) == (m.p, m.rows, m.cols) == (p, 7, 7)
+    # perfbench's elim workload ranks m.dense() over Q, and its tracer wraps
+    # that method on the class
+    assert callable(vars(IncidenceMatrix)["dense"])
 
 
 def _has_field(q):
@@ -155,7 +170,7 @@ def _storage_cases():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 131])
 def test_packed_storage_keeps_the_dense_meaning(p):
-    # lane widths 1, 4, 4, 4, 8 and 12: from_incidence writes the packed
+    # lane widths 1, 4, 4, 4, 8 and 16: from_incidence writes the packed
     # rows itself, the constructor packs the dense rows as entries.  Past 2^16
     # entries (eight GF(2)^6 cells) both eliminations would take seconds on
     # what the equal rows already decide, so those check storage only.
@@ -168,6 +183,30 @@ def test_packed_storage_keeps_the_dense_meaning(p):
         (red, rank, pivots), (red2, rank2, pivots2) = rref_gfp(packed), rref_gfp(dense)
         assert (red.entries, rank, pivots) == (red2.entries, rank2, pivots2)
         assert kernel_basis_gfp(packed) == kernel_basis_gfp(dense)
+
+
+# primes at each edge of each lane width, the least power of two w with
+# 2^(w-1) >= p: 1 and 4 bits are digits, 8 to 64 one struct integer, and 128
+# (an 82-bit prime, p > 2^63) hex text
+LANE_PRIMES = [
+    (2, 1), (3, 4), (7, 4), (11, 8), (127, 8), (131, 16), (32749, 16),
+    (32771, 32), (2**31 - 1, 32), (2**61 - 1, 64), (3317044064679887385961813, 128),
+]
+
+
+@pytest.mark.parametrize("p, w", LANE_PRIMES)
+def test_pack_and_unpack_round_trip_at_each_lane_width(p, w):
+    assert linalg._lane_width(p) == w
+    rng = random.Random(p)
+    rows = [[], [0], [p - 1], [0, p - 1, 1, 0], [p - 1] * 9, [0] * 9]
+    rows += [[rng.randrange(p) for _ in range(nc)] for nc in (1, 7, 70)]
+    for row in rows:
+        nc = len(row)
+        v = linalg._pack([row], w)[0]
+        assert v < 1 << nc * w and linalg._unpack(v, nc, w) == tuple(row)
+        # column j at lane nc-1-j
+        assert all(v >> (nc - 1 - j) * w & (1 << w) - 1 == x for j, x in enumerate(row))
+    assert linalg._pack(rows, w) == [linalg._pack([r], w)[0] for r in rows]
 
 
 STAGING_PEAK = """
@@ -302,7 +341,7 @@ def test_gf2_rref_matches_list_elimination(shape):
 @settings(max_examples=300, deadline=None)
 def test_gfp_rref_matches_list_elimination(shape):
     # 4-bit lanes for p <= 7, 8 bits for 11 to 127 (the widest prime there,
-    # whose sums reach the top bit of a lane), 12 for 131 and 32 for
+    # whose sums reach the top bit of a lane), 16 for 131 and 32 for
     # 2^31 - 1; 7 is the widest prime that reduces from a table of all its
     # multiples and 11 the first that reduces from doublings, so a scalar
     # multiple takes up to 31 of them; widths up to 200 cross the 64-bit
@@ -719,7 +758,7 @@ def _brute_min_weight(m, cap):
 
 @st.composite
 def small_gfp_matrix(draw):
-    """Lanes of 1, 4, 8 and 12 bits, with table (p < 8) and doubling multiples;
+    """Lanes of 1, 4, 8 and 16 bits, with table (p < 8) and doubling multiples;
     at most about 2*10^4 vectors, p^cols, for the brute force."""
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 131]))
     nr = draw(st.integers(min_value=1, max_value=4))
@@ -1129,6 +1168,18 @@ def test_a_refused_rational_search_makes_no_exact_rank_test(monkeypatch):
     with pytest.raises(BudgetExceededError):
         min_support_kernel_rational(m, m.cols, budget=2**14, transitive=True)
     assert calls == []
+
+
+def test_a_rational_search_builds_its_lane_ops_once():
+    # every leaf is ranked mod 7 on lanes of the same width and count, so the
+    # refusal of W_{1,4}(2,5) at 2^16 nodes, with thousands of leaves, builds
+    # the lane ops of fields._lane_ops once and reads the rest from its cache
+    m = GfpMatrix.from_incidence(wilson_matrix(2, 5, 1, 4), 2)
+    fields._lane_ops.cache_clear()
+    with pytest.raises(BudgetExceededError):
+        min_support_kernel_rational(m, m.cols, budget=2**16, transitive=True)
+    info = fields._lane_ops.cache_info()
+    assert info.misses <= 2 and info.hits > 1000
 
 
 def test_rational_zero_and_duplicate_columns():
