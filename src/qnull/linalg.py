@@ -33,13 +33,13 @@ divisible by P and, by Hadamard's inequality, below P in absolute value, so
 0.  That stop holds after any primes, so the bound is built only once 7, 5
 and 3 are all tried.  Full rank (Kantor: W_{t,k} for t <= min(k, n-k)) ends
 the loop at the first prime that shows it, 7 or else 5 on the W_{t,k}
-tried; a rank-deficient matrix takes passes until P beats the bound.  Each
-row becomes bytes once, in C, when every entry is in [0, 256): per prime,
-one translate per row finds whether any byte is p or more (then a second
-maps each byte to its residue), and the rows are packed from those bytes.
-Other integer matrices are reduced % p entry by entry; a non-integer entry
-is refused by its position, located only once the bytes pass has failed.
-_rank_mod_primes, the prime loop, takes any packer.
+tried; a rank-deficient matrix takes passes until P beats the bound.  The
+rows, from any iterable, are read once by _int_rows, as GfpMatrix's are.
+Each row becomes bytes once, in C, when every entry is in [0, 256): per
+prime, one translate per row finds whether any byte is p or more (then a
+second maps each byte to its residue), and the rows are packed from those
+bytes.  Other integer matrices are reduced % p entry by entry; a non-integer
+entry is refused by its position, located only once the bytes pass has failed.
 
 Two exhaustive minimum-weight strategies are implemented for kernels over
 GF(p):
@@ -133,9 +133,9 @@ def default_budget(p: int) -> int:
 class GfpMatrix:
     """A matrix over GF(p), stored as the packed rows the elimination cores use:
     row i is one int with column j at lane cols-1-j of w = _lane_width(p) bits.
-    entries, the rows as tuples, is decoded when first read and then cached.
-    GfpMatrix(p, entries) reads the rows, any iterable of them, once and
-    refuses an entry outside [0, p) or not an integer.
+    entries, the rows as int tuples, is decoded when first read and then
+    cached.  GfpMatrix(p, entries) packs the rows, read once by _int_rows,
+    keeps no copy of them and refuses an entry outside [0, p) or not an integer.
     """
 
     p: int
@@ -145,20 +145,17 @@ class GfpMatrix:
     def __init__(self, p: int, entries: Iterable[Iterable[int]]):
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        entries = tuple(map(tuple, entries))  # once: the rows may be an iterator
-        if len({len(r) for r in entries}) > 1:
-            raise ValueError("ragged matrix")
+        rows = _int_rows(entries)
         try:
-            for i, row in enumerate(entries):
+            for i, row in enumerate(rows):
                 if row and not 0 <= min(row) <= max(row) < p:
                     j = next(j for j, v in enumerate(row) if not 0 <= v < p)
                     raise ValueError(f"entry {row[j]!r} at ({i}, {j}) is not in [0, {p})")
-            packed = _pack(entries, _lane_width(p))
+            packed = _pack(rows, _lane_width(p))
         except (TypeError, ValueError, StructError):
-            _refuse_non_integers(entries)  # by its position, else the error stands
+            _refuse_non_integers(rows)  # by its position, else the error stands
             raise
-        self._set(p, len(entries[0]) if entries else 0, packed)
-        self.__dict__["entries"] = entries
+        self._set(p, len(rows[0]) if rows else 0, packed)
 
     def _set(self, p: int, cols: int, packed: Iterable[int]) -> "GfpMatrix":
         self.__dict__.update(p=p, cols=cols, _packed=tuple(packed))  # frozen
@@ -251,6 +248,15 @@ def _lane_width(p: int) -> int:
     """1 at p = 2, else the least power of two w with 2^(w-1) >= p: 4 for
     p <= 7, then 8, 16, 32, ... bits, so a lane of a byte or more is whole bytes."""
     return 1 if p == 2 else 1 << (p - 1).bit_length().bit_length()
+
+
+def _int_rows(entries: Iterable[Iterable[int]]) -> list[Sequence[int]]:
+    """The rows of a matrix, read once from any iterable: a list, tuple or
+    bytes row as it is, any other as a tuple.  Ragged rows are refused."""
+    rows = [r if isinstance(r, (list, tuple, bytes)) else tuple(r) for r in entries]
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("ragged matrix")
+    return rows
 
 
 def _pack(entries: Iterable[Sequence[int]], w: int) -> list[int]:
@@ -454,36 +460,6 @@ def _norm_products(vectors: Iterable[Sequence[int]]) -> list[int]:
     return list(itertools.accumulate(norms, operator.mul, initial=1))
 
 
-def _rank_mod_primes(
-    packed: Callable[[int, int], list[int]],
-    nr: int,
-    nc: int,
-    bounds: Callable[[], list[int]],
-    rank: int = 0,
-    prod: int = 1,
-) -> int:
-    """Rank over Q of an nr x nc integer matrix, nr <= nc, whose rows mod p
-    packed(p, w) gives in w-bit lanes; bounds() gives the Hadamard products
-    min(_norm_products) of its rows and columns, built only if needed.  The
-    primes dividing prod are taken as tried already, rank the most seen."""
-    bound = None
-    for p in _rank_primes():
-        if prod % p == 0:
-            continue
-        w = _lane_width(p)
-        rank = max(rank, len(_lane_basis(packed(p, w), p, w, nc)))
-        prod *= p
-        if rank == nr:
-            return rank
-        if p in (7, 5):
-            continue  # the bound waits until 3, the last 4-bit-lane prime
-        if bound is None:
-            bound = bounds()
-        # each (rank+1)-minor is divisible by prod, and below it by Hadamard
-        if prod * prod > bound[rank + 1]:
-            return rank
-
-
 def _byte_residues(rows: list[bytes], p: int) -> list[bytes]:
     """Rows of byte entries mod p, the same rows if every byte is below p."""
     if p > 255:
@@ -505,28 +481,42 @@ def _refuse_non_integers(entries: Sequence[Sequence[int]]) -> None:
                 raise ValueError(f"entry ({i},{j}) = {v!r} is not an integer") from None
 
 
-def rank_rational(entries: Sequence[Sequence[int]]) -> int:
+def rank_rational(entries: Iterable[Iterable[int]]) -> int:
     """Rank over Q of an integer matrix, from its ranks mod p (see module doc)."""
     return _rank_rational(entries, 0, 1)
 
 
-def _rank_rational(entries: Sequence[Sequence[int]], rank: int, prod: int) -> int:
+def _rank_rational(entries: Iterable[Iterable[int]], rank: int, prod: int) -> int:
     """rank_rational with the primes dividing prod taken as tried and rank the
     most seen there: a support-search leaf passes its rank mod 7 and 7."""
-    if len({len(r) for r in entries}) > 1:
-        raise ValueError("ragged matrix")
-    if not entries or not entries[0]:
+    given = _int_rows(entries)
+    if not given or not given[0]:
         return 0
-    rows = entries if len(entries) <= len(entries[0]) else list(zip(*entries))
+    rows = given if len(given) <= len(given[0]) else list(zip(*given))
     try:
-        rows = list(map(bytes, rows))  # in C, if every entry is in [0, 256)
+        rows, in_bytes = list(map(bytes, rows)), True  # in C, if all in [0, 256)
     except (TypeError, ValueError):
-        _refuse_non_integers(entries)
-        packed = lambda p, w: _pack([[v % p for v in r] for r in rows], w)
-    else:
-        packed = lambda p, w: _pack(_byte_residues(rows, p), w)
-    bounds = lambda: list(map(min, _norm_products(rows), _norm_products(zip(*rows))))
-    return _rank_mod_primes(packed, len(rows), len(rows[0]), bounds, rank, prod)
+        _refuse_non_integers(given)  # by its position as given
+        in_bytes = False
+    bound = None
+    for p in _rank_primes():
+        if prod % p == 0:
+            continue
+        w = _lane_width(p)
+        residues = (
+            _byte_residues(rows, p) if in_bytes else [[v % p for v in r] for r in rows]
+        )
+        rank = max(rank, len(_lane_basis(_pack(residues, w), p, w, len(rows[0]))))
+        prod *= p
+        if rank == len(rows):
+            return rank
+        if p in (7, 5):
+            continue  # the bound waits until 3, the last 4-bit-lane prime
+        if bound is None:
+            bound = list(map(min, _norm_products(rows), _norm_products(zip(*rows))))
+        # each (rank+1)-minor is divisible by prod, and below it by Hadamard
+        if prod * prod > bound[rank + 1]:
+            return rank
 
 
 # -- the column view and witnesses -----------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qnull
 from qnull.cli import EXIT_PIPE_CLOSED, main
 from qnull.designs import read_design
 from qnull.grassmann import contains, enumerate_subspaces, subspace_to_text
@@ -937,6 +938,29 @@ def test_reproduce_corruption_control_fails(capsys):
 def test_reproduce_empty_filter_matches_nothing(capsys):
     code, payload, _ = run_json(capsys, "reproduce", "--only", "zzz-no-such-label")
     assert code == 0 and payload["checks"] == 0
+
+
+def test_reproduce_needs_no_module_outside_the_standard_library():
+    # python -S keeps site-packages off sys.path, so an import of anything
+    # installed fails, and what loads besides qnull must be the stdlib's
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from qnull.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['reproduce', '--only', 'counts q2 n3', '--json'])\n"
+        "top = {m.partition('.')[0] for m in sys.modules}\n"
+        "other = top - set(sys.stdlib_module_names) - {'qnull', '__main__'}\n"
+        "print(json.dumps([code, json.loads(out.getvalue())['checks'], sorted(other)]))\n"
+    )
+    src = str(Path(qnull.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, src],
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [0, 1, []]
 
 
 # -- output ---------------------------------------------------------------------

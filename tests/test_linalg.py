@@ -81,6 +81,12 @@ def test_gfp_matrix_reads_rows_from_any_iterable():
         GfpMatrix(3, (r for r in [[1, 2], [1]]))
 
 
+def test_gfp_matrix_entries_are_decoded_from_the_packed_rows():
+    # the input rows were once kept as entries, so a bool came back as given
+    entries = GfpMatrix(3, [[True, 2]]).entries
+    assert entries == ((1, 2),) and all(type(v) is int for v in entries[0])
+
+
 def test_gfp_matrix_refuses_entries_outside_the_residues():
     # each once went through: a rank mod 3 of 2 where it is 1, an
     # InvariantError in the lane core, and a raw int() parse message
@@ -670,6 +676,17 @@ def test_rank_rational_matches_fraction_elimination_on_byte_range_entries(rows):
 def test_rank_rational_refuses_a_non_integer_entry_by_its_position(rows, where):
     with pytest.raises(ValueError, match=where + " is not an integer"):
         rank_rational(rows)
+
+
+def test_rank_rational_reads_rows_from_any_iterable():
+    # the ragged check once took len() of the rows as given: a generator of
+    # rows, or rows given as iterators, raised TypeError
+    assert rank_rational(r for r in [[1, 2], [0, 1]]) == 2
+    assert rank_rational([iter([1, 2]), iter([2, 4])]) == 1
+    with pytest.raises(ValueError, match="ragged"):
+        rank_rational(r for r in [[1, 2], [3]])
+    with pytest.raises(ValueError, match=r"\(1,0\) = 0\.5 is not an integer"):
+        rank_rational([iter([1, 2]), iter([0.5, 1])])
 
 
 def test_rank_primes_try_the_4_bit_lane_primes_first():
